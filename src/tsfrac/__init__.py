@@ -36,7 +36,6 @@ from .scheme import (
     SolveReport,
     SolverOptions,
     StabilityCheck,
-    TimeStepSystem,
     run_dids,
     run_fids,
     select_solver,

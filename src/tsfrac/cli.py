@@ -28,13 +28,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import couplings, spectrum
 from .ifl import build_ifl
 from .mesh import build_mesh
 from .problems import make_case
-from .scheme import SolverOptions, run_dids, run_fids
+from .scheme import SolverOptions, _level_shift, run_dids, run_fids
 from .soe import build_soe
 
 DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
@@ -57,7 +56,6 @@ class RunConfig:
     tol: float = 1e-10
     out: Optional[str] = None
     format: str = "csv"
-    seed: int = 0
     level: Optional[int] = None
     kappa_const: Optional[float] = None
     delta: Optional[float] = None
@@ -128,32 +126,22 @@ def _coupling_q(config: RunConfig) -> float:
     return 2.0 if config.coupling.endswith("2") else config.resolved_mu()
 
 
-def cmd_convergence_time(config: RunConfig) -> Table:
-    if not config.M:
-        raise ValueError("convergence-time needs --M (comma-separated doubling list)")
+def cmd_convergence(config: RunConfig) -> Table:
+    """convergence-time doubles M and couples N(M); convergence-space doubles
+    N and couples M(N)."""
     q = _coupling_q(config)
+    in_time = config.subcommand == "convergence-time"
+    sizes = config.M if in_time else config.N
+    if not sizes:
+        raise ValueError(f"{config.subcommand} needs {'--M' if in_time else '--N'} "
+                         f"(comma-separated doubling list)")
     table = Table(_CONV_COLUMNS)
     prev = (None, None)
-    for M in config.M:
-        N = couplings.n_from_m(M, config.r, config.gamma, q)
-        report = _run_scheme(config, config.scheme, M, N, config.solver)
-        rate_inf = couplings.rate(prev[0], report.err_inf) if prev[0] else None
-        rate_2 = couplings.rate(prev[1], report.err_2) if prev[1] else None
-        table.add(M, N, _fmt_err(report.err_inf), _fmt_rate(rate_inf),
-                  _fmt_err(report.err_2), _fmt_rate(rate_2),
-                  f"{report.avg_iterations:.1f}", f"{report.wall_time:.3f}")
-        prev = (report.err_inf, report.err_2)
-    return table
-
-
-def cmd_convergence_space(config: RunConfig) -> Table:
-    if not config.N:
-        raise ValueError("convergence-space needs --N (comma-separated doubling list)")
-    q = _coupling_q(config)
-    table = Table(_CONV_COLUMNS)
-    prev = (None, None)
-    for N in config.N:
-        M = couplings.m_from_n(N, config.r, config.gamma, q)
+    for size in sizes:
+        if in_time:
+            M, N = size, couplings.n_from_m(size, config.r, config.gamma, q)
+        else:
+            M, N = couplings.m_from_n(size, config.r, config.gamma, q), size
         report = _run_scheme(config, config.scheme, M, N, config.solver)
         rate_inf = couplings.rate(prev[0], report.err_inf) if prev[0] else None
         rate_2 = couplings.rate(prev[1], report.err_2) if prev[1] else None
@@ -191,9 +179,10 @@ def cmd_spectrum(config: RunConfig) -> Table:
     q = _coupling_q(config)
     M = config.M[0] if config.M else couplings.m_from_n(N, config.r, config.gamma, q)
     level = config.level if config.level is not None else M
+    if not 1 <= level <= M:
+        raise ValueError(f"--level must lie in [1, {M}], got {level}")
     mesh = build_mesh(M, config.r, config.T)
-    shift = (mesh.tau[level - 1] ** (-config.gamma) / (1.0 - config.gamma)
-             / math.exp(gammaln(1.0 - config.gamma)))
+    shift = _level_shift(mesh, config.gamma, level)
     disc = build_ifl(config.alpha, config.resolved_mu(), 1.0, N)
     x = disc.interior_points()
 
@@ -254,8 +243,8 @@ def cmd_ifl_column(config: RunConfig) -> Table:
 
 
 _COMMANDS = {
-    "convergence-time": cmd_convergence_time,
-    "convergence-space": cmd_convergence_space,
+    "convergence-time": cmd_convergence,
+    "convergence-space": cmd_convergence,
     "solver-compare": cmd_solver_compare,
     "spectrum": cmd_spectrum,
     "soe-check": cmd_soe_check,
@@ -297,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized diagnostics")
         p.add_argument("--level", type=int, default=None)
         p.add_argument("--kappa-const", dest="kappa_const", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
@@ -317,7 +304,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         alpha=args.alpha, r=args.r, mu=args.mu, M=args.M, N=args.N,
         coupling=coupling, scheme=args.scheme, solver=args.solver,
         epsilon=args.epsilon, tol=args.tol, out=args.out, format=args.format,
-        seed=args.seed, level=args.level, kappa_const=args.kappa_const,
+        level=args.level, kappa_const=args.kappa_const,
         delta=args.delta, T=args.T, points=args.points, time_reps=args.time_reps,
     )
 

@@ -2,17 +2,11 @@
 
 Production code paths (Toeplitz matvec embedding, circulant preconditioner
 solves) go through :func:`fft` / :func:`ifft`, which delegate to numpy's
-pocketfft.  The module additionally ships self-contained reference
-transforms: an iterative radix-2 FFT for power-of-two lengths and an
-arbitrary-length DFT via Bluestein's chirp-z reduction layered on the
-radix-2 core.  These are cross-checked in the test suite against the
-O(n^2) direct DFT and against the production engine, so any engine swap
-keeps both routes honest.
+pocketfft.  The reference transforms they are checked against live with the
+tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,89 +19,3 @@ def fft(x: np.ndarray) -> np.ndarray:
 def ifft(x: np.ndarray) -> np.ndarray:
     """Inverse complex DFT, any length."""
     return np.fft.ifft(x)
-
-
-def dft_direct(x: np.ndarray) -> np.ndarray:
-    """O(n^2) direct DFT; the oracle the fast transforms are checked against."""
-    x = np.asarray(x, dtype=complex)
-    n = x.size
-    j = np.arange(n)
-    return np.exp(-2j * math.pi * np.outer(j, j) / n) @ x
-
-
-_plan_cache: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-
-
-def _radix2_plan(n: int):
-    plan = _plan_cache.get(n)
-    if plan is None:
-        bits = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            rev[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-        twiddles = []
-        size = 2
-        while size <= n:
-            half = size // 2
-            twiddles.append(np.exp(-2j * math.pi * np.arange(half) / size))
-            size *= 2
-        plan = (rev, twiddles)
-        _plan_cache[n] = plan
-    return plan
-
-
-def radix2_fft(x: np.ndarray) -> np.ndarray:
-    """Iterative Cooley-Tukey FFT; length must be a power of two."""
-    x = np.asarray(x, dtype=complex)
-    n = x.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"radix-2 FFT needs a power-of-two length, got {n}")
-    rev, twiddles = _radix2_plan(n)
-    a = x[rev]
-    size = 2
-    for tw in twiddles:
-        half = size // 2
-        a = a.reshape(-1, size)
-        odd = a[:, half:] * tw
-        even = a[:, :half].copy()
-        a[:, :half] = even + odd
-        a[:, half:] = even - odd
-        a = a.reshape(-1)
-        size *= 2
-    return a
-
-
-def radix2_ifft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.conj(radix2_fft(np.conj(x))) / x.size
-
-
-def bluestein_dft(x: np.ndarray) -> np.ndarray:
-    """Arbitrary-length forward DFT via the chirp-z reduction.
-
-    Writes jk = (j^2 + k^2 - (k-j)^2)/2 so the DFT becomes a convolution of
-    chirp-modulated sequences, evaluated with the power-of-two radix-2 core.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = x.size
-    if n == 0:
-        raise ValueError("empty input")
-    if n == 1:
-        return x.copy()
-    j = np.arange(n)
-    chirp = np.exp(-1j * math.pi * (j * j % (2 * n)) / n)
-    L = 1
-    while L < 2 * n - 1:
-        L *= 2
-    a = np.zeros(L, dtype=complex)
-    a[:n] = x * chirp
-    b = np.zeros(L, dtype=complex)
-    b[:n] = np.conj(chirp)
-    b[L - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = radix2_ifft(radix2_fft(a) * radix2_fft(b))
-    return conv[:n] * chirp
-
-
-def bluestein_idft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.conj(bluestein_dft(np.conj(x))) / x.size

@@ -50,6 +50,11 @@ def build_mesh(M: int, r: float, T: float) -> GradedMesh:
     return GradedMesh(M=int(M), r=float(r), T=float(T), t=t, tau=tau)
 
 
+def _last_weight(tau_m: float, gamma: float) -> float:
+    """a_m = tau_m^{-gamma} / (1-gamma), the weight of the newest interval."""
+    return tau_m ** (-gamma) / (1.0 - gamma)
+
+
 def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> L1Weights:
     """L1 weights at level m: a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)).
 
@@ -76,7 +81,7 @@ def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> L1Weights:
         a[:-1] = (np.exp(one_mg * np.log(R))
                   * np.expm1(one_mg * np.log1p((L - R) / R))
                   / (mesh.tau[:m - 1] * one_mg))
-    a[-1] = mesh.tau[m - 1] ** (-gamma) / one_mg
+    a[-1] = _last_weight(mesh.tau[m - 1], gamma)
     return L1Weights(gamma=float(gamma), m=int(m), a=a)
 
 

@@ -6,8 +6,9 @@ Each time level m solves the dense-but-structured linear system
     shift_m = a^{(m)}_m / Gamma(1-gamma),
     K^m     = diag(kappa(x_i, t_m)),
 
-where A is the fractional-Laplacian Toeplitz matrix.  DIDS accumulates the
-Caputo history term from the full solution history with the L1 weights
+where A is the fractional-Laplacian Toeplitz matrix.  Both schemes run the
+same level loop and differ only in its history strategy: DIDS accumulates
+the Caputo history term from the full solution history with the L1 weights
 (O(m) per level); FIDS evaluates it through the sum-of-exponentials
 recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 /(1-gamma) is shared by both schemes and never goes through the SOE.
@@ -29,11 +30,13 @@ from scipy.special import gammaln
 
 from .ifl import IflDiscretization, build_ifl
 from .krylov import MatrixFreeOperator, solve_bicgstab, solve_cg, solve_dense
-from .mesh import GradedMesh, build_mesh, l1_weights
-from .soe import FastHistory, SoeApproximation, build_soe, history_push
+from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
+from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
+                  fast_coefficients, history_push)
 from .toeplitz import ToeplitzOperator, build_preconditioner, build_toeplitz
 
 DIRECT_THRESHOLD = 128  # largest N-1 handled by the dense direct path
+_SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
 @dataclass(frozen=True)
@@ -55,25 +58,17 @@ class ProblemSpec:
 class SolverOptions:
     solver: str = "auto"     # auto | direct | krylov | pkrylov
     tol: float = 1e-10
-    max_iters: Optional[int] = None
-    direct_threshold: int = DIRECT_THRESHOLD
 
-
-@dataclass(frozen=True)
-class TimeStepSystem:
-    """One level's linear system shift*I + diag(kappa_diag) A = rhs."""
-
-    shift: float
-    kappa_diag: np.ndarray
-    ifl: IflDiscretization
-    rhs: np.ndarray
+    def __post_init__(self):
+        if self.solver not in _SOLVERS:
+            raise ValueError(f"solver must be one of {', '.join(_SOLVERS)}, "
+                             f"got {self.solver!r}")
 
 
 @dataclass
 class SolveReport:
     err_inf: Optional[float]
     err_2: Optional[float]
-    rates: Optional[tuple] = None
     avg_iterations: float = 0.0
     wall_time: float = 0.0
     scheme_tag: str = ""
@@ -95,11 +90,12 @@ def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
     """direct below the dense threshold unless overridden, else precond-krylov."""
     if options.solver != "auto":
         return options.solver
-    return "direct" if N - 1 <= options.direct_threshold else "pkrylov"
+    return "direct" if N - 1 <= DIRECT_THRESHOLD else "pkrylov"
 
 
-def _last_weight(tau_m: float, gamma: float) -> float:
-    return tau_m ** (-gamma) / (1.0 - gamma)
+def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
+    """shift_m = a^{(m)}_m / Gamma(1-gamma) of the level-m system."""
+    return _last_weight(mesh.tau[m - 1], gamma) / math.exp(gammaln(1.0 - gamma))
 
 
 class _LevelSolver:
@@ -117,25 +113,20 @@ class _LevelSolver:
         else:
             self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
 
-    def solve(self, system: TimeStepSystem) -> tuple[np.ndarray, int]:
+    def solve(self, shift: float, kappa: np.ndarray,
+              rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """u with (shift*I + diag(kappa) A) u = rhs, and the iteration count."""
         if self.tag == "direct":
-            mat = system.shift * np.eye(self.n) + system.kappa_diag[:, None] * self.A
-            return solve_dense(mat, system.rhs), 0
+            mat = shift * np.eye(self.n) + kappa[:, None] * self.A
+            return solve_dense(mat, rhs), 0
 
-        shift = system.shift
-        kappa = system.kappa_diag
-        op_fft = self.op
-
-        def apply(v):
-            return shift * v + kappa * op_fft.matvec(v)
-
-        op = MatrixFreeOperator(self.n, apply)
+        matvec = self.op.matvec
+        op = MatrixFreeOperator(self.n, lambda v: shift * v + kappa * matvec(v))
         precond = None
         if self.tag == "pkrylov":
             precond = build_preconditioner(self.disc, shift, float(kappa.mean()))
         solver = solve_cg if self.use_cg else solve_bicgstab
-        u, report = solver(op, precond, system.rhs,
-                           tol=self.options.tol, max_iters=self.options.max_iters)
+        u, report = solver(op, precond, rhs, tol=self.options.tol)
         if not report.converged:
             raise RuntimeError(
                 f"{'CG' if self.use_cg else 'BiCGSTAB'} did not converge: {report}"
@@ -153,10 +144,12 @@ def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
     return mesh, disc, x
 
 
-def _kappa_at(spec: ProblemSpec, x: np.ndarray, t: float) -> np.ndarray:
+def _kappa_at(spec: ProblemSpec, x: np.ndarray, m: int, t: float) -> np.ndarray:
     k = np.broadcast_to(np.asarray(spec.kappa(x, t), dtype=float), x.shape).copy()
-    if np.any(k <= 0.0):
-        raise ValueError(f"kappa must be positive on the grid at t={t}")
+    bad = np.flatnonzero(~((k > 0.0) & (k < math.inf)))  # NaN fails both tests
+    if bad.size:
+        raise ValueError(f"kappa must be positive and finite on the grid: at level "
+                         f"m={m}, t={t}, kappa(x={x[bad[0]]}) = {k[bad[0]]}")
     return k
 
 
@@ -172,13 +165,106 @@ class _ErrorTracker:
         if self.exact is None:
             return
         e = u - self.exact(self.x, t)
-        self.err_inf = max(self.err_inf, float(np.max(np.abs(e))))
-        self.err_2 = max(self.err_2, self.sqrt_h * float(np.linalg.norm(e)))
+        # np.maximum keeps a NaN error, where max() would drop it
+        self.err_inf = float(np.maximum(self.err_inf, np.max(np.abs(e))))
+        self.err_2 = float(np.maximum(self.err_2, self.sqrt_h * np.linalg.norm(e)))
 
     def report_fields(self):
         if self.exact is None:
             return None, None
         return self.err_inf, self.err_2
+
+
+class _L1Sum:
+    """DIDS history: the L1 sum over ``hist`` = u^0 .. u^M, O(m) per level."""
+
+    tag = "DIDS"
+
+    def __init__(self, gamma: float, mesh: GradedMesh, n: int):
+        self.gamma = gamma
+        self.mesh = mesh
+        self.g1mg = math.exp(gammaln(1.0 - gamma))
+        self.hist = np.empty((mesh.M + 1, n))
+        self.memory_values = self.hist.size
+
+    def add_known(self, rhs: np.ndarray, m: int) -> tuple[float, int]:
+        """rhs += the known history part of level m; returns (a_m, op count)."""
+        a = l1_weights(self.mesh, self.gamma, m).a
+        hist = self.hist
+        rhs += (a[0] / self.g1mg) * hist[0]
+        if m > 1:
+            rhs += (np.diff(a) @ hist[1:m]) / self.g1mg
+        return a[-1], m * hist.shape[1]
+
+    def record(self, m: int, u: np.ndarray):
+        self.hist[m] = u
+
+
+class _SoeRecurrence:
+    """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1},
+    and the (M+1, N-1) history only when ``keep_history`` is set."""
+
+    tag = "FIDS"
+
+    def __init__(self, soe: SoeApproximation, mesh: GradedMesh, n: int,
+                 keep_history: bool):
+        self.gamma = soe.gamma
+        self.mesh = mesh
+        self.fast = FastHistory.fresh(soe, n)
+        self.ops = soe.n_exp * n
+        self.memory_values = self.fast.W.size
+        self.hist = np.empty((mesh.M + 1, n)) if keep_history else None
+        self.u_prev = None
+
+    def add_known(self, rhs: np.ndarray, m: int) -> tuple[float, int]:
+        """rhs += the known history part of level m; returns (a_m, op count)."""
+        tau_m = self.mesh.tau[m - 1]
+        a_m = _last_weight(tau_m, self.gamma)
+        rhs += fast_caputo_rhs(self.fast, a_m, self.u_prev, self.gamma, tau_m)
+        return a_m, self.ops
+
+    def record(self, m: int, u: np.ndarray):
+        if m > 0:
+            history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
+        self.u_prev = u
+        if self.hist is not None:
+            self.hist[m] = u
+
+
+def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
+           x: np.ndarray, options: SolverOptions, history,
+           t0: float) -> SolveReport:
+    """Step levels 1..M with ``history`` supplying the Caputo history term."""
+    tag = select_solver(disc.N, options)
+    solver = _LevelSolver(spec, disc, tag, options)
+    g1mg = math.exp(gammaln(1.0 - spec.gamma))
+
+    u = np.asarray(spec.initial(x), dtype=float)
+    history.record(0, u)
+    tracker = _ErrorTracker(spec, x, disc.h)
+    tracker.update(u, 0.0)
+    its_total = 0
+    ops = np.empty(mesh.M, dtype=np.int64)
+
+    for m in range(1, mesh.M + 1):
+        tm = mesh.t[m]
+        kappa = _kappa_at(spec, x, m, tm)
+        # a fresh array: the history is added in place, and source may
+        # return an array it shares
+        rhs = np.array(spec.source(x, tm), dtype=float)
+        a_m, ops[m - 1] = history.add_known(rhs, m)
+        u, its = solver.solve(a_m / g1mg, kappa, rhs)
+        its_total += its
+        history.record(m, u)
+        tracker.update(u, tm)
+
+    err_inf, err_2 = tracker.report_fields()
+    return SolveReport(
+        err_inf=err_inf, err_2=err_2,
+        avg_iterations=its_total / mesh.M, wall_time=time.perf_counter() - t0,
+        scheme_tag=history.tag, solver_tag=tag,
+        history_ops=ops, history_memory_values=history.memory_values,
+    )
 
 
 def run_dids(
@@ -196,41 +282,13 @@ def run_dids(
     """
     t0 = time.perf_counter()
     mesh, disc, x = _setup(spec, M, r, N, mu)
-    n = N - 1
-    tag = select_solver(N, options)
-    solver = _LevelSolver(spec, disc, tag, options)
-    g1mg = math.exp(gammaln(1.0 - spec.gamma))
+    history = _L1Sum(spec.gamma, mesh, N - 1)
+    report = _march(spec, mesh, disc, x, options, history, t0)
+    return history.hist, report
 
-    hist = np.empty((M + 1, n))
-    hist[0] = spec.initial(x)
-    tracker = _ErrorTracker(spec, x, disc.h)
-    tracker.update(hist[0], 0.0)
-    its_total = 0
-    ops = np.empty(M, dtype=np.int64)
 
-    for m in range(1, M + 1):
-        a = l1_weights(mesh, spec.gamma, m).a
-        tm = mesh.t[m]
-        kappa = _kappa_at(spec, x, tm)
-        rhs = np.asarray(spec.source(x, tm), dtype=float) + (a[0] / g1mg) * hist[0]
-        if m > 1:
-            rhs += (np.diff(a) @ hist[1:m]) / g1mg
-        ops[m - 1] = m * n
-        system = TimeStepSystem(shift=a[-1] / g1mg, kappa_diag=kappa,
-                                ifl=disc, rhs=rhs)
-        u, its = solver.solve(system)
-        its_total += its
-        hist[m] = u
-        tracker.update(u, tm)
-
-    err_inf, err_2 = tracker.report_fields()
-    report = SolveReport(
-        err_inf=err_inf, err_2=err_2,
-        avg_iterations=its_total / M, wall_time=time.perf_counter() - t0,
-        scheme_tag="DIDS", solver_tag=tag,
-        history_ops=ops, history_memory_values=hist.size,
-    )
-    return hist, report
+def _default_soe(spec: ProblemSpec, M: int, r: float, epsilon: float):
+    return build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
 
 
 def run_fids(
@@ -246,72 +304,28 @@ def run_fids(
 ) -> tuple[np.ndarray, SolveReport]:
     """Fast implicit scheme with the SOE history recurrence.
 
-    The SOE is built at delta = tau_1 = (1/M)^r T unless one is supplied.
-    With ``keep_history`` the full (M+1, N-1) history is returned for error
-    measurement; the memory-lean mode returns only the final level, the
-    scheme itself consuming just u^{m-1} and the exponential accumulators.
+    The SOE is built at delta = tau_1 = (1/M)^r T unless one is supplied; a
+    supplied SOE must be built for spec.gamma on an interval [delta, T] that
+    covers [tau_1, spec.T].  With ``keep_history`` the full (M+1, N-1)
+    history is returned for error measurement; the memory-lean mode returns
+    only the final level, the scheme itself consuming just u^{m-1} and the
+    exponential accumulators.
     """
     t0 = time.perf_counter()
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     mesh, disc, x = _setup(spec, M, r, N, mu)
-    n = N - 1
-    tag = select_solver(N, options)
-    solver = _LevelSolver(spec, disc, tag, options)
-    g1mg = math.exp(gammaln(1.0 - spec.gamma))
     if soe is None:
-        soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
-
-    u_prev = np.asarray(spec.initial(x), dtype=float)
-    fast = FastHistory.fresh(soe, n)
-    hist = None
-    if keep_history:
-        hist = np.empty((M + 1, n))
-        hist[0] = u_prev
-    tracker = _ErrorTracker(spec, x, disc.h)
-    tracker.update(u_prev, 0.0)
-    its_total = 0
-    ops = np.empty(M, dtype=np.int64)
-
-    for m in range(1, M + 1):
-        tau_m = mesh.tau[m - 1]
-        tm = mesh.t[m]
-        a_mm = _last_weight(tau_m, spec.gamma)
-        kappa = _kappa_at(spec, x, tm)
-        decay = np.exp(-soe.nodes * tau_m)
-        hist_term = (soe.weights * decay) @ fast.W
-        rhs = (np.asarray(spec.source(x, tm), dtype=float)
-               + (a_mm * u_prev - hist_term) / g1mg)
-        ops[m - 1] = soe.n_exp * n
-        system = TimeStepSystem(shift=a_mm / g1mg, kappa_diag=kappa,
-                                ifl=disc, rhs=rhs)
-        u, its = solver.solve(system)
-        its_total += its
-        history_push(fast, u - u_prev, tau_m)
-        u_prev = u
-        if keep_history:
-            hist[m] = u
-        tracker.update(u, tm)
-
-    err_inf, err_2 = tracker.report_fields()
-    report = SolveReport(
-        err_inf=err_inf, err_2=err_2,
-        avg_iterations=its_total / M, wall_time=time.perf_counter() - t0,
-        scheme_tag="FIDS", solver_tag=tag,
-        history_ops=ops, history_memory_values=fast.W.size,
-    )
-    return (hist if keep_history else u_prev), report
-
-
-def _b1_coefficient(mesh: GradedMesh, gamma: float, soe: SoeApproximation,
-                    m: int) -> float:
-    # b^{(m)}_1: SOE quadrature of the first-interval integral for m >= 2,
-    # the plain L1 weight for m = 1
-    if m == 1:
-        return _last_weight(mesh.tau[0], gamma)
-    s, w = soe.nodes, soe.weights
-    ek = np.exp(-s * (mesh.t[m] - mesh.t[1])) * (-np.expm1(-s * mesh.tau[0]))
-    return float(np.dot(w, ek / s)) / mesh.tau[0]
+        soe = _default_soe(spec, M, r, epsilon)
+    elif (soe.gamma != spec.gamma
+          # a few ulp of slack: delta = (1/M)^r T may round apart from tau_1
+          or soe.delta > mesh.tau[0] * (1.0 + 1e-12) or soe.T < spec.T * (1.0 - 1e-12)):
+        raise ValueError(f"soe was built for gamma={soe.gamma}, delta={soe.delta}, "
+                         f"T={soe.T}; this run needs gamma={spec.gamma}, "
+                         f"delta <= tau_1={mesh.tau[0]} and T >= {spec.T}")
+    history = _SoeRecurrence(soe, mesh, N - 1, keep_history)
+    report = _march(spec, mesh, disc, x, options, history, t0)
+    return (history.hist if keep_history else history.u_prev), report
 
 
 def stability_probe(
@@ -332,15 +346,16 @@ def stability_probe(
     """
     mesh, disc, x = _setup(spec, M, r, N, mu)
     if scheme == "dids":
-        hist, _ = run_dids(spec, M, r, N, mu=mu, options=options)
+        history = _L1Sum(spec.gamma, mesh, N - 1)
         c1 = [l1_weights(mesh, spec.gamma, m).a[0] for m in range(1, M + 1)]
     elif scheme == "fids":
-        soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
-        hist, _ = run_fids(spec, M, r, N, epsilon=epsilon, mu=mu,
-                           options=options, soe=soe)
-        c1 = [_b1_coefficient(mesh, spec.gamma, soe, m) for m in range(1, M + 1)]
+        soe = _default_soe(spec, M, r, epsilon)
+        history = _SoeRecurrence(soe, mesh, N - 1, keep_history=True)
+        c1 = [fast_coefficients(soe, mesh, m)[0] for m in range(1, M + 1)]
     else:
         raise ValueError(f"scheme must be 'dids' or 'fids', got {scheme!r}")
+    _march(spec, mesh, disc, x, options, history, time.perf_counter())
+    hist = history.hist
 
     g1mg = math.exp(gammaln(1.0 - spec.gamma))
     u0_norm = float(np.max(np.abs(hist[0])))

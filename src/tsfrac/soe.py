@@ -189,7 +189,8 @@ def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.nda
 
     b_k = sum_j w_j (e^{-s_j (t_m - t_k)} - e^{-s_j (t_m - t_{k-1})}) / (s_j tau_k)
     for k < m, and b_m equals the last L1 weight a_m.  Used to cross-check the
-    recurrence path; the schemes themselves never call this.
+    recurrence path and for b_1 in the stability bound; the level loop never
+    calls this.
     """
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")

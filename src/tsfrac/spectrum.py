@@ -1,18 +1,15 @@
 """Dense spectrum diagnostics for the per-level systems and preconditioners.
 
 Everything here assembles dense matrices (capped at a few hundred unknowns)
-and goes through the Jacobi rotation eigensolver, keeping the diagnostics
-independent of the FFT-based production path they are used to inspect.
+and goes through LAPACK (``eigvalsh``/``svdvals``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import circulant, toeplitz
+from scipy.linalg import circulant, eigvalsh, svdvals, toeplitz
 
-from . import fourier
-from .eigen import jacobi_eigenvalues
-from .toeplitz import CirculantPreconditioner, build_preconditioner, precond_solve
+from .toeplitz import build_preconditioner, precond_solve, strang_first_column
 
 DENSE_SPECTRUM_CAP = 256
 
@@ -40,28 +37,22 @@ def dense_system(disc, shift: float, kappa: np.ndarray) -> np.ndarray:
 def system_eigenvalues(disc, shift: float, kappa_const: float) -> np.ndarray:
     """Eigenvalues of the (symmetric, constant-kappa) level matrix, ascending."""
     n = _first_col(disc).size
-    return jacobi_eigenvalues(dense_system(disc, shift, np.full(n, kappa_const)))
-
-
-def _sqrt_inverse_circulant(p: CirculantPreconditioner) -> np.ndarray:
-    # P^{-1/2} as a dense symmetric circulant: eigenvalues total_eigs^{-1/2}
-    # on the same Fourier basis, so its first column is the inverse DFT
-    col = fourier.ifft(1.0 / np.sqrt(p.total_eigs)).real
-    return circulant(col)
+    return eigvalsh(dense_system(disc, shift, np.full(n, kappa_const)))
 
 
 def preconditioned_eigenvalues(disc, shift: float,
                                kappa_const: float) -> np.ndarray:
-    """Eigenvalues of P^{-1/2} M P^{-1/2} for constant kappa, ascending.
+    """Eigenvalues of P^{-1} M for constant kappa, ascending.
 
-    Similar to P^{-1} M but symmetric, so the Jacobi oracle applies.
+    Both M and the Strang preconditioner P = shift*I + kappa*s(A) are
+    symmetric and P is positive definite, so these are the eigenvalues of
+    the symmetric-definite pencil (M, P).
     """
     col = _first_col(disc)
-    p = build_preconditioner(col, shift, kappa_const)
-    S = _sqrt_inverse_circulant(p)
-    M = dense_system(col, shift, np.full(col.size, kappa_const))
-    B = S @ M @ S
-    return jacobi_eigenvalues((B + B.T) / 2.0)
+    n = col.size
+    M = dense_system(col, shift, np.full(n, kappa_const))
+    P = shift * np.eye(n) + kappa_const * circulant(strang_first_column(col))
+    return eigvalsh(M, P)
 
 
 def preconditioned_singular_values(disc, shift: float,
@@ -69,16 +60,13 @@ def preconditioned_singular_values(disc, shift: float,
     """Singular values of P^{-1} M for x-dependent kappa, ascending.
 
     The preconditioned matrix is nonsymmetric here, so the diagnostic reports
-    singular values (from the Jacobi spectrum of the Gram matrix) instead of
-    asserting a symmetric eigendecomposition.
+    singular values instead of asserting a symmetric eigendecomposition.
     """
     col = _first_col(disc)
     M = dense_system(col, shift, kappa)
     p = build_preconditioner(col, shift, float(np.mean(kappa)))
     PinvM = np.column_stack([precond_solve(p, col) for col in M.T])
-    gram = PinvM.T @ PinvM
-    eigs = jacobi_eigenvalues((gram + gram.T) / 2.0)
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    return svdvals(PinvM)[::-1]
 
 
 def gershgorin_summary(matrix: np.ndarray) -> dict:

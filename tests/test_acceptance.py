@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from oracles import bluestein_dft, dft_direct, jacobi_eigenvalues
 from tsfrac.couplings import m_from_n, n_from_m
-from tsfrac.eigen import jacobi_eigenvalues
-from tsfrac.fourier import bluestein_dft, dft_direct
 from tsfrac.ifl import build_ifl, dominance_gap_dense
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.problems import make_case

@@ -104,6 +104,25 @@ class TestSpectrum:
         assert header == ["index", "sv_preconditioned"]
         assert any("gershgorin_lower_bound" in c for c in comments)
 
+    def test_shift_is_the_level_system_shift(self, capsys):
+        from scipy.special import gamma as gamma_fn
+
+        from tsfrac.mesh import build_mesh, l1_weights
+
+        code, out = run_cli(capsys, "spectrum", "--N", "16", "--M", "8",
+                            "--level", "3", "--kappa-const", "1.0")
+        assert code == 0
+        comments, _, _ = parse_csv(out)
+        shift = l1_weights(build_mesh(8, 2.0, 1.0), 0.5, 3).a[-1] / gamma_fn(0.5)
+        assert f"# shift = {shift:.6e}" in comments
+
+    def test_level_out_of_range(self, capsys):
+        for level in ("0", "9"):
+            code = main(["spectrum", "--N", "16", "--M", "8", "--level", level,
+                         "--kappa-const", "1.0"])
+            assert code == 1
+            assert f"--level must lie in [1, 8], got {level}" in capsys.readouterr().err
+
     def test_cap(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--N", "512")
         assert code == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tsfrac.eigen import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues
 from tsfrac.ifl import (
     build_ifl,
     diagonal_dominance_gap,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tsfrac.ifl import build_ifl, dominance_gap_dense
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.problems import make_case
 from tsfrac.scheme import (
+    DIRECT_THRESHOLD,
     ProblemSpec,
     SolverOptions,
     run_dids,
@@ -15,6 +17,7 @@ from tsfrac.scheme import (
     select_solver,
     stability_probe,
 )
+from tsfrac.soe import build_soe
 from tsfrac.spectrum import dense_system
 
 
@@ -34,8 +37,6 @@ class TestSchemeBasics:
         np.testing.assert_array_equal(hist, 0.0)
 
     def test_memory_lean_fids_returns_final_level(self):
-        from tsfrac.soe import build_soe
-
         case = make_case("example1", 1.5, 0.5)
         soe = build_soe(0.5, 1e-10, (1.0 / 16) ** 2, 1.0)
         hist, _ = run_fids(case.spec, 16, 2, 16, soe=soe)
@@ -51,11 +52,59 @@ class TestSchemeBasics:
         with pytest.raises(ValueError, match="kappa"):
             run_dids(spec, 4, 1, 8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_non_positive_or_non_finite_kappa_names_the_level(self, bad):
+        # NaN slips through a plain "k <= 0" test
+        spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
+                           kappa=lambda x, t: np.where(t > 0.5, bad, 1.0) + 0 * x,
+                           source=lambda x, t: np.zeros_like(x),
+                           initial=lambda x: np.zeros_like(x))
+        for run in (run_dids, run_fids):
+            with pytest.raises(ValueError, match=rf"m=3, t=0\.5625.*= {bad}"):
+                run(spec, 4, 2, 8)
+
+    def test_nan_error_is_reported_not_dropped(self):
+        spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
+                           kappa=lambda x, t: np.ones_like(x),
+                           source=lambda x, t: np.zeros_like(x),
+                           initial=lambda x: np.zeros_like(x),
+                           exact=lambda x, t: np.full_like(x, np.nan))
+        for run in (run_dids, run_fids):
+            _, rep = run(spec, 4, 2, 8)
+            assert math.isnan(rep.err_inf) and math.isnan(rep.err_2)
+
+    def test_source_array_is_not_modified(self):
+        shared = np.ones(7)
+        spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
+                           kappa=lambda x, t: np.ones_like(x),
+                           source=lambda x, t: shared,
+                           initial=lambda x: np.ones_like(x))
+        for run in (run_dids, run_fids):
+            run(spec, 4, 2, 8)
+            np.testing.assert_array_equal(shared, 1.0)
+
     def test_select_solver(self):
         assert select_solver(64) == "direct"
+        assert select_solver(DIRECT_THRESHOLD + 1) == "direct"
+        assert select_solver(DIRECT_THRESHOLD + 2) == "pkrylov"
         assert select_solver(512) == "pkrylov"
         assert select_solver(512, SolverOptions(solver="krylov")) == "krylov"
         assert select_solver(16, SolverOptions(solver="pkrylov")) == "pkrylov"
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="auto, direct, krylov, pkrylov.*'pkrylv'"):
+            SolverOptions(solver="pkrylv")
+
+    @pytest.mark.parametrize("gamma,delta,T", [
+        (0.8, (1.0 / 16) ** 2, 1.0),   # another gamma
+        (0.5, (1.0 / 8) ** 2, 1.0),    # delta above tau_1 = 1/256
+        (0.5, (1.0 / 16) ** 2, 0.5),   # T below spec.T
+    ])
+    def test_mismatched_soe_rejected(self, gamma, delta, T):
+        case = make_case("example1", 1.5, 0.5)
+        soe = build_soe(gamma, 1e-10, delta, T)
+        with pytest.raises(ValueError, match="soe was built for"):
+            run_fids(case.spec, 16, 2, 16, soe=soe)
 
 
 class TestPaperValues:
@@ -143,6 +192,7 @@ class TestComplexityCounters:
         ops = rep.history_ops
         assert ops[99] == pytest.approx(2 * ops[49], rel=0.05)
         assert ops[-1] > ops[0]
+        assert rep.history_memory_values == 129 * 15
 
     def test_fids_history_cost_flat_and_memory_capped(self):
         case = make_case("example1", 1.5, 0.5)
@@ -150,6 +200,23 @@ class TestComplexityCounters:
                           keep_history=False)
         assert np.all(rep.history_ops == rep.history_ops[0])
         assert rep.history_memory_values <= 256 * 15
+
+    def test_memory_lean_fids_never_holds_the_history(self):
+        # the peak of the lean run stays below the (M+1) x (N-1) history it
+        # does not build; the SOE is built first, its validation grid is large
+        case = make_case("example1", 1.5, 0.5)
+        M, N = 2048, 17
+        soe = build_soe(0.5, 1e-10, (1.0 / M) ** 2, 1.0)
+        history_bytes = (M + 1) * (N - 1) * 8
+        peaks = {}
+        for keep in (True, False):
+            tracemalloc.start()
+            try:
+                run_fids(case.spec, M, 2, N, soe=soe, keep_history=keep)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] < history_bytes <= peaks[True]
 
 
 class TestTemporalOrder:

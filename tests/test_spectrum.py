@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsfrac.eigen import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues
 from tsfrac.ifl import build_ifl
 from tsfrac.spectrum import (
     dense_system,

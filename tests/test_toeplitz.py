@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant, toeplitz
 
-from tsfrac.eigen import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.toeplitz import (
