@@ -5,7 +5,8 @@ Time: graded-mesh L1 discretization of the Caputo derivative of order
 gamma in (0,1), optionally accelerated by sum-of-exponentials kernel
 compression (FIDS vs. DIDS).  Space: finite-difference integral fractional
 Laplacian of order alpha in (0,2) as a symmetric Toeplitz operator with
-FFT matvecs and Strang circulant preconditioning for the Krylov solvers.
+dense-BLAS or real-FFT matvecs (picked by order) and Strang circulant
+preconditioning for the Krylov solvers.
 """
 
 from .couplings import m_from_n, n_from_m, temporal_exponent

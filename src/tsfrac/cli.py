@@ -63,6 +63,11 @@ class RunConfig:
     points: int = 10_000
     time_reps: int = 1
 
+    def __post_init__(self):
+        for flag, value in (("--points", self.points), ("--time-reps", self.time_reps)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+
     def resolved_mu(self) -> float:
         return 1.0 + self.alpha / 2.0 if self.mu is None else self.mu
 
@@ -105,9 +110,8 @@ def _run_scheme(config: RunConfig, scheme: str, M: int, N: int, solver: str):
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
     options = SolverOptions(solver=solver, tol=config.tol)
     kwargs = dict(mu=config.resolved_mu(), options=options)
-    reps = max(1, config.time_reps)
     best_wall = math.inf
-    for _ in range(reps):
+    for _ in range(config.time_reps):
         if scheme == "dids":
             _, report = run_dids(case.spec, M, config.r, N, **kwargs)
         else:
@@ -208,10 +212,14 @@ def cmd_spectrum(config: RunConfig) -> Table:
     return table
 
 
-def cmd_soe_check(config: RunConfig) -> Table:
-    eps = config.resolved_eps()
+def _soe_of(config: RunConfig):
+    """The SOE for --gamma/--eps on [delta, T]; delta defaults to (1/256)^r."""
     delta = config.delta if config.delta is not None else (1.0 / 256.0) ** config.r
-    soe = build_soe(config.gamma, eps, delta, config.T)
+    return build_soe(config.gamma, config.resolved_eps(), delta, config.T), delta
+
+
+def cmd_soe_check(config: RunConfig) -> Table:
+    soe, delta = _soe_of(config)
     t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
     err = np.abs(t ** (-config.gamma) - soe.evaluate(t))
     table = Table(["t", "abs_error"])
@@ -223,9 +231,7 @@ def cmd_soe_check(config: RunConfig) -> Table:
 
 
 def cmd_soe_nodes(config: RunConfig) -> Table:
-    eps = config.resolved_eps()
-    delta = config.delta if config.delta is not None else (1.0 / 256.0) ** config.r
-    soe = build_soe(config.gamma, eps, delta, config.T)
+    soe, _ = _soe_of(config)
     table = Table(["node", "weight"])
     for s, w in zip(soe.nodes, soe.weights):
         table.add(f"{s:.16e}", f"{w:.16e}")
@@ -316,8 +322,8 @@ def run_command(config: RunConfig) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
+        config = config_from_args(args)
         text = run_command(config)
     except Exception as exc:  # any run failure -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)

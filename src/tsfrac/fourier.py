@@ -1,9 +1,11 @@
 """Discrete Fourier transforms for the structured linear algebra layer.
 
-Production code paths (Toeplitz matvec embedding, circulant preconditioner
-solves) go through :func:`fft` / :func:`ifft`, which delegate to numpy's
-pocketfft.  The reference transforms they are checked against live with the
-tests (``tests/oracles.py``).
+The spectra that ``toeplitz`` builds once per operator (the circulant
+embedding and the Strang circulant) go through :func:`fft`, which delegates
+to numpy's pocketfft.  The per-iteration kernels of ``toeplitz`` call
+numpy's real transforms (``rfft``/``irfft``) directly.  The reference
+transforms these are checked against live with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 
 Solver dispatch: dense LU when the system order N-1 is at most the direct
 threshold, otherwise circulant-preconditioned BiCGSTAB (or CG when the
-diffusivity is declared x-independent), all matrix-free.
+diffusivity is declared x-independent).  The Krylov path applies A and the
+preconditioner through ``toeplitz``, which picks dense BLAS or real-FFT
+kernels by order.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class SolverOptions:
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {', '.join(_SOLVERS)}, "
                              f"got {self.solver!r}")
+        # a tol of 0, NaN or below is never met (BiCGSTAB runs to a
+        # breakdown); one of 1 or more accepts the zero initial guess
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must be finite and lie in (0, 1), got {self.tol}")
 
 
 @dataclass
@@ -106,16 +112,16 @@ class _LevelSolver:
         self.tag = tag
         self.options = options
         self.n = disc.N - 1
-        self.disc = disc
         self.use_cg = spec.kappa_x_independent
         if tag == "direct":
             self.A = disc.dense()
         else:
             self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
 
-    def solve(self, shift: float, kappa: np.ndarray,
-              rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """u with (shift*I + diag(kappa) A) u = rhs, and the iteration count."""
+    def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
+              m: int, t: float) -> tuple[np.ndarray, int]:
+        """u with (shift*I + diag(kappa) A) u = rhs at level m (time t), and
+        the iteration count."""
         if self.tag == "direct":
             mat = shift * np.eye(self.n) + kappa[:, None] * self.A
             return solve_dense(mat, rhs), 0
@@ -124,12 +130,16 @@ class _LevelSolver:
         op = MatrixFreeOperator(self.n, lambda v: shift * v + kappa * matvec(v))
         precond = None
         if self.tag == "pkrylov":
-            precond = build_preconditioner(self.disc, shift, float(kappa.mean()))
+            precond = build_preconditioner(self.op, shift, float(kappa.mean()))
         solver = solve_cg if self.use_cg else solve_bicgstab
         u, report = solver(op, precond, rhs, tol=self.options.tol)
         if not report.converged:
             raise RuntimeError(
-                f"{'CG' if self.use_cg else 'BiCGSTAB'} did not converge: {report}"
+                f"{'CG' if self.use_cg else 'BiCGSTAB'} ({self.tag}) did not "
+                f"converge at level m={m}, t_m={t:.6g}: {report.iterations} "
+                f"iterations, final relative residual "
+                f"{report.final_relative_residual:.3e} (tol {self.options.tol:g}), "
+                f"breakdown: {report.breakdown or 'none'}"
             )
         return u, report.iterations
 
@@ -253,7 +263,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
         # return an array it shares
         rhs = np.array(spec.source(x, tm), dtype=float)
         a_m, ops[m - 1] = history.add_known(rhs, m)
-        u, its = solver.solve(a_m / g1mg, kappa, rhs)
+        u, its = solver.solve(a_m / g1mg, kappa, rhs, m, tm)
         its_total += its
         history.record(m, u)
         tracker.update(u, tm)

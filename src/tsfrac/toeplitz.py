@@ -1,34 +1,55 @@
-"""FFT-backed symmetric-Toeplitz products and Strang circulant preconditioners.
+"""Symmetric-Toeplitz products and Strang circulant preconditioners.
 
-A symmetric Toeplitz matrix of order n is embedded in a circulant of
-power-of-two order >= 2n-1 whose spectrum is precomputed once, so each
-matvec costs two transforms.  The Strang preconditioner copies the central
-diagonals of A into a circulant s(A); the per-level preconditioner is
-P = shift*I + kappa_bar*s(A), diagonalized by length-n transforms.  Its
-eigenvalues are precomputed once per time level and reused for every Krylov
-iteration.
+Each operation has two kernels, and the order n alone picks one.  Up to
+``DENSE_CROSSOVER`` the operator keeps the dense Toeplitz matrix and the
+preconditioner its dense inverse, so every apply is one BLAS product.  Above
+it, the matvec embeds A in a circulant of power-of-two order >= 2n-1 and
+costs one real FFT pair; the preconditioner solve costs one length-n real
+FFT pair.  Both cache their real half-spectra.
+
+The Strang preconditioner copies the central diagonals of A into a circulant
+s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A).  The
+eigenvalues of s(A) depend on A alone: a ToeplitzOperator computes them once,
+on first use, and each level only forms shift + kappa_bar*lam and its inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import circulant, toeplitz
 
 from . import fourier
+
+# Largest order served by the dense kernels.  Measured single-thread, one
+# matvec plus one preconditioner solve: the dense pair grows as n^2 (48 us at
+# n = 400, 105 us at n = 511); the real-FFT pair costs 39-110 us for n in
+# [384, 512] by the factors of n, median 53 us (dense reaches it near
+# n = 415), median over odd n 83 us (near n = 470).
+DENSE_CROSSOVER = 440
 
 
 @dataclass(frozen=True)
 class ToeplitzOperator:
-    """Matrix-free symmetric Toeplitz operator, defined by its first column."""
+    """Symmetric Toeplitz operator, defined by its first column."""
 
     n: int
     first_col: np.ndarray
     embed_len: int              # smallest power of two >= 2n-1
     spectrum_embed: np.ndarray  # DFT of the circulant embedding's first column
+    dense: Optional[np.ndarray] = None          # the matrix, n <= DENSE_CROSSOVER
+    half_spectrum: Optional[np.ndarray] = None  # real spectrum_embed[:L/2+1], above
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return toeplitz_matvec(self, v)
+
+    @cached_property
+    def strang_eigs(self) -> np.ndarray:
+        """Eigenvalues of the Strang circulant s(A), computed on first use."""
+        return _strang_eigenvalues(self.first_col)
 
 
 def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
@@ -43,24 +64,29 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
     emb[:n] = first_col
     if n > 1:
         emb[L - n + 1:] = first_col[1:][::-1]
-    return ToeplitzOperator(
-        n=n, first_col=first_col, embed_len=L, spectrum_embed=fourier.fft(emb)
-    )
+    spectrum = fourier.fft(emb)
+    dense = half = None
+    if n <= DENSE_CROSSOVER:
+        dense = toeplitz(first_col)
+    else:
+        half = spectrum[: L // 2 + 1].real.copy()  # the embedding is even
+    return ToeplitzOperator(n=n, first_col=first_col, embed_len=L,
+                            spectrum_embed=spectrum, dense=dense, half_spectrum=half)
 
 
 def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
-    """A @ v via the circulant embedding, O(n log n).
+    """A @ v: one BLAS product, or O(n log n) through the circulant embedding.
 
-    Zero-pads v to the embedding length, multiplies pointwise in frequency
-    space, inverse-transforms, and keeps the leading n (real) entries.
+    The embedding path zero-pads v to the embedding length, multiplies by
+    the half-spectrum, inverse-transforms and keeps the leading n entries.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"vector has shape {v.shape}, operator order is {op.n}")
-    padded = np.zeros(op.embed_len, dtype=complex)
-    padded[: op.n] = v
-    out = fourier.ifft(op.spectrum_embed * fourier.fft(padded))[: op.n]
-    return out.real
+    if op.dense is not None:
+        return op.dense @ v
+    L = op.embed_len
+    return np.fft.irfft(op.half_spectrum * np.fft.rfft(v, L), L)[: op.n]
 
 
 def strang_first_column(first_col: np.ndarray) -> np.ndarray:
@@ -84,53 +110,80 @@ class PreconditionerError(RuntimeError):
     """Raised when the circulant preconditioner is not positive definite."""
 
 
-@dataclass(frozen=True)
-class CirculantPreconditioner:
-    """P = shift*I + kappa_bar*s(A), diagonalized by the length-n DFT."""
-
-    n: int
-    shift: float
-    kappa_bar: float
-    lam: np.ndarray         # eigenvalues of s(A): real part of DFT(c_S)
-    total_eigs: np.ndarray  # shift + kappa_bar * lam, all > 0
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return precond_solve(self, v)
-
-
-def build_preconditioner(d, shift: float, kappa_bar: float) -> CirculantPreconditioner:
-    """Strang preconditioner from an IflDiscretization (or bare first column).
-
-    The eigenvalues of s(A) are the DFT of c_S (real because s(A) is a real
-    symmetric circulant); total eigenvalues shift + kappa_bar * lam must all
-    be strictly positive, otherwise PreconditionerError signals a numerical
-    breakdown.
-    """
-    if shift <= 0.0:
-        raise ValueError(f"shift must be > 0, got {shift}")
-    if kappa_bar <= 0.0:
-        raise ValueError(f"kappa_bar must be > 0, got {kappa_bar}")
-    first_col = d.first_col if hasattr(d, "first_col") else np.asarray(d, dtype=float)
-    c_s = strang_first_column(first_col)
-    spec = fourier.fft(c_s)
+def _strang_eigenvalues(first_col: np.ndarray) -> np.ndarray:
+    """Real part of DFT(c_S), checked to be real: s(A) is a real symmetric
+    circulant, so a sizable imaginary part means broken input."""
+    spec = fourier.fft(strang_first_column(first_col))
     lam = spec.real
     imag_resid = np.abs(spec.imag).max()
     if imag_resid > 1e-10 * max(np.abs(lam).max(), 1e-300):
         raise PreconditionerError(
             f"Strang spectrum is not numerically real (residual {imag_resid:g})"
         )
+    lam.flags.writeable = False  # shared by every level's preconditioner
+    return lam
+
+
+@dataclass(frozen=True)
+class CirculantPreconditioner:
+    """P = shift*I + kappa_bar*s(A), diagonalized by the length-n DFT.
+
+    The inverse is derived on construction: the dense circulant P^{-1} for
+    n <= DENSE_CROSSOVER, otherwise the inverse half-eigenvalues.
+    """
+
+    n: int
+    shift: float
+    kappa_bar: float
+    lam: np.ndarray         # eigenvalues of s(A): real part of DFT(c_S)
+    total_eigs: np.ndarray  # shift + kappa_bar * lam, all > 0
+    inv_half: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_dense: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inv_half = 1.0 / self.total_eigs[: self.n // 2 + 1]
+        inv_dense = None
+        if self.n <= DENSE_CROSSOVER:
+            inv_dense = circulant(np.fft.irfft(inv_half, self.n))
+        object.__setattr__(self, "inv_half", inv_half)
+        object.__setattr__(self, "inv_dense", inv_dense)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        return precond_solve(self, v)
+
+
+def build_preconditioner(d, shift: float, kappa_bar: float) -> CirculantPreconditioner:
+    """Strang preconditioner from a ToeplitzOperator, an IflDiscretization or
+    a bare first column.
+
+    A ToeplitzOperator supplies its cached Strang eigenvalues; the other
+    inputs have them computed afresh.  Total eigenvalues shift + kappa_bar *
+    lam must all be strictly positive, otherwise PreconditionerError signals
+    a numerical breakdown.
+    """
+    if shift <= 0.0:
+        raise ValueError(f"shift must be > 0, got {shift}")
+    if kappa_bar <= 0.0:
+        raise ValueError(f"kappa_bar must be > 0, got {kappa_bar}")
+    if isinstance(d, ToeplitzOperator):
+        lam = d.strang_eigs
+    else:
+        lam = _strang_eigenvalues(
+            d.first_col if hasattr(d, "first_col") else np.asarray(d, dtype=float))
     total = shift + kappa_bar * lam
     if np.any(total <= 0.0):
         raise PreconditionerError("preconditioner has a non-positive eigenvalue")
     return CirculantPreconditioner(
-        n=c_s.size, shift=float(shift), kappa_bar=float(kappa_bar),
+        n=lam.size, shift=float(shift), kappa_bar=float(kappa_bar),
         lam=lam, total_eigs=total,
     )
 
 
 def precond_solve(p: CirculantPreconditioner, v: np.ndarray) -> np.ndarray:
-    """P^{-1} v = F* diag(total_eigs)^{-1} F v with length-n transforms."""
+    """P^{-1} v: one BLAS product, or length-n real transforms."""
     v = np.asarray(v, dtype=float)
     if v.shape != (p.n,):
         raise ValueError(f"vector has shape {v.shape}, preconditioner order is {p.n}")
-    return fourier.ifft(fourier.fft(v) / p.total_eigs).real
+    if p.inv_dense is not None:
+        return p.inv_dense @ v
+    return np.fft.irfft(np.fft.rfft(v) * p.inv_half, p.n)

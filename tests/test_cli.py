@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tsfrac.cli import main
 
@@ -57,6 +58,13 @@ class TestConvergenceTime:
     def test_missing_m_fails(self, capsys):
         code, _ = run_cli(capsys, "convergence-time")
         assert code != 0
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_time_reps_must_be_positive(self, capsys, reps):
+        code = main(["convergence-time", "--M", "16", "--time-reps", reps])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"--time-reps must be >= 1, got {reps}" in captured.err
 
 
 class TestConvergenceSpace:
@@ -150,6 +158,13 @@ class TestSoeCommands:
         nodes = np.array([float(r["node"]) for r in rows])
         weights = np.array([float(r["weight"]) for r in rows])
         assert np.all(nodes > 0) and np.all(weights > 0)
+
+    @pytest.mark.parametrize("command", ["soe-check", "soe-nodes"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_must_be_positive(self, capsys, command, points):
+        code = main([command, "--points", points])
+        assert code == 1
+        assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
 
     def test_degenerate_delta_fails(self, capsys):
         code, _ = run_cli(capsys, "soe-check", "--delta", "2.0")

@@ -91,6 +91,28 @@ class TestSchemeBasics:
         assert select_solver(512, SolverOptions(solver="krylov")) == "krylov"
         assert select_solver(16, SolverOptions(solver="pkrylov")) == "pkrylov"
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, math.nan, math.inf])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # a tol of 0, NaN or below is never met: BiCGSTAB runs to a breakdown
+        with pytest.raises(ValueError, match=f"tol must be finite and lie in "
+                                             rf"\(0, 1\), got {tol}"):
+            SolverOptions(solver="pkrylov", tol=tol)
+
+    def test_krylov_failure_names_the_level(self, monkeypatch):
+        import tsfrac.scheme
+        from tsfrac.krylov import KrylovReport
+
+        def unconverged(op, precond, rhs, tol):
+            return np.zeros(op.n), KrylovReport(17, 3.5e-4, False, "rho vanished")
+
+        monkeypatch.setattr(tsfrac.scheme, "solve_bicgstab", unconverged)
+        case = make_case("example1", 1.5, 0.5)
+        with pytest.raises(RuntimeError, match=(
+                r"BiCGSTAB \(pkrylov\) did not converge at level m=1, "
+                r"t_m=0\.00390625: 17 iterations, final relative residual "
+                r"3\.500e-04 \(tol 1e-10\), breakdown: rho vanished")):
+            run_fids(case.spec, 16, 2, 16, options=SolverOptions(solver="pkrylov"))
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="auto, direct, krylov, pkrylov.*'pkrylv'"):
             SolverOptions(solver="pkrylv")

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import circulant, toeplitz
 
 from oracles import jacobi_eigenvalues
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.toeplitz import (
+    DENSE_CROSSOVER,
+    CirculantPreconditioner,
     PreconditionerError,
     build_preconditioner,
     build_toeplitz,
@@ -31,13 +35,27 @@ class TestToeplitzMatvec:
         out = op.matvec(e1)
         assert np.max(np.abs(out - col)) <= 1e-12 * np.abs(col).max()
 
-    @pytest.mark.parametrize("n", [200, 512])
+    @pytest.mark.parametrize("n", [200, 512, DENSE_CROSSOVER, DENSE_CROSSOVER + 1])
     def test_matches_dense_multiplication(self, rng, n):
         col = rng.standard_normal(n)
         v = rng.standard_normal(n)
         ref = toeplitz(col) @ v
         out = toeplitz_matvec(build_toeplitz(col), v)
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
+
+    def test_kernel_switches_at_the_crossover(self):
+        # the dense matrix up to the crossover, the real half-spectrum above
+        below = build_toeplitz(np.ones(DENSE_CROSSOVER))
+        above = build_toeplitz(np.ones(DENSE_CROSSOVER + 1))
+        assert below.dense is not None and below.half_spectrum is None
+        assert above.dense is None
+        assert above.half_spectrum.shape == (above.embed_len // 2 + 1,)
+        np.testing.assert_array_equal(
+            above.half_spectrum, above.spectrum_embed[: above.embed_len // 2 + 1].real)
+        for n, dense in ((DENSE_CROSSOVER, True), (DENSE_CROSSOVER + 1, False)):
+            p = CirculantPreconditioner(n=n, shift=1.0, kappa_bar=1.0,
+                                        lam=np.zeros(n), total_eigs=np.ones(n))
+            assert (p.inv_dense is not None) == dense
 
     def test_embedding_length_is_power_of_two(self):
         op = build_toeplitz(np.ones(100))
@@ -148,24 +166,44 @@ class TestPrecondSolve:
         out = precond_solve(p, P @ v)
         assert np.max(np.abs(out - v)) <= 1e-12 * np.abs(v).max()
 
-    def test_against_dense_lu(self, rng):
+    @staticmethod
+    def _random_spd_circulant(rng, n):
         # random SPD circulant: diagonally dominant symmetric generator
-        from tsfrac.toeplitz import CirculantPreconditioner
-
-        n = 100
         gen = np.zeros(n)
         gen[0] = 5.0
         body = rng.uniform(0.01, 0.02, size=(n - 1) // 2)
         gen[1:1 + body.size] = body
         gen[n - body.size:] = body[::-1]
-        P = circulant(gen)
         eigs = np.fft.fft(gen).real
         p = CirculantPreconditioner(n=n, shift=0.0, kappa_bar=1.0,
                                     lam=eigs, total_eigs=eigs)
+        return circulant(gen), p
+
+    def test_against_dense_lu(self, rng):
+        n = 100
+        P, p = self._random_spd_circulant(rng, n)
         v = rng.standard_normal(n)
         ref = np.linalg.solve(P, v)
         out = precond_solve(p, v)
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
+
+    # odd and even n: the length irfft returns depends on the parity
+    @pytest.mark.parametrize("n", [DENSE_CROSSOVER + 1, DENSE_CROSSOVER + 2])
+    def test_against_dense_lu_on_the_fft_side(self, rng, n):
+        P, p = self._random_spd_circulant(rng, n)
+        assert p.inv_dense is None
+        v = rng.standard_normal(n)
+        ref = np.linalg.solve(P, v)
+        out = precond_solve(p, v)
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
+
+    def test_strang_spectrum_is_computed_once_per_operator(self):
+        op = build_toeplitz(build_ifl(1.5, 1.75, 1.0, 32).first_col)
+        p1 = build_preconditioner(op, 1.0, 1.0)
+        p2 = build_preconditioner(op, 2.0, 0.5)
+        assert p1.lam is p2.lam is op.strang_eigs
+        np.testing.assert_array_equal(
+            p1.lam, build_preconditioner(op.first_col, 1.0, 1.0).lam)
 
     def test_inverse_norm_bound(self):
         d = build_ifl(1.5, 1.75, 1.0, 16)
@@ -182,6 +220,28 @@ class TestPrecondSolve:
         p = build_preconditioner(col, 1.0, 1.0)
         with pytest.raises(ValueError):
             precond_solve(p, np.zeros(5))
+
+
+class TestRandomOrderOracles:
+    # both kernels, against scipy's dense Toeplitz and circulant matrices
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 1100), alpha=st.floats(0.2, 1.95),
+           shift_ratio=st.floats(0.01, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matvec_and_precond_solve(self, n, alpha, shift_ratio, seed):
+        rng = np.random.default_rng(seed)
+        col = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        ref = toeplitz(col) @ v
+        out = toeplitz_matvec(build_toeplitz(col), v)
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
+
+        d = build_ifl(alpha, 1.0 + alpha / 2.0, 1.0, n + 1)
+        shift = shift_ratio * d.first_col[0]
+        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.5)
+        P = shift * np.eye(n) + 1.5 * circulant(strang_first_column(d.first_col))
+        ref = np.linalg.solve(P, v)
+        out = precond_solve(p, v)
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
 
 
 class TestWienerClassTail:
