@@ -13,9 +13,15 @@ the Caputo history term from the full solution history with the L1 weights
 recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 /(1-gamma) is shared by both schemes and never goes through the SOE.
 
-Solver dispatch: dense LU when the system order N-1 is at most the direct
-threshold, otherwise circulant-preconditioned BiCGSTAB (or CG when the
-diffusivity is declared x-independent).  The Krylov path applies A and the
+Solver dispatch: a dense direct solve when the system order N-1 is at most
+the direct threshold, otherwise circulant-preconditioned BiCGSTAB (or CG when
+the diffusivity is declared x-independent, which is checked per level).  The
+direct path solves the symmetrically scaled system
+
+    (A + diag(shift_m / kappa)) u^m = rhs_m / kappa,
+
+which is symmetric positive definite because A is a symmetric M-matrix, so
+``solve_dense`` factors it by Cholesky.  The Krylov path applies A and the
 preconditioner through ``toeplitz``, which picks dense BLAS or real-FFT
 kernels by order.
 """
@@ -123,9 +129,20 @@ class _LevelSolver:
         """u with (shift*I + diag(kappa) A) u = rhs at level m (time t), and
         the iteration count."""
         if self.tag == "direct":
-            mat = shift * np.eye(self.n) + kappa[:, None] * self.A
-            return solve_dense(mat, rhs), 0
+            # K^{-1}(shift*I + K A) = A + diag(shift/kappa): symmetric positive
+            # definite, since A is a symmetric M-matrix and shift/kappa > 0
+            mat = self.A.copy()
+            mat.flat[:: self.n + 1] += shift / kappa
+            return solve_dense(mat, rhs / kappa), 0
 
+        if self.use_cg:
+            # CG on shift*I + K A needs K = kappa*I: a false claim leaves it
+            # iterating on a nonsymmetric system
+            lo, hi = float(kappa.min()), float(kappa.max())
+            if hi - lo > 1e-12 * hi:
+                raise ValueError(
+                    f"kappa_x_independent=True, but kappa varies on the grid at "
+                    f"level m={m}, t_m={t:.6g}: min {lo}, max {hi}")
         matvec = self.op.matvec
         op = MatrixFreeOperator(self.n, lambda v: shift * v + kappa * matvec(v))
         precond = None
@@ -154,12 +171,19 @@ def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
     return mesh, disc, x
 
 
+def _check_grid(name: str, what: str, values: np.ndarray, ok: np.ndarray,
+                x: np.ndarray, m: int, t: float):
+    """Raise naming the level and the first grid point where ``ok`` fails."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{name} must be {what} on the grid: at level m={m}, "
+                         f"t={t}, {name}(x={x[bad[0]]}) = {values[bad[0]]}")
+
+
 def _kappa_at(spec: ProblemSpec, x: np.ndarray, m: int, t: float) -> np.ndarray:
     k = np.broadcast_to(np.asarray(spec.kappa(x, t), dtype=float), x.shape).copy()
-    bad = np.flatnonzero(~((k > 0.0) & (k < math.inf)))  # NaN fails both tests
-    if bad.size:
-        raise ValueError(f"kappa must be positive and finite on the grid: at level "
-                         f"m={m}, t={t}, kappa(x={x[bad[0]]}) = {k[bad[0]]}")
+    # NaN fails both tests
+    _check_grid("kappa", "positive and finite", k, (k > 0.0) & (k < math.inf), x, m, t)
     return k
 
 
@@ -250,6 +274,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
     g1mg = math.exp(gammaln(1.0 - spec.gamma))
 
     u = np.asarray(spec.initial(x), dtype=float)
+    _check_grid("initial", "finite", u, np.isfinite(u), x, 0, 0.0)
     history.record(0, u)
     tracker = _ErrorTracker(spec, x, disc.h)
     tracker.update(u, 0.0)
@@ -262,6 +287,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
         # a fresh array: the history is added in place, and source may
         # return an array it shares
         rhs = np.array(spec.source(x, tm), dtype=float)
+        _check_grid("source", "finite", rhs, np.isfinite(rhs), x, m, tm)
         a_m, ops[m - 1] = history.add_known(rhs, m)
         u, its = solver.solve(a_m / g1mg, kappa, rhs, m, tm)
         its_total += its

