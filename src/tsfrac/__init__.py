@@ -19,7 +19,6 @@ from .ifl import (
 )
 from .krylov import (
     KrylovReport,
-    MatrixFreeOperator,
     solve_bicgstab,
     solve_cg,
     solve_dense,

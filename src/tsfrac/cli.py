@@ -49,7 +49,9 @@ class RunConfig:
     mu: Optional[float] = None          # None -> 1 + alpha/2
     M: list[int] = field(default_factory=list)
     N: list[int] = field(default_factory=list)
-    coupling: str = "time2"             # time2 | timemu | space2 | spacemu
+    # time2 | timemu | space2 | spacemu; None -> space2 for convergence-space,
+    # time2 otherwise
+    coupling: Optional[str] = None
     scheme: str = "fids"
     solver: str = "auto"
     epsilon: Optional[float] = None     # None -> per-case default
@@ -64,6 +66,9 @@ class RunConfig:
     time_reps: int = 1
 
     def __post_init__(self):
+        if self.coupling is None:
+            self.coupling = ("space2" if self.subcommand == "convergence-space"
+                             else "time2")
         for flag, value in (("--points", self.points), ("--time-reps", self.time_reps)):
             if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
@@ -301,20 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    coupling = args.coupling
-    if coupling is None:
-        coupling = "space2" if args.subcommand == "convergence-space" else "time2"
-    return RunConfig(
-        subcommand=args.subcommand, case=args.case, gamma=args.gamma,
-        alpha=args.alpha, r=args.r, mu=args.mu, M=args.M, N=args.N,
-        coupling=coupling, scheme=args.scheme, solver=args.solver,
-        epsilon=args.epsilon, tol=args.tol, out=args.out, format=args.format,
-        level=args.level, kappa_const=args.kappa_const,
-        delta=args.delta, T=args.T, points=args.points, time_reps=args.time_reps,
-    )
-
-
 def run_command(config: RunConfig) -> str:
     table = _COMMANDS[config.subcommand](config)
     return _emit(config, table)
@@ -323,7 +314,7 @@ def run_command(config: RunConfig) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = RunConfig(**vars(args))
         text = run_command(config)
     except Exception as exc:  # any run failure -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)

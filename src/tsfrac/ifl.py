@@ -32,7 +32,6 @@ class IflDiscretization:
     l: float
     N: int
     h: float
-    c_norm: float      # normalization c_{1,alpha}
     scale: float       # C = c_{1,alpha} / (nu h^alpha)
     first_col: np.ndarray  # shape (N-1,), first column of A
 
@@ -91,8 +90,7 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     nu = mu - alpha
     kappa_mu = 2 if mu == 2.0 else 1
     h = 2.0 * l / N
-    c_norm = normalization_constant(alpha)
-    scale = c_norm / (nu * h ** alpha)
+    scale = normalization_constant(alpha) / (nu * h ** alpha)
 
     ell = np.arange(2.0, N)
     series = ((ell + 1.0) ** nu - (ell - 1.0) ** nu) / ell ** mu
@@ -111,7 +109,7 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
 
     return IflDiscretization(
         alpha=float(alpha), mu=float(mu), nu=float(nu), kappa_mu=kappa_mu,
-        l=float(l), N=int(N), h=h, c_norm=c_norm, scale=scale, first_col=col,
+        l=float(l), N=int(N), h=h, scale=scale, first_col=col,
     )
 
 

@@ -1,5 +1,7 @@
 """Matrix-free preconditioned Krylov solvers and the dense direct solver.
 
+The Krylov solvers take the operator as a callable v -> M v (for a time
+level, shift*v + K*(A v)); its order is the length of the right-hand side.
 BiCGSTAB applies the circulant preconditioner on the right (solve
 M P^{-1} y = b, x = P^{-1} y), so the residual driving the stopping rule
 ||r_k||_2 / ||r_0||_2 < tol is the true-system residual.  CG uses the
@@ -22,14 +24,6 @@ from scipy.linalg.lapack import dposv
 
 
 @dataclass(frozen=True)
-class MatrixFreeOperator:
-    """Dimension plus the action v -> M v (e.g. shift*v + K*(A v))."""
-
-    n: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class KrylovReport:
     iterations: int
     final_relative_residual: float
@@ -46,7 +40,7 @@ def _psolve_of(precond):
 
 
 def solve_cg(
-    op: MatrixFreeOperator,
+    apply: Callable[[np.ndarray], np.ndarray],
     precond,
     rhs: np.ndarray,
     tol: float = 1e-10,
@@ -58,12 +52,11 @@ def solve_cg(
     is reported as a breakdown rather than raised.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, operator order is {op.n}")
-    max_iters = max_iters if max_iters is not None else 10 * op.n
+    n = rhs.size
+    max_iters = max_iters if max_iters is not None else 10 * n
     psolve = _psolve_of(precond)
 
-    x = np.zeros(op.n)
+    x = np.zeros(n)
     r = rhs.copy()
     nrm0 = float(np.linalg.norm(r))
     if nrm0 == 0.0:
@@ -72,7 +65,7 @@ def solve_cg(
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iters + 1):
-        q = op.apply(p)
+        q = apply(p)
         curv = float(p @ q)
         if curv <= 0.0:
             return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
@@ -91,7 +84,7 @@ def solve_cg(
 
 
 def solve_bicgstab(
-    op: MatrixFreeOperator,
+    apply: Callable[[np.ndarray], np.ndarray],
     precond,
     rhs: np.ndarray,
     tol: float = 1e-10,
@@ -105,20 +98,19 @@ def solve_bicgstab(
     converge at the intermediate residual check.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, operator order is {op.n}")
-    max_iters = max_iters if max_iters is not None else 10 * op.n
+    n = rhs.size
+    max_iters = max_iters if max_iters is not None else 10 * n
     psolve = _psolve_of(precond)
 
-    x = np.zeros(op.n)
+    x = np.zeros(n)
     r = rhs.copy()
     r0 = rhs.copy()
     nrm0 = float(np.linalg.norm(r0))
     if nrm0 == 0.0:
         return x, KrylovReport(0, 0.0, True)
     rho = alpha = omega = 1.0
-    v = np.zeros(op.n)
-    p = np.zeros(op.n)
+    v = np.zeros(n)
+    p = np.zeros(n)
     for it in range(1, max_iters + 1):
         rho_new = float(r0 @ r)
         if rho_new == 0.0:
@@ -130,7 +122,7 @@ def solve_bicgstab(
             beta = (rho_new / rho) * (alpha / omega)
             p = r + beta * (p - omega * v)
         p_hat = psolve(p)
-        v = op.apply(p_hat)
+        v = apply(p_hat)
         denom = float(r0 @ v)
         if denom == 0.0:
             return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
@@ -141,7 +133,7 @@ def solve_bicgstab(
             x += alpha * p_hat
             return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, True)
         s_hat = psolve(s)
-        t = op.apply(s_hat)
+        t = apply(s_hat)
         tt = float(t @ t)
         if tt == 0.0:
             return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, False,

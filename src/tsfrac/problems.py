@@ -94,38 +94,61 @@ def _kappa(kind: str):
     raise KeyError(f"unknown case {kind!r}; available: {CASE_NAMES}")
 
 
-def example_source(kind: str, s: int, alpha: float, gamma: float, x, t):
-    """Source f(x,t) that manufactures the exact solution for the given case."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+def _factors(s: int, alpha: float, gamma: float, x: np.ndarray) -> tuple:
+    """The time-independent factors of the case at x: whether x lies in
+    [-1, 1], the bump, Gamma(1+gamma) times the bump, and the prefactor and
+    2F1 series of the bump's fractional Laplacian."""
+    bump = _bump(x, s + alpha / 2.0)
+    return (not np.any(np.abs(x) > 1.0), bump,
+            math.exp(gammaln(1.0 + gamma)) * bump, _ifl_prefactor(s, alpha),
+            hypergeom_terminating((alpha + 1.0) / 2.0, s, x * x))
+
+
+def _source(factors: tuple, kappa, gamma: float, x: np.ndarray, t: float):
+    inside, _, time_term, prefactor, series = factors
+    if not inside:
         raise ValueError("x must lie in [-1, 1]")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    kappa = _kappa(kind)
-    power = s + alpha / 2.0
-    return (
-        math.exp(gammaln(1.0 + gamma)) * _bump(x, power)
-        + kappa(x, t)
-        * _ifl_prefactor(s, alpha)
-        * hypergeom_terminating((alpha + 1.0) / 2.0, s, x * x)
-        * (t ** gamma + 1.0)
-    )
+    # evaluated left to right, as written: regrouping moves the last bit
+    return time_term + kappa(x, t) * prefactor * series * (t ** gamma + 1.0)
+
+
+def example_source(kind: str, s: int, alpha: float, gamma: float, x, t):
+    """Source f(x,t) that manufactures the exact solution for the given case."""
+    x = np.asarray(x, dtype=float)
+    return _source(_factors(s, alpha, gamma, x), _kappa(kind), gamma, x, t)
 
 
 def make_case(name: str, alpha: float, gamma: float, s: int | None = None,
               T: float = 1.0) -> ManufacturedCase:
-    """Case registry: "example1" (s=3 default) or "example2" (s=1 fixed)."""
+    """Case registry: "example1" (s=3 default) or "example2" (s=1 fixed).
+
+    The source and exact solution evaluate their x-only factors once per
+    grid; only kappa(x, t) and t^gamma are computed at every call.
+    """
     if name not in CASE_NAMES:
         raise KeyError(f"unknown case {name!r}; available: {CASE_NAMES}")
     if name == "example2":
         s = 1
     elif s is None:
         s = 3
-    power = s + alpha / 2.0
     kappa = _kappa(name)
+    cache = {}  # the last grid's (bytes, shape) -> its _factors
 
-    def exact(x, t, power=power, gamma=gamma):
-        return _bump(x, power) * (t ** gamma + 1.0)
+    def factors(x):
+        key = x.tobytes(), x.shape  # a grid mutated in place gets a new key
+        if key not in cache:
+            cache.clear()
+            cache[key] = _factors(s, alpha, gamma, x)
+        return cache[key]
+
+    def source(x, t):
+        x = np.asarray(x, dtype=float)
+        return _source(factors(x), kappa, gamma, x, t)
+
+    def exact(x, t):
+        return factors(np.asarray(x, dtype=float))[1] * (t ** gamma + 1.0)
 
     spec = ProblemSpec(
         gamma=gamma,
@@ -133,8 +156,8 @@ def make_case(name: str, alpha: float, gamma: float, s: int | None = None,
         l=1.0,
         T=T,
         kappa=kappa,
-        source=lambda x, t: example_source(name, s, alpha, gamma, x, t),
-        initial=lambda x: _bump(x, power),
+        source=source,
+        initial=lambda x: _bump(x, s + alpha / 2.0),
         exact=exact,
     )
     return ManufacturedCase(name=name, s=int(s), alpha=float(alpha),

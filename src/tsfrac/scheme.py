@@ -14,9 +14,10 @@ recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 /(1-gamma) is shared by both schemes and never goes through the SOE.
 
 Solver dispatch: a dense direct solve when the system order N-1 is at most
-the direct threshold, otherwise circulant-preconditioned BiCGSTAB (or CG when
-the diffusivity is declared x-independent, which is checked per level).  The
-direct path solves the symmetrically scaled system
+the direct threshold, otherwise circulant-preconditioned BiCGSTAB.  A Krylov
+level whose kappa is constant on the grid runs CG instead: shift_m I + kappa A
+is then symmetric positive definite.  The direct path solves the
+symmetrically scaled system
 
     (A + diag(shift_m / kappa)) u^m = rhs_m / kappa,
 
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .ifl import IflDiscretization, build_ifl
-from .krylov import MatrixFreeOperator, solve_bicgstab, solve_cg, solve_dense
+from .krylov import solve_bicgstab, solve_cg, solve_dense
 from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
                   fast_coefficients, history_push)
@@ -59,7 +60,6 @@ class ProblemSpec:
     source: Callable         # (x, t) -> f
     initial: Callable        # x -> u(x, 0)
     exact: Optional[Callable] = None  # (x, t) -> u, when known
-    kappa_x_independent: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ class SolveReport:
     err_2: Optional[float]
     avg_iterations: float = 0.0
     wall_time: float = 0.0
-    scheme_tag: str = ""
-    solver_tag: str = ""
     history_ops: np.ndarray = field(default=None)  # per-level history-term flops
     history_memory_values: int = 0                 # floats held for the history term
 
@@ -113,12 +111,10 @@ def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
 class _LevelSolver:
     """Per-run solver context: dense factor path or matrix-free Krylov path."""
 
-    def __init__(self, spec: ProblemSpec, disc: IflDiscretization, tag: str,
-                 options: SolverOptions):
+    def __init__(self, disc: IflDiscretization, tag: str, options: SolverOptions):
         self.tag = tag
         self.options = options
         self.n = disc.N - 1
-        self.use_cg = spec.kappa_x_independent
         if tag == "direct":
             self.A = disc.dense()
         else:
@@ -135,24 +131,21 @@ class _LevelSolver:
             mat.flat[:: self.n + 1] += shift / kappa
             return solve_dense(mat, rhs / kappa), 0
 
-        if self.use_cg:
-            # CG on shift*I + K A needs K = kappa*I: a false claim leaves it
-            # iterating on a nonsymmetric system
-            lo, hi = float(kappa.min()), float(kappa.max())
-            if hi - lo > 1e-12 * hi:
-                raise ValueError(
-                    f"kappa_x_independent=True, but kappa varies on the grid at "
-                    f"level m={m}, t_m={t:.6g}: min {lo}, max {hi}")
+        # a kappa constant on the grid leaves shift*I + kappa*A symmetric
+        hi = float(kappa.max())
+        if hi - float(kappa.min()) <= 1e-12 * hi:
+            method, solver = "CG", solve_cg
+        else:
+            method, solver = "BiCGSTAB", solve_bicgstab
         matvec = self.op.matvec
-        op = MatrixFreeOperator(self.n, lambda v: shift * v + kappa * matvec(v))
         precond = None
         if self.tag == "pkrylov":
             precond = build_preconditioner(self.op, shift, float(kappa.mean()))
-        solver = solve_cg if self.use_cg else solve_bicgstab
-        u, report = solver(op, precond, rhs, tol=self.options.tol)
+        u, report = solver(lambda v: shift * v + kappa * matvec(v), precond, rhs,
+                           tol=self.options.tol)
         if not report.converged:
             raise RuntimeError(
-                f"{'CG' if self.use_cg else 'BiCGSTAB'} ({self.tag}) did not "
+                f"{method} ({self.tag}) did not "
                 f"converge at level m={m}, t_m={t:.6g}: {report.iterations} "
                 f"iterations, final relative residual "
                 f"{report.final_relative_residual:.3e} (tol {self.options.tol:g}), "
@@ -212,8 +205,6 @@ class _ErrorTracker:
 class _L1Sum:
     """DIDS history: the L1 sum over ``hist`` = u^0 .. u^M, O(m) per level."""
 
-    tag = "DIDS"
-
     def __init__(self, gamma: float, mesh: GradedMesh, n: int):
         self.gamma = gamma
         self.mesh = mesh
@@ -221,14 +212,14 @@ class _L1Sum:
         self.hist = np.empty((mesh.M + 1, n))
         self.memory_values = self.hist.size
 
-    def add_known(self, rhs: np.ndarray, m: int) -> tuple[float, int]:
-        """rhs += the known history part of level m; returns (a_m, op count)."""
+    def add_known(self, rhs: np.ndarray, m: int) -> int:
+        """rhs += the known history part of level m; returns the op count."""
         a = l1_weights(self.mesh, self.gamma, m).a
         hist = self.hist
         rhs += (a[0] / self.g1mg) * hist[0]
         if m > 1:
             rhs += (np.diff(a) @ hist[1:m]) / self.g1mg
-        return a[-1], m * hist.shape[1]
+        return m * hist.shape[1]
 
     def record(self, m: int, u: np.ndarray):
         self.hist[m] = u
@@ -237,8 +228,6 @@ class _L1Sum:
 class _SoeRecurrence:
     """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1},
     and the (M+1, N-1) history only when ``keep_history`` is set."""
-
-    tag = "FIDS"
 
     def __init__(self, soe: SoeApproximation, mesh: GradedMesh, n: int,
                  keep_history: bool):
@@ -250,12 +239,12 @@ class _SoeRecurrence:
         self.hist = np.empty((mesh.M + 1, n)) if keep_history else None
         self.u_prev = None
 
-    def add_known(self, rhs: np.ndarray, m: int) -> tuple[float, int]:
-        """rhs += the known history part of level m; returns (a_m, op count)."""
+    def add_known(self, rhs: np.ndarray, m: int) -> int:
+        """rhs += the known history part of level m; returns the op count."""
         tau_m = self.mesh.tau[m - 1]
-        a_m = _last_weight(tau_m, self.gamma)
-        rhs += fast_caputo_rhs(self.fast, a_m, self.u_prev, self.gamma, tau_m)
-        return a_m, self.ops
+        rhs += fast_caputo_rhs(self.fast, _last_weight(tau_m, self.gamma),
+                               self.u_prev, self.gamma, tau_m)
+        return self.ops
 
     def record(self, m: int, u: np.ndarray):
         if m > 0:
@@ -270,8 +259,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
            t0: float) -> SolveReport:
     """Step levels 1..M with ``history`` supplying the Caputo history term."""
     tag = select_solver(disc.N, options)
-    solver = _LevelSolver(spec, disc, tag, options)
-    g1mg = math.exp(gammaln(1.0 - spec.gamma))
+    solver = _LevelSolver(disc, tag, options)
 
     u = np.asarray(spec.initial(x), dtype=float)
     _check_grid("initial", "finite", u, np.isfinite(u), x, 0, 0.0)
@@ -288,8 +276,8 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
         # return an array it shares
         rhs = np.array(spec.source(x, tm), dtype=float)
         _check_grid("source", "finite", rhs, np.isfinite(rhs), x, m, tm)
-        a_m, ops[m - 1] = history.add_known(rhs, m)
-        u, its = solver.solve(a_m / g1mg, kappa, rhs, m, tm)
+        ops[m - 1] = history.add_known(rhs, m)
+        u, its = solver.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
         its_total += its
         history.record(m, u)
         tracker.update(u, tm)
@@ -298,7 +286,6 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
     return SolveReport(
         err_inf=err_inf, err_2=err_2,
         avg_iterations=its_total / mesh.M, wall_time=time.perf_counter() - t0,
-        scheme_tag=history.tag, solver_tag=tag,
         history_ops=ops, history_memory_values=history.memory_values,
     )
 
@@ -336,13 +323,11 @@ def run_fids(
     mu: Optional[float] = None,
     options: SolverOptions = SolverOptions(),
     keep_history: bool = True,
-    soe: Optional[SoeApproximation] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Fast implicit scheme with the SOE history recurrence.
 
-    The SOE is built at delta = tau_1 = (1/M)^r T unless one is supplied; a
-    supplied SOE must be built for spec.gamma on an interval [delta, T] that
-    covers [tau_1, spec.T].  With ``keep_history`` the full (M+1, N-1)
+    The SOE compresses t^{-gamma} to ``epsilon`` on [tau_1, T], tau_1 =
+    (1/M)^r T being the shortest step.  With ``keep_history`` the full (M+1, N-1)
     history is returned for error measurement; the memory-lean mode returns
     only the final level, the scheme itself consuming just u^{m-1} and the
     exponential accumulators.
@@ -351,15 +336,8 @@ def run_fids(
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     mesh, disc, x = _setup(spec, M, r, N, mu)
-    if soe is None:
-        soe = _default_soe(spec, M, r, epsilon)
-    elif (soe.gamma != spec.gamma
-          # a few ulp of slack: delta = (1/M)^r T may round apart from tau_1
-          or soe.delta > mesh.tau[0] * (1.0 + 1e-12) or soe.T < spec.T * (1.0 - 1e-12)):
-        raise ValueError(f"soe was built for gamma={soe.gamma}, delta={soe.delta}, "
-                         f"T={soe.T}; this run needs gamma={spec.gamma}, "
-                         f"delta <= tau_1={mesh.tau[0]} and T >= {spec.T}")
-    history = _SoeRecurrence(soe, mesh, N - 1, keep_history)
+    history = _SoeRecurrence(_default_soe(spec, M, r, epsilon), mesh, N - 1,
+                             keep_history)
     report = _march(spec, mesh, disc, x, options, history, t0)
     return (history.hist if keep_history else history.u_prev), report
 

@@ -40,9 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .mesh import GradedMesh, l1_weights
+from .mesh import GradedMesh, _last_weight
 
 DEFAULT_NODE_CAP = 256
+# rows of exp(-t s) formed at once by SoeApproximation.evaluate: a 4096-point
+# validation grid at 100-200 nodes would otherwise take 3-7 MB in one piece
+_EVAL_ROWS = 256
 
 
 class SoeConstructionError(RuntimeError):
@@ -65,9 +68,14 @@ class SoeApproximation:
         return int(self.nodes.size)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Kernel approximation sum_j w_j e^{-s_j t} at the given times."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.exp(-np.outer(t, self.nodes)) @ self.weights
+        """Kernel approximation sum_j w_j e^{-s_j t} at the given times
+        (flattened); exp(-t s) is formed ``_EVAL_ROWS`` rows at a time."""
+        t = np.asarray(t, dtype=float).ravel()
+        out = np.empty(t.size)
+        for i in range(0, t.size, _EVAL_ROWS):
+            rows = slice(i, i + _EVAL_ROWS)
+            out[rows] = np.exp(-np.outer(t[rows], self.nodes)) @ self.weights
+        return out
 
 
 @dataclass
@@ -80,11 +88,10 @@ class FastHistory:
 
     soe: SoeApproximation
     W: np.ndarray = field(default=None)  # shape (N_exp, N_spatial)
-    level: int = 0
 
     @classmethod
     def fresh(cls, soe: SoeApproximation, n_spatial: int) -> "FastHistory":
-        return cls(soe=soe, W=np.zeros((soe.n_exp, n_spatial)), level=0)
+        return cls(soe=soe, W=np.zeros((soe.n_exp, n_spatial)))
 
 
 def _lattice_step(gamma: float, target: float) -> float:
@@ -133,13 +140,12 @@ def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
     return np.array(nodes), np.array(weights)
 
 
-def _validate(gamma: float, s: np.ndarray, w: np.ndarray, eps: float,
-              delta: float, T: float, n_grid: int = 4096) -> bool:
-    t = np.logspace(math.log10(delta), math.log10(T), n_grid)
-    kernel = t ** (-gamma)
-    err = np.abs(kernel - np.exp(-np.outer(t, s)) @ w)
+def _validate(soe: SoeApproximation, n_grid: int = 4096) -> bool:
+    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
+    kernel = t ** (-soe.gamma)
+    err = np.abs(kernel - soe.evaluate(t))
     # allow the evaluation's own round-off floor (a few ulp of t^{-gamma})
-    return bool(np.all(err <= np.maximum(eps, 4.0 * np.finfo(float).eps * kernel)))
+    return bool(np.all(err <= np.maximum(soe.epsilon, 4.0 * np.finfo(float).eps * kernel)))
 
 
 def build_soe(
@@ -173,11 +179,10 @@ def build_soe(
                 f"tolerance {epsilon:g} on [{delta:g}, {T:g}] needs {s.size} "
                 f"exponentials, cap is {node_cap}"
             )
-        if _validate(gamma, s, w, epsilon, delta, T):
-            return SoeApproximation(
-                gamma=float(gamma), epsilon=float(epsilon),
-                delta=float(delta), T=float(T), nodes=s, weights=w,
-            )
+        soe = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
+                               delta=float(delta), T=float(T), nodes=s, weights=w)
+        if _validate(soe):
+            return soe
         h *= 0.85
     raise SoeConstructionError(
         f"validation failed to reach {epsilon:g} on [{delta:g}, {T:g}]"
@@ -203,7 +208,7 @@ def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.nda
         tau_k = mesh.tau[k - 1]
         ek = np.exp(-s * (t[m] - t[k])) * (-np.expm1(-s * tau_k))
         b[k - 1] = np.dot(w, ek / s) / tau_k
-    b[m - 1] = l1_weights(mesh, soe.gamma, m).a[-1]
+    b[m - 1] = _last_weight(mesh.tau[m - 1], soe.gamma)
     return b
 
 
@@ -222,7 +227,6 @@ def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHisto
     decay = np.exp(-s * tau_m)
     h.W *= decay[:, None]
     h.W += np.outer(-np.expm1(-s * tau_m) / s, delta_u / tau_m)
-    h.level += 1
     return h
 
 

@@ -39,9 +39,8 @@ class ToeplitzOperator:
     n: int
     first_col: np.ndarray
     embed_len: int              # smallest power of two >= 2n-1
-    spectrum_embed: np.ndarray  # DFT of the circulant embedding's first column
     dense: Optional[np.ndarray] = None          # the matrix, n <= DENSE_CROSSOVER
-    half_spectrum: Optional[np.ndarray] = None  # real spectrum_embed[:L/2+1], above
+    half_spectrum: Optional[np.ndarray] = None  # real DFT(embedding)[:L/2+1], above
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return toeplitz_matvec(self, v)
@@ -60,18 +59,14 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
     L = 1
     while L < max(2 * n - 1, 1):
         L *= 2
+    if n <= DENSE_CROSSOVER:
+        return ToeplitzOperator(n=n, first_col=first_col, embed_len=L,
+                                dense=toeplitz(first_col))
     emb = np.zeros(L)
     emb[:n] = first_col
-    if n > 1:
-        emb[L - n + 1:] = first_col[1:][::-1]
-    spectrum = fourier.fft(emb)
-    dense = half = None
-    if n <= DENSE_CROSSOVER:
-        dense = toeplitz(first_col)
-    else:
-        half = spectrum[: L // 2 + 1].real.copy()  # the embedding is even
-    return ToeplitzOperator(n=n, first_col=first_col, embed_len=L,
-                            spectrum_embed=spectrum, dense=dense, half_spectrum=half)
+    emb[L - n + 1:] = first_col[1:][::-1]
+    half = fourier.fft(emb)[: L // 2 + 1].real.copy()  # the embedding is even
+    return ToeplitzOperator(n=n, first_col=first_col, embed_len=L, half_spectrum=half)
 
 
 def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:

@@ -274,7 +274,7 @@ def test_criterion_12_complexity_counters():
     M, N = 256, 17
     soe = build_soe(0.5, 1e-10, (1.0 / M) ** 2, 1.0)
     _, rep_d = run_dids(case.spec, M, 2, N)
-    _, rep_f = run_fids(case.spec, M, 2, N, soe=soe, keep_history=False)
+    _, rep_f = run_fids(case.spec, M, 2, N, epsilon=1e-10, keep_history=False)
     # DIDS history work grows linearly in the level index
     assert rep_d.history_ops[199] == pytest.approx(2 * rep_d.history_ops[99],
                                                    rel=0.02)

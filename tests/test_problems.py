@@ -106,6 +106,38 @@ class TestMakeCase:
         assert case.spec.exact(np.array([1.0]), 0.5)[0] == 0.0
         assert case.spec.initial(np.array([-1.0]))[0] == 0.0
 
+    @pytest.mark.parametrize("name,alpha,gamma", [("example1", 1.5, 0.5),
+                                                  ("example2", 1.9, 0.8)])
+    def test_source_and_exact_equal_the_closed_forms_bit_for_bit(self, name,
+                                                                 alpha, gamma):
+        # the x-only factors are computed once per grid: two grids of one
+        # shape in turn, then a grid mutated in place, must each get their own
+        case = make_case(name, alpha, gamma)
+        spec, s = case.spec, case.s
+        grids = [np.linspace(-1.0, 1.0, 129)[1:-1], np.linspace(-0.9, 0.8, 127)]
+
+        def check(x, t):
+            bump = np.exp((s + alpha / 2) * np.log1p(-x * x))
+            source = (math.exp(gammaln(1 + gamma)) * bump
+                      + spec.kappa(x, t) * exact_ifl_of_bump(s, alpha, 0.0)
+                      * hypergeom_terminating((alpha + 1) / 2, s, x * x)
+                      * (t ** gamma + 1.0))
+            np.testing.assert_array_equal(spec.source(x, t), source)
+            np.testing.assert_array_equal(
+                example_source(name, s, alpha, gamma, x.copy(), t), source)
+            np.testing.assert_array_equal(spec.exact(x, t), bump * (t ** gamma + 1.0))
+
+        for t in np.linspace(0.0, 1.0, 60):
+            for x in grids:
+                check(x, t)
+        grids[1][::3] *= 0.5
+        for t in (0.0, 0.3, 1.0):
+            check(grids[1], t)
+        with pytest.raises(ValueError, match=r"x must lie in \[-1, 1\]"):
+            spec.source(np.array([0.5, 1.5]), 0.5)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            spec.source(grids[1], -0.1)
+
     def test_kappa_positive_on_grid(self):
         for name in ("example1", "example2"):
             case = make_case(name, 1.5, 0.5)

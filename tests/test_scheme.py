@@ -43,8 +43,8 @@ class TestSchemeBasics:
     def test_memory_lean_fids_returns_final_level(self):
         case = make_case("example1", 1.5, 0.5)
         soe = build_soe(0.5, 1e-10, (1.0 / 16) ** 2, 1.0)
-        hist, _ = run_fids(case.spec, 16, 2, 16, soe=soe)
-        final, rep = run_fids(case.spec, 16, 2, 16, soe=soe, keep_history=False)
+        hist, _ = run_fids(case.spec, 16, 2, 16)
+        final, rep = run_fids(case.spec, 16, 2, 16, keep_history=False)
         np.testing.assert_allclose(final, hist[-1], rtol=1e-14)
         assert rep.history_memory_values == soe.n_exp * 15
 
@@ -106,8 +106,8 @@ class TestSchemeBasics:
         import tsfrac.scheme
         from tsfrac.krylov import KrylovReport
 
-        def unconverged(op, precond, rhs, tol):
-            return np.zeros(op.n), KrylovReport(17, 3.5e-4, False, "rho vanished")
+        def unconverged(apply, precond, rhs, tol):
+            return np.zeros(rhs.size), KrylovReport(17, 3.5e-4, False, "rho vanished")
 
         monkeypatch.setattr(tsfrac.scheme, "solve_bicgstab", unconverged)
         case = make_case("example1", 1.5, 0.5)
@@ -120,17 +120,6 @@ class TestSchemeBasics:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="auto, direct, krylov, pkrylov.*'pkrylv'"):
             SolverOptions(solver="pkrylv")
-
-    @pytest.mark.parametrize("gamma,delta,T", [
-        (0.8, (1.0 / 16) ** 2, 1.0),   # another gamma
-        (0.5, (1.0 / 8) ** 2, 1.0),    # delta above tau_1 = 1/256
-        (0.5, (1.0 / 16) ** 2, 0.5),   # T below spec.T
-    ])
-    def test_mismatched_soe_rejected(self, gamma, delta, T):
-        case = make_case("example1", 1.5, 0.5)
-        soe = build_soe(gamma, 1e-10, delta, T)
-        with pytest.raises(ValueError, match="soe was built for"):
-            run_fids(case.spec, 16, 2, 16, soe=soe)
 
 
 def nan_after_half(f):
@@ -163,32 +152,73 @@ class TestInputChecks:
                                                  r"initial\(x=0\.625\) = inf"):
                 run(spec, 4, 2, 16)
 
-    def test_false_kappa_x_independent_claim_rejected(self):
-        # CG on the nonsymmetric system ran 31.7 its/level against 9.06 for
-        # BiCGSTAB
-        spec = dataclasses.replace(make_case("example2", 1.9, 0.5).spec,
-                                   kappa_x_independent=True)
-        with pytest.raises(ValueError, match=r"kappa_x_independent=True, but kappa "
-                                             r"varies on the grid at level m=1, "
-                                             r"t_m=0\.00390625: min .*, max "):
-            run_fids(spec, 16, 2, 200, options=SolverOptions(solver="pkrylov"))
+    @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
+    def test_true_kappa_x_independent_claim_runs_cg(self, methods, solver):
+        # no flag: a kappa constant on the grid is observed at every level
+        spec = cos_problem(lambda x, t: (1.0 + t) + 0.0 * x)
+        ref, _ = run_fids(spec, 16, 2, 64, options=SolverOptions(solver="direct"))
+        hist, _ = run_fids(spec, 16, 2, 64, options=SolverOptions(solver=solver))
+        assert methods == ["solve_cg"] * 16
+        assert np.max(np.abs(hist - ref)) <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.fixture
+def methods(monkeypatch):
+    """The Krylov solvers tsfrac.scheme calls, in order, by function name."""
+    calls = []
+    for name in ("solve_cg", "solve_bicgstab"):
+        def traced(*args, _name=name, _solve=getattr(tsfrac.scheme, name), **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(tsfrac.scheme, name, traced)
+    return calls
+
+
+def cos_problem(kappa):
+    return ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0, kappa=kappa,
+                       source=lambda x, t: np.cos(x) * (1.0 + t),
+                       initial=lambda x: 1.0 - x * x)
+
+
+class TestKrylovMethod:
+    """A Krylov level runs CG when kappa is constant on the grid, else BiCGSTAB."""
 
     @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
-    def test_true_kappa_x_independent_claim_runs_cg(self, monkeypatch, solver):
-        spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
-                           kappa=lambda x, t: (1.0 + t) + 0.0 * x,
-                           source=lambda x, t: np.cos(x) * (1.0 + t),
-                           initial=lambda x: 1.0 - x * x)
-        options = SolverOptions(solver=solver)
-        ref, _ = run_fids(spec, 16, 2, 64, options=options)
-        calls = []
-        cg = tsfrac.scheme.solve_cg
-        monkeypatch.setattr(tsfrac.scheme, "solve_cg",
-                            lambda *a, **k: calls.append(1) or cg(*a, **k))
-        hist, _ = run_fids(dataclasses.replace(spec, kappa_x_independent=True),
-                           16, 2, 64, options=options)
-        assert len(calls) == 16
+    def test_x_dependent_kappa_runs_bicgstab(self, methods, solver):
+        run_fids(make_case("example2", 1.5, 0.5).spec, 16, 2, 32,
+                 options=SolverOptions(solver=solver))
+        assert methods == ["solve_bicgstab"] * 16
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
+    def test_switches_at_the_first_level_where_kappa_varies(self, methods, run,
+                                                            solver):
+        # t_m = (m/16)^2 first exceeds 1/2 at m = 12
+        spec = cos_problem(lambda x, t: (1.0 + t) + (0.5 * x if t > 0.5 else 0.0 * x))
+        ref, _ = run(spec, 16, 2, 64, options=SolverOptions(solver="direct"))
+        hist, _ = run(spec, 16, 2, 64, options=SolverOptions(solver=solver))
+        assert methods == ["solve_cg"] * 11 + ["solve_bicgstab"] * 5
         assert np.max(np.abs(hist - ref)) <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("spread,method", [(1e-13, "solve_cg"),
+                                               (1e-11, "solve_bicgstab")])
+    def test_constant_means_a_relative_spread_of_at_most_1e_12(self, methods,
+                                                                spread, method):
+        spec = cos_problem(lambda x, t: 2.0 * (1.0 + 0.5 * spread * x))
+        run_fids(spec, 4, 2, 16, options=SolverOptions(solver="krylov"))
+        assert methods == [method] * 4
+
+    def test_failure_names_the_method_that_ran(self, monkeypatch):
+        from tsfrac.krylov import KrylovReport
+
+        def unconverged(apply, precond, rhs, tol):
+            return np.zeros(rhs.size), KrylovReport(9, 2e-3, False)
+
+        monkeypatch.setattr(tsfrac.scheme, "solve_cg", unconverged)
+        with pytest.raises(RuntimeError, match=r"^CG \(krylov\) did not converge "
+                                               r"at level m=1, .*breakdown: none"):
+            run_fids(cos_problem(lambda x, t: 1.0 + 0.0 * x), 4, 2, 16,
+                     options=SolverOptions(solver="krylov"))
 
 
 class TestDirectLevelSolve:
@@ -318,18 +348,19 @@ class TestComplexityCounters:
         assert np.all(rep.history_ops == rep.history_ops[0])
         assert rep.history_memory_values <= 256 * 15
 
-    def test_memory_lean_fids_never_holds_the_history(self):
+    def test_memory_lean_fids_never_holds_the_history(self, monkeypatch):
         # the peak of the lean run stays below the (M+1) x (N-1) history it
-        # does not build; the SOE is built first, its validation grid is large
+        # does not build; the SOE is built before the measurement
         case = make_case("example1", 1.5, 0.5)
         M, N = 2048, 17
         soe = build_soe(0.5, 1e-10, (1.0 / M) ** 2, 1.0)
+        monkeypatch.setattr(tsfrac.scheme, "build_soe", lambda *args: soe)
         history_bytes = (M + 1) * (N - 1) * 8
         peaks = {}
         for keep in (True, False):
             tracemalloc.start()
             try:
-                run_fids(case.spec, M, 2, N, soe=soe, keep_history=keep)
+                run_fids(case.spec, M, 2, N, keep_history=keep)
                 peaks[keep] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

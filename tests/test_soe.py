@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,12 +48,38 @@ class TestBuildSoe:
         with pytest.raises(SoeConstructionError):
             build_soe(0.5, 1e-10, 1e-7, 1.0, node_cap=20)
 
+    def test_build_peak_memory_stays_under_one_megabyte(self):
+        # the pk-n128 workload's SOE: gamma 0.5, epsilon 1e-9, M = 3326, r = 2;
+        # one 4096 x N_exp kernel matrix for validation took 6.4 MB
+        tracemalloc.start()
+        try:
+            build_soe(0.5, 1e-9, (1.0 / 3326) ** 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     @pytest.mark.parametrize("gamma", [0.1, 0.9])
     def test_bound_only_claimed_on_delta_T(self, gamma):
         soe = build_soe(gamma, 1e-9, 1e-5, 1.0)
         t = np.logspace(-5, 0, 2000)
         err = np.abs(t ** (-gamma) - soe.evaluate(t))
         assert err.max() <= 1e-9
+
+
+class TestEvaluate:
+    def test_blocks_are_bit_equal_to_the_whole_product(self):
+        soe = build_soe(0.5, 1e-9, (1.0 / 3326) ** 2, 1.0)
+        t = np.logspace(math.log10(soe.delta), 0.0, 10_000)
+        whole = np.exp(-np.outer(t, soe.nodes)) @ soe.weights
+        np.testing.assert_array_equal(soe.evaluate(t), whole)
+
+    def test_shapes_are_flattened(self):
+        soe = _single_exponential()
+        assert soe.evaluate(1.0).shape == (1,)
+        assert soe.evaluate(np.ones((3, 200))).shape == (600,)
+        assert soe.evaluate(np.zeros(0)).shape == (0,)
+        assert soe.evaluate(2.0)[0] == math.exp(-2.0)
 
 
 class TestFastCoefficients:
@@ -100,7 +127,6 @@ class TestHistoryPush:
         history_push(h, np.zeros(4), 0.25)
         np.testing.assert_allclose(h.W, before * np.exp(-0.25 * soe.nodes)[:, None],
                                    rtol=1e-14)
-        assert h.level == 1
 
     def test_two_steps_by_hand(self):
         # w = s = 1, tau = 1, unit increments: W = e^{-1}(1-e^{-1}) + (1-e^{-1})

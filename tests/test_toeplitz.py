@@ -21,6 +21,14 @@ from tsfrac.toeplitz import (
 )
 
 
+def embedding_spectrum(col, L):
+    """DFT of the first column of A's circulant embedding of order L."""
+    emb = np.zeros(L)
+    emb[: col.size] = col
+    emb[L - col.size + 1:] = col[1:][::-1]
+    return np.fft.fft(emb)
+
+
 class TestToeplitzMatvec:
     def test_tridiagonal_by_hand(self):
         op = build_toeplitz(np.array([2.0, -1.0, 0.0]))
@@ -50,8 +58,10 @@ class TestToeplitzMatvec:
         assert below.dense is not None and below.half_spectrum is None
         assert above.dense is None
         assert above.half_spectrum.shape == (above.embed_len // 2 + 1,)
+        L = above.embed_len
         np.testing.assert_array_equal(
-            above.half_spectrum, above.spectrum_embed[: above.embed_len // 2 + 1].real)
+            above.half_spectrum,
+            embedding_spectrum(above.first_col, L)[: L // 2 + 1].real)
         for n, dense in ((DENSE_CROSSOVER, True), (DENSE_CROSSOVER + 1, False)):
             p = CirculantPreconditioner(n=n, shift=1.0, kappa_bar=1.0,
                                         lam=np.zeros(n), total_eigs=np.ones(n))
@@ -68,8 +78,22 @@ class TestToeplitzMatvec:
         v = rng.standard_normal(37)
         padded = np.zeros(op.embed_len, dtype=complex)
         padded[:37] = v
-        full = np.fft.ifft(op.spectrum_embed * np.fft.fft(padded))[:37]
+        spectrum = embedding_spectrum(op.first_col, op.embed_len)
+        full = np.fft.ifft(spectrum * np.fft.fft(padded))[:37]
         assert np.abs(full.imag).max() <= 1e-12 * np.linalg.norm(v)
+        ref = op.matvec(v)
+        assert np.max(np.abs(full.real - ref)) <= 1e-12 * np.abs(ref).max()
+
+    def test_dense_side_transforms_nothing(self, monkeypatch):
+        import tsfrac.fourier
+
+        def no_fft(x):
+            raise AssertionError("fourier.fft called")
+
+        monkeypatch.setattr(tsfrac.fourier, "fft", no_fft)
+        op = build_toeplitz(np.arange(DENSE_CROSSOVER, 0.0, -1.0))
+        assert op.half_spectrum is None
+        assert op.embed_len == 1024
 
     def test_dimension_mismatch(self):
         op = build_toeplitz(np.ones(4))
