@@ -9,6 +9,15 @@ standard preconditioned recurrence; the circulant preconditioner is SPD by
 construction.  The initial guess is always the zero vector and the default
 tolerance is 1e-10.
 
+Both loops run in place (Barrett et al., Templates for the Solution of
+Linear Systems, SIAM 1994, sections 2.3.1 and 2.3.8): the iterate, the
+residual and the search direction are allocated once per solve and updated
+by BLAS-1 ``daxpy``, with inner products and norms from ``ddot``/``dnrm2``.
+BiCGSTAB writes its half-step residual s over r and reads the right-hand
+side, never writing it, as the shadow residual r0.  The loops keep the
+vectors that ``apply`` and the preconditioner's solve return, so each call
+must return a fresh array, never a buffer it writes again on a later call.
+
 The dense solver dispatches like MATLAB's backslash: Cholesky for an exactly
 symmetric matrix whose factorization finds only positive pivots, LU with
 partial pivoting otherwise.
@@ -20,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot, dnrm2
 from scipy.linalg.lapack import dposv
 
 
@@ -58,29 +68,30 @@ def solve_cg(
 
     x = np.zeros(n)
     r = rhs.copy()
-    nrm0 = float(np.linalg.norm(r))
+    nrm0 = float(np.linalg.norm(r))  # dnrm2 rejects an empty vector
     if nrm0 == 0.0:
         return x, KrylovReport(0, 0.0, True)
     z = psolve(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = z.copy()  # z is r itself without a preconditioner
+    rz = ddot(r, z)
     for it in range(1, max_iters + 1):
         q = apply(p)
-        curv = float(p @ q)
+        curv = ddot(p, q)
         if curv <= 0.0:
-            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+            return x, KrylovReport(it, dnrm2(r) / nrm0, False,
                                    breakdown="non-positive curvature")
         alpha = rz / curv
-        x += alpha * p
-        r -= alpha * q
-        rel = float(np.linalg.norm(r)) / nrm0
+        daxpy(p, x, a=alpha)
+        daxpy(q, r, a=-alpha)
+        rel = dnrm2(r) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
         z = psolve(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        rz_new = ddot(r, z)
+        p *= rz_new / rz
+        daxpy(z, p)
         rz = rz_new
-    return x, KrylovReport(max_iters, float(np.linalg.norm(r)) / nrm0, False)
+    return x, KrylovReport(max_iters, dnrm2(r) / nrm0, False)
 
 
 def solve_bicgstab(
@@ -97,57 +108,59 @@ def solve_bicgstab(
     Each pass of the loop counts as one iteration, including passes that
     converge at the intermediate residual check.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.size
+    r0 = np.asarray(rhs, dtype=float)  # the shadow residual, never written
+    n = r0.size
     max_iters = max_iters if max_iters is not None else 10 * n
     psolve = _psolve_of(precond)
 
     x = np.zeros(n)
-    r = rhs.copy()
-    r0 = rhs.copy()
-    nrm0 = float(np.linalg.norm(r0))
+    r = r0.copy()
+    nrm0 = float(np.linalg.norm(r0))  # dnrm2 rejects an empty vector
     if nrm0 == 0.0:
         return x, KrylovReport(0, 0.0, True)
     rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
+    p = np.empty(n)
     for it in range(1, max_iters + 1):
-        rho_new = float(r0 @ r)
+        rho_new = ddot(r0, r)
         if rho_new == 0.0:
-            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+            return x, KrylovReport(it, dnrm2(r) / nrm0, False,
                                    breakdown="rho vanished")
         if it == 1:
             p[:] = r
         else:
-            beta = (rho_new / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
+            # p = r + beta (p - omega v)
+            daxpy(v, p, a=-omega)
+            p *= (rho_new / rho) * (alpha / omega)
+            daxpy(r, p)
         p_hat = psolve(p)
         v = apply(p_hat)
-        denom = float(r0 @ v)
+        denom = ddot(r0, v)
         if denom == 0.0:
-            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+            return x, KrylovReport(it, dnrm2(r) / nrm0, False,
                                    breakdown="r0.v vanished")
         alpha = rho_new / denom
-        s = r - alpha * v
-        if float(np.linalg.norm(s)) / nrm0 < tol:
-            x += alpha * p_hat
-            return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, True)
+        s = daxpy(v, r, a=-alpha)  # s = r - alpha v overwrites r
+        if dnrm2(s) / nrm0 < tol:
+            daxpy(p_hat, x, a=alpha)
+            return x, KrylovReport(it, dnrm2(s) / nrm0, True)
         s_hat = psolve(s)
         t = apply(s_hat)
-        tt = float(t @ t)
+        tt = ddot(t, t)
         if tt == 0.0:
-            return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, False,
+            return x, KrylovReport(it, dnrm2(s) / nrm0, False,
                                    breakdown="omega denominator vanished")
-        omega = float(t @ s) / tt
-        x += alpha * p_hat + omega * s_hat
-        r = s - omega * t
+        omega = ddot(t, s) / tt
+        # x before r: without a preconditioner s_hat is s, which r overwrites
+        daxpy(p_hat, x, a=alpha)
+        daxpy(s_hat, x, a=omega)
+        r = daxpy(t, s, a=-omega)
         rho = rho_new
-        rel = float(np.linalg.norm(r)) / nrm0
+        rel = dnrm2(r) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
         if omega == 0.0:
             return x, KrylovReport(it, rel, False, breakdown="omega vanished")
-    return x, KrylovReport(max_iters, float(np.linalg.norm(r)) / nrm0, False)
+    return x, KrylovReport(max_iters, dnrm2(r) / nrm0, False)
 
 
 DENSE_SOLVE_CAP = 2048

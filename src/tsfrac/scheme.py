@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.special import gammaln
 
 from .ifl import IflDiscretization, build_ifl
@@ -44,7 +45,14 @@ from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
                   fast_coefficients, history_push)
 from .toeplitz import ToeplitzOperator, build_preconditioner, build_toeplitz
 
-DIRECT_THRESHOLD = 128  # largest N-1 handled by the dense direct path
+# Largest N-1 handled by the dense direct path.  Measured end to end, FIDS
+# on example2 (alpha 1.9, gamma 0.5, r 2, mu 1.95, eps 1e-9) at M = 600, one
+# BLAS thread, min of 3 runs, direct / pkrylov in s:
+#   N = 129: 0.171 / 0.289    160: 0.228 / 0.360    192: 0.309 / 0.409
+#   N = 224: 0.630 / 0.474    256: 0.808 / 0.571
+# and between those: 208: 0.315 / 0.400, 210: 0.331 / 0.435, 212: 0.462 / 0.359,
+# where the Cholesky factorization's cost steps up.
+DIRECT_THRESHOLD = 208
 _SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
@@ -138,11 +146,17 @@ class _LevelSolver:
         else:
             method, solver = "BiCGSTAB", solve_bicgstab
         matvec = self.op.matvec
+
+        def apply(v):
+            # shift*v + kappa*(A v), written into the matvec's fresh output
+            out = matvec(v)
+            out *= kappa
+            return daxpy(v, out, a=shift)
+
         precond = None
         if self.tag == "pkrylov":
             precond = build_preconditioner(self.op, shift, float(kappa.mean()))
-        u, report = solver(lambda v: shift * v + kappa * matvec(v), precond, rhs,
-                           tol=self.options.tol)
+        u, report = solver(apply, precond, rhs, tol=self.options.tol)
         if not report.converged:
             raise RuntimeError(
                 f"{method} ({self.tag}) did not "

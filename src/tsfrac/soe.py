@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.special import gammaln
 
 from .mesh import GradedMesh, _last_weight
@@ -176,8 +177,8 @@ def build_soe(
         s, w = _build_lattice(gamma, epsilon, delta, T, h)
         if s.size > node_cap:
             raise SoeConstructionError(
-                f"tolerance {epsilon:g} on [{delta:g}, {T:g}] needs {s.size} "
-                f"exponentials, cap is {node_cap}"
+                f"tolerance {epsilon:g} on [{delta:g}, {T:g}] at gamma={gamma:g} "
+                f"needs {s.size} exponentials, cap is {node_cap}"
             )
         soe = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
                                delta=float(delta), T=float(T), nodes=s, weights=w)
@@ -223,10 +224,15 @@ def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHisto
         raise ValueError("delta_u length does not match the history width")
     if tau_m <= 0.0:
         raise ValueError(f"tau_m must be > 0, got {tau_m}")
+    if not (h.W.flags.c_contiguous and h.W.dtype == np.float64):
+        # dger would update a copy and leave W as it was
+        raise ValueError("the accumulator W must be a C-contiguous float64 array")
     s = h.soe.nodes
-    decay = np.exp(-s * tau_m)
-    h.W *= decay[:, None]
-    h.W += np.outer(-np.expm1(-s * tau_m) / s, delta_u / tau_m)
+    h.W *= np.exp(-s * tau_m)[:, None]
+    # the rank-one term goes straight into W: dger updates the Fortran-ordered
+    # view W.T in place, where np.outer would form an N_exp x N_spatial
+    # temporary
+    dger(1.0 / tau_m, delta_u, -np.expm1(-s * tau_m) / s, a=h.W.T, overwrite_a=1)
     return h
 
 

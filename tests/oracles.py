@@ -9,6 +9,11 @@
   chirp-z reduction on the radix-2 core.
 - ``level_solve_unscaled``: one DIDS/FIDS level system as written,
   (shift*I + diag(kappa) A) u = rhs, solved by LU.
+- ``cg_reference``/``bicgstab_reference``: the allocating preconditioned CG
+  and right-preconditioned BiCGSTAB loops that ``tsfrac.krylov`` runs in
+  place; same algorithm, stopping rule, counting and breakdown labels.
+- ``history_push_outer``: the SOE accumulator update with its rank-one
+  term formed as an ``np.outer`` temporary.
 
 The transforms are cross-checked against each other and against the
 production ``tsfrac.fourier`` engine, so an engine swap keeps both routes
@@ -18,8 +23,11 @@ honest.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
+
+from tsfrac.krylov import KrylovReport, _psolve_of
 
 
 def jacobi_eigenvalues(
@@ -173,3 +181,123 @@ def level_solve_unscaled(A: np.ndarray, shift: float, kappa: np.ndarray,
                          rhs: np.ndarray) -> np.ndarray:
     """u with (shift*I + diag(kappa) A) u = rhs, assembled and solved by LU."""
     return np.linalg.solve(shift * np.eye(A.shape[0]) + kappa[:, None] * A, rhs)
+
+
+def cg_reference(
+    apply: Callable[[np.ndarray], np.ndarray],
+    precond,
+    rhs: np.ndarray,
+    tol: float = 1e-10,
+    max_iters: int | None = None,
+) -> tuple[np.ndarray, KrylovReport]:
+    """Preconditioned conjugate gradients; operator must be SPD.
+
+    A non-positive curvature term signals loss of positive definiteness and
+    is reported as a breakdown rather than raised.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = rhs.size
+    max_iters = max_iters if max_iters is not None else 10 * n
+    psolve = _psolve_of(precond)
+
+    x = np.zeros(n)
+    r = rhs.copy()
+    nrm0 = float(np.linalg.norm(r))
+    if nrm0 == 0.0:
+        return x, KrylovReport(0, 0.0, True)
+    z = psolve(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, max_iters + 1):
+        q = apply(p)
+        curv = float(p @ q)
+        if curv <= 0.0:
+            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+                                   breakdown="non-positive curvature")
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * q
+        rel = float(np.linalg.norm(r)) / nrm0
+        if rel < tol:
+            return x, KrylovReport(it, rel, True)
+        z = psolve(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, KrylovReport(max_iters, float(np.linalg.norm(r)) / nrm0, False)
+
+
+def bicgstab_reference(
+    apply: Callable[[np.ndarray], np.ndarray],
+    precond,
+    rhs: np.ndarray,
+    tol: float = 1e-10,
+    max_iters: int | None = None,
+) -> tuple[np.ndarray, KrylovReport]:
+    """Right-preconditioned BiCGSTAB with the zero initial guess.
+
+    Stops on ||r_k||_2 / ||r_0||_2 < tol where r_k is the true residual.
+    Vanishing rho or omega inner products are reported as breakdowns.
+    Each pass of the loop counts as one iteration, including passes that
+    converge at the intermediate residual check.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = rhs.size
+    max_iters = max_iters if max_iters is not None else 10 * n
+    psolve = _psolve_of(precond)
+
+    x = np.zeros(n)
+    r = rhs.copy()
+    r0 = rhs.copy()
+    nrm0 = float(np.linalg.norm(r0))
+    if nrm0 == 0.0:
+        return x, KrylovReport(0, 0.0, True)
+    rho = alpha = omega = 1.0
+    v = np.zeros(n)
+    p = np.zeros(n)
+    for it in range(1, max_iters + 1):
+        rho_new = float(r0 @ r)
+        if rho_new == 0.0:
+            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+                                   breakdown="rho vanished")
+        if it == 1:
+            p[:] = r
+        else:
+            beta = (rho_new / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+        p_hat = psolve(p)
+        v = apply(p_hat)
+        denom = float(r0 @ v)
+        if denom == 0.0:
+            return x, KrylovReport(it, float(np.linalg.norm(r)) / nrm0, False,
+                                   breakdown="r0.v vanished")
+        alpha = rho_new / denom
+        s = r - alpha * v
+        if float(np.linalg.norm(s)) / nrm0 < tol:
+            x += alpha * p_hat
+            return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, True)
+        s_hat = psolve(s)
+        t = apply(s_hat)
+        tt = float(t @ t)
+        if tt == 0.0:
+            return x, KrylovReport(it, float(np.linalg.norm(s)) / nrm0, False,
+                                   breakdown="omega denominator vanished")
+        omega = float(t @ s) / tt
+        x += alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        rho = rho_new
+        rel = float(np.linalg.norm(r)) / nrm0
+        if rel < tol:
+            return x, KrylovReport(it, rel, True)
+        if omega == 0.0:
+            return x, KrylovReport(it, rel, False, breakdown="omega vanished")
+    return x, KrylovReport(max_iters, float(np.linalg.norm(r)) / nrm0, False)
+
+
+def history_push_outer(W: np.ndarray, nodes: np.ndarray, delta_u: np.ndarray,
+                       tau_m: float) -> np.ndarray:
+    """W_j <- e^{-s_j tau_m} W_j + (delta_u / tau_m) (1 - e^{-s_j tau_m}) / s_j,
+    returned as a new array; the rank-one term is one ``np.outer``."""
+    W = W * np.exp(-nodes * tau_m)[:, None]
+    W += np.outer(-np.expm1(-nodes * tau_m) / nodes, delta_u / tau_m)
+    return W

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsfrac.krylov
+from oracles import bicgstab_reference, cg_reference
 from tsfrac.krylov import solve_bicgstab, solve_cg, solve_dense
 
 
@@ -123,6 +124,81 @@ class TestBicgstab:
         x, rep = solve_bicgstab(dense_op(A), None, b, tol=1e-15, max_iters=1)
         assert not rep.converged
         assert rep.iterations == 1
+
+
+def dominant_matrix(rng, n):
+    A = rng.standard_normal((n, n))
+    return A + np.diag(np.abs(A).sum(axis=1) + 1.0)
+
+
+def preconditioner(kind, A, rng, spd):
+    """None, Jacobi, or the dense inverse of a perturbed A (SPD when ``spd``)."""
+    if kind == "none":
+        return None
+    if kind == "jacobi":
+        d = 1.0 / np.diag(A)
+        return lambda v: d * v
+    E = 0.1 * rng.standard_normal(A.shape)
+    if spd:
+        E = E @ E.T
+    Pinv = np.linalg.inv(A + E)
+    return lambda v: Pinv @ v
+
+
+class TestLeanLoopsAgainstOracles:
+    """The in-place loops against the allocating loops they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["none", "jacobi", "dense"]),
+           method=st.sampled_from(["cg", "bicgstab"]))
+    def test_counts_and_solutions_match(self, n, seed, kind, method):
+        rng = np.random.default_rng(seed)
+        if method == "cg":
+            A, solve, oracle = spd_matrix(rng, n), solve_cg, cg_reference
+        else:
+            A, solve, oracle = dominant_matrix(rng, n), solve_bicgstab, bicgstab_reference
+        precond = preconditioner(kind, A, rng, spd=method == "cg")
+        b = rng.standard_normal(n)
+        before = b.copy()
+        tol = 1e-10
+        x, rep = solve(dense_op(A), precond, b, tol=tol)
+        np.testing.assert_array_equal(b, before)  # r0 is b itself, never written
+        assert not np.shares_memory(x, b)
+        x_ref, ref = oracle(dense_op(A), precond, b, tol=tol)
+        assert rep.converged and ref.converged
+        assert abs(rep.iterations - ref.iterations) <= 1
+        assert np.linalg.norm(x - x_ref) <= 10 * tol * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("solve", [solve_cg, solve_bicgstab])
+    def test_no_preconditioner_equals_a_copying_identity(self, rng, solve):
+        # without a preconditioner p_hat is p and s_hat is s: the loop must
+        # use them before it overwrites them, exactly as if they were copies
+        A = spd_matrix(rng, 60) + np.triu(rng.standard_normal((60, 60)), 1)
+        if solve is solve_cg:
+            A = exactly_symmetric(A)
+        b = rng.standard_normal(60)
+        x, rep = solve(dense_op(A), None, b, tol=1e-12)
+        x_copy, rep_copy = solve(dense_op(A), lambda v: v.copy(), b, tol=1e-12)
+        assert rep.converged and rep == rep_copy
+        np.testing.assert_array_equal(x, x_copy)
+        assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
+
+    def test_skew_symmetric_operator_breaks_down_at_r0_v(self, rng):
+        # integer data keeps the arithmetic exact: r0 . (S r0) = 0 for skew S
+        S = np.triu(rng.integers(-5, 6, (20, 20)).astype(float), 1)
+        S -= S.T
+        b = rng.integers(-5, 6, 20).astype(float)
+        for solve in (solve_bicgstab, bicgstab_reference):
+            x, rep = solve(dense_op(S), None, b)
+            assert not rep.converged
+            assert rep.breakdown == "r0.v vanished" and rep.iterations == 1
+            np.testing.assert_array_equal(x, 0.0)
+
+    def test_empty_system(self):
+        for solve in (solve_cg, solve_bicgstab):
+            x, rep = solve(dense_op(np.zeros((0, 0))), None, np.zeros(0))
+            assert x.shape == (0,) and rep.converged and rep.iterations == 0
 
 
 class TestSolveDense:

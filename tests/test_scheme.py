@@ -7,6 +7,7 @@ import pytest
 
 import tsfrac.krylov
 import tsfrac.scheme
+import tsfrac.toeplitz
 from oracles import level_solve_unscaled
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl, dominance_gap_dense
@@ -16,6 +17,8 @@ from tsfrac.scheme import (
     DIRECT_THRESHOLD,
     ProblemSpec,
     SolverOptions,
+    _level_shift,
+    _LevelSolver,
     run_dids,
     run_fids,
     select_solver,
@@ -129,7 +132,7 @@ def nan_after_half(f):
 
 class TestInputChecks:
     @pytest.mark.parametrize("run,N,solver", [(run_dids, 32, "direct"),
-                                              (run_fids, 200, "pkrylov")])
+                                              (run_fids, 224, "pkrylov")])
     def test_non_finite_source_names_the_level(self, run, N, solver):
         # before the check: err_inf = nan on the direct path, and 10 n
         # BiCGSTAB iterations on the pkrylov path
@@ -219,6 +222,41 @@ class TestKrylovMethod:
                                                r"at level m=1, .*breakdown: none"):
             run_fids(cos_problem(lambda x, t: 1.0 + 0.0 * x), 4, 2, 16,
                      options=SolverOptions(solver="krylov"))
+
+
+class TestKrylovLevel:
+    """One Krylov level against the direct solve, on both kernel sides."""
+
+    @pytest.mark.parametrize("N", [128, 442])  # n = 127 dense, 441 real FFT
+    @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
+    @pytest.mark.parametrize("kappa,method", [
+        (lambda x: np.full(x.size, 1.3), "solve_cg"),
+        (lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, "solve_bicgstab")])
+    def test_matches_the_direct_solve(self, monkeypatch, methods, N, solver,
+                                      kappa, method):
+        disc = build_ifl(1.9, 1.95, 1.0, N)
+        x = disc.interior_points()
+        mesh = build_mesh(64, 2, 1.0)
+        matvecs = []
+        toeplitz_matvec = tsfrac.toeplitz.toeplitz_matvec
+
+        def counted(*args):
+            matvecs.append(1)
+            return toeplitz_matvec(*args)
+
+        # the level operator goes through the module attribute on every apply
+        monkeypatch.setattr(tsfrac.toeplitz, "toeplitz_matvec", counted)
+        direct = _LevelSolver(disc, "direct", SolverOptions(solver="direct"))
+        krylov = _LevelSolver(disc, solver, SolverOptions(solver=solver))
+        k, rhs = kappa(x), np.cos(x) + x
+        for m in (1, 64):
+            shift = _level_shift(mesh, 0.5, m)
+            ref, _ = direct.solve(shift, k, rhs, m, mesh.t[m])
+            del matvecs[:]
+            u, its = krylov.solve(shift, k, rhs, m, mesh.t[m])
+            assert its <= len(matvecs) <= 2 * its
+            assert np.max(np.abs(u - ref)) <= 1e-8 * np.abs(ref).max()
+        assert methods == [method] * 2
 
 
 class TestDirectLevelSolve:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from oracles import history_push_outer
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.soe import (
     FastHistory,
@@ -47,6 +48,12 @@ class TestBuildSoe:
     def test_impossible_cap_fails(self):
         with pytest.raises(SoeConstructionError):
             build_soe(0.5, 1e-10, 1e-7, 1.0, node_cap=20)
+
+    def test_cap_failure_names_gamma(self):
+        # gamma near 1 with deep grading (r = 3, M = 2^16) needs about 286 nodes
+        with pytest.raises(SoeConstructionError,
+                           match=r"at gamma=0\.97 needs \d+ exponentials, cap is 256"):
+            build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 3, 1.0)
 
     def test_build_peak_memory_stays_under_one_megabyte(self):
         # the pk-n128 workload's SOE: gamma 0.5, epsilon 1e-9, M = 3326, r = 2;
@@ -155,6 +162,38 @@ class TestHistoryPush:
         h = FastHistory.fresh(_single_exponential(), 3)
         with pytest.raises(ValueError):
             history_push(h, np.zeros(2), 0.5)
+
+    @pytest.mark.parametrize("gamma,n", [(0.5, 127), (0.8, 2047)])
+    def test_matches_the_outer_product_form(self, rng, gamma, n):
+        soe = build_soe(gamma, 1e-9, 1e-6, 1.0)
+        h = FastHistory.fresh(soe, n)
+        W = h.W
+        ref = W.copy()
+        for tau in (1e-6, 3e-3, 0.25):
+            du = rng.standard_normal(n)
+            history_push(h, du, tau)
+            ref = history_push_outer(ref, soe.nodes, du, tau)
+        assert h.W is W
+        assert np.max(np.abs(h.W - ref)) <= 1e-15 * np.abs(ref).max()
+
+    def test_push_allocates_no_accumulator_sized_temporary(self, rng):
+        # pk-n2048-deep's accumulator: 128 nodes x 2047 points, 2.1 MB
+        soe = build_soe(0.8, 1e-9, (1.0 / 512) ** 3, 1.0)
+        h = FastHistory.fresh(soe, 2047)
+        du = rng.standard_normal(2047)
+        history_push(h, du, 1e-3)
+        tracemalloc.start()
+        try:
+            history_push(h, du, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.W.nbytes / 8
+
+    def test_accumulator_that_is_not_c_contiguous_is_rejected(self):
+        h = FastHistory(soe=_single_exponential(), W=np.zeros((1, 6))[:, ::2])
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            history_push(h, np.ones(3), 0.5)
 
 
 class TestFastCaputoRhs:
