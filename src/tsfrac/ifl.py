@@ -56,19 +56,6 @@ def normalization_constant(alpha: float) -> float:
     )
 
 
-def _kahan_sum(terms: np.ndarray) -> float:
-    # diagonal entries decay like l^{-1-alpha}; compensated summation guards
-    # the dominance margin, which itself shrinks like N^{-alpha}
-    total = 0.0
-    carry = 0.0
-    for v in terms:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     """Assemble the first-column representation of A.
 
@@ -92,10 +79,12 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     h = 2.0 * l / N
     scale = normalization_constant(alpha) / (nu * h ** alpha)
 
+    # the terms decay like l^{-1-alpha}; an exactly rounded sum guards the
+    # dominance margin, which itself shrinks like N^{-alpha}
     ell = np.arange(2.0, N)
     series = ((ell + 1.0) ** nu - (ell - 1.0) ** nu) / ell ** mu
     diag = (
-        _kahan_sum(series)
+        math.fsum(series)
         + (N ** nu - (N - 1.0) ** nu) / N ** mu
         + (2.0 ** nu + kappa_mu - 1.0)
         + 2.0 * nu / (alpha * N ** alpha)

@@ -18,9 +18,9 @@ side, never writing it, as the shadow residual r0.  The loops keep the
 vectors that ``apply`` and the preconditioner's solve return, so each call
 must return a fresh array, never a buffer it writes again on a later call.
 
-The dense solver dispatches like MATLAB's backslash: Cholesky for an exactly
-symmetric matrix whose factorization finds only positive pivots, LU with
-partial pivoting otherwise.
+The dense solver is LAPACK's Cholesky solve ``dposv`` for a symmetric
+positive definite matrix, the only kind a direct time level forms; it
+factors a Fortran-ordered matrix in place.
 """
 
 from __future__ import annotations
@@ -163,32 +163,24 @@ def solve_bicgstab(
     return x, KrylovReport(max_iters, dnrm2(r) / nrm0, False)
 
 
-DENSE_SOLVE_CAP = 2048
-
-
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve: Cholesky when the matrix is symmetric positive definite,
-    else LU with partial pivoting.  The caller's matrix is never modified.
+    """Solve the symmetric positive definite system by Cholesky.
 
-    Symmetry is tested exactly; a non-positive pivot in the Cholesky
-    factorization sends the solve to LU, which raises on a singular matrix.
+    Only the lower triangle is read.  The matrix may be overwritten: a
+    Fortran-ordered float array is replaced by its Cholesky factor.  A
+    matrix that is not positive definite raises, naming the first leading
+    minor that is not positive.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n) or rhs.shape != (n,):
         raise ValueError("matrix/rhs shapes are inconsistent")
-    if n > DENSE_SOLVE_CAP:
-        raise ValueError(f"dense solve capped at {DENSE_SOLVE_CAP}, got {n}")
-    # a Fortran-ordered copy reaches LAPACK without another copy, and for a
-    # C-ordered matrix its transpose compares contiguously against the input
-    a = matrix.copy(order="F")
-    if n > 0 and np.array_equal(matrix, a.T):  # dposv rejects an empty system
-        # the lower triangle factors faster than the upper on this layout
-        _, x, info = dposv(a, rhs, lower=1, overwrite_a=1)
-        if info == 0:
-            return x
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is singular") from exc
+    if n == 0:  # dposv rejects an empty system
+        return rhs.copy()
+    # the lower triangle of a Fortran-ordered matrix factors faster
+    _, x, info = dposv(matrix, rhs, lower=1, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"matrix is not positive definite: its leading minor "
+                         f"of order {info} is not positive")
+    return x

@@ -22,9 +22,10 @@ symmetrically scaled system
     (A + diag(shift_m / kappa)) u^m = rhs_m / kappa,
 
 which is symmetric positive definite because A is a symmetric M-matrix, so
-``solve_dense`` factors it by Cholesky.  The Krylov path applies A and the
-preconditioner through ``toeplitz``, which picks dense BLAS or real-FFT
-kernels by order.
+``solve_dense`` factors it by Cholesky.  A run holds A as a read-only view of
+the 2N-3 values that define it, and one work matrix that each level refills
+and factors in place.  The Krylov path applies A and the preconditioner
+through ``toeplitz``, which picks dense BLAS or real-FFT kernels by order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy
 from scipy.special import gammaln
 
@@ -48,11 +50,16 @@ from .toeplitz import ToeplitzOperator, build_preconditioner, build_toeplitz
 # Largest N-1 handled by the dense direct path.  Measured end to end, FIDS
 # on example2 (alpha 1.9, gamma 0.5, r 2, mu 1.95, eps 1e-9) at M = 600, one
 # BLAS thread, min of 3 runs, direct / pkrylov in s:
-#   N = 129: 0.171 / 0.289    160: 0.228 / 0.360    192: 0.309 / 0.409
-#   N = 224: 0.630 / 0.474    256: 0.808 / 0.571
-# and between those: 208: 0.315 / 0.400, 210: 0.331 / 0.435, 212: 0.462 / 0.359,
-# where the Cholesky factorization's cost steps up.
-DIRECT_THRESHOLD = 208
+#   N = 192: 0.189 / 0.347    208: 0.210 / 0.361    210: 0.221 / 0.411
+#   N = 212: 0.255 / 0.382    224: 0.259 / 0.394    256: 0.295 / 0.464
+#   N = 320: 0.492 / 0.743    384: 0.763 / 1.222    441: 0.976 / 1.660
+# The direct path wins at every N-1 up to DENSE_CROSSOVER (440), where the
+# Krylov kernels switch to real FFTs.  Above it the winner depends on the
+# factors of N-1: N = 442: 0.871 / 0.687, 456: 1.079 / 0.639, 512: 1.301 /
+# 0.916, but 448: 1.189 / 1.159 and 464 (N-1 prime): 1.037 / 1.303.
+DIRECT_THRESHOLD = 440
+# Largest N-1 the direct path accepts: its work matrix takes 8 (N-1)^2 bytes.
+DENSE_SOLVE_CAP = 2048
 _SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
@@ -124,7 +131,18 @@ class _LevelSolver:
         self.options = options
         self.n = disc.N - 1
         if tag == "direct":
-            self.A = disc.dense()
+            n = self.n
+            if n > DENSE_SOLVE_CAP:
+                raise ValueError(
+                    f"the direct solver is capped at N-1 = {DENSE_SOLVE_CAP}, "
+                    f"got N-1 = {n}: its {n}x{n} matrix would take "
+                    f"{8 * n * n} bytes")
+            # A[i, j] = col[|i - j|]: row i is a window of col[n-1], .., col[1],
+            # col[0], .., col[n-1], so A is a read-only view of 2n-1 values
+            col = disc.first_col
+            self.A = sliding_window_view(np.concatenate((col[::-1], col[1:])), n)[::-1]
+            self._work = np.empty((n, n), order="F")
+            self._diag = self._work.reshape(-1, order="F")[:: n + 1]  # a view
         else:
             self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
 
@@ -134,10 +152,12 @@ class _LevelSolver:
         the iteration count."""
         if self.tag == "direct":
             # K^{-1}(shift*I + K A) = A + diag(shift/kappa): symmetric positive
-            # definite, since A is a symmetric M-matrix and shift/kappa > 0
-            mat = self.A.copy()
-            mat.flat[:: self.n + 1] += shift / kappa
-            return solve_dense(mat, rhs / kappa), 0
+            # definite, since A is a symmetric M-matrix and shift/kappa > 0.
+            # A is symmetric, so it fills the work matrix through the
+            # C-ordered transpose, the faster way to copy the view
+            np.copyto(self._work.T, self.A)
+            self._diag += shift / kappa
+            return solve_dense(self._work, rhs / kappa), 0
 
         # a kappa constant on the grid leaves shift*I + kappa*A symmetric
         hi = float(kappa.max())

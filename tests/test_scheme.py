@@ -132,7 +132,7 @@ def nan_after_half(f):
 
 class TestInputChecks:
     @pytest.mark.parametrize("run,N,solver", [(run_dids, 32, "direct"),
-                                              (run_fids, 224, "pkrylov")])
+                                              (run_fids, 512, "pkrylov")])
     def test_non_finite_source_names_the_level(self, run, N, solver):
         # before the check: err_inf = nan on the direct path, and 10 n
         # BiCGSTAB iterations on the pkrylov path
@@ -154,6 +154,26 @@ class TestInputChecks:
                                                  r"grid: at level m=0, t=0\.0, "
                                                  r"initial\(x=0\.625\) = inf"):
                 run(spec, 4, 2, 16)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    def test_direct_cap_fails_before_allocating(self, run):
+        calls = []
+        spec = make_case("example1", 1.5, 0.5).spec
+        source = spec.source
+        spec = dataclasses.replace(
+            spec, source=lambda x, t: calls.append(t) or source(x, t))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"the direct solver is capped at N-1 = 2048, got N-1 = 2049: "
+                    r"its 2049x2049 matrix would take 33587208 bytes")):
+                run(spec, 4, 2, 2050, options=SolverOptions(solver="direct"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix alone would take 33.6 MB; the SOE build is most of the rest
+        assert peak < 2e6
+        assert calls == []
 
     @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
     def test_true_kappa_x_independent_claim_runs_cg(self, methods, solver):
@@ -277,6 +297,26 @@ class TestDirectLevelSolve:
         for run, hist in runs:
             ref, _ = run(spec, 16, 2, 32, options=options)
             assert np.max(np.abs(hist - ref)) <= 1e-10 * np.abs(ref).max()
+
+    def test_a_level_allocates_no_matrix(self):
+        # one work matrix per run: a level copies A into it and factors it
+        # in place, so its transient memory is a few vectors of length n
+        disc = build_ifl(1.9, 1.95, 1.0, 128)
+        n = disc.N - 1
+        solver = _LevelSolver(disc, "direct", SolverOptions(solver="direct"))
+        mesh = build_mesh(16, 2, 1.0)
+        x = disc.interior_points()
+        kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)
+        solver.solve(_level_shift(mesh, 0.5, 1), kappa, rhs, 1, mesh.t[1])
+        tracemalloc.start()
+        try:
+            u, _ = solver.solve(_level_shift(mesh, 0.5, 2), kappa, rhs, 2, mesh.t[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
+        ref = level_solve_unscaled(disc.dense(), _level_shift(mesh, 0.5, 2), kappa, rhs)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 
     def test_every_level_factors_by_cholesky(self, monkeypatch):
         infos = []
