@@ -13,8 +13,6 @@ from .couplings import m_from_n, n_from_m, temporal_exponent
 from .ifl import (
     IflDiscretization,
     build_ifl,
-    diagonal_dominance_gap,
-    dominance_gap_dense,
     normalization_constant,
 )
 from .krylov import (
@@ -23,11 +21,9 @@ from .krylov import (
     solve_cg,
     solve_dense,
 )
-from .mesh import GradedMesh, L1Weights, build_mesh, caputo_l1_apply, l1_weights
+from .mesh import GradedMesh, build_mesh, l1_weights
 from .problems import (
     ManufacturedCase,
-    exact_ifl_of_bump,
-    example_source,
     hypergeom_terminating,
     make_case,
 )
@@ -35,11 +31,9 @@ from .scheme import (
     ProblemSpec,
     SolveReport,
     SolverOptions,
-    StabilityCheck,
     run_dids,
     run_fids,
     select_solver,
-    stability_probe,
 )
 from .soe import (
     FastHistory,
@@ -47,7 +41,6 @@ from .soe import (
     SoeConstructionError,
     build_soe,
     fast_caputo_rhs,
-    fast_coefficients,
     history_push,
 )
 from .toeplitz import (

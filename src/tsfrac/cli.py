@@ -23,8 +23,7 @@ import argparse
 import json
 import math
 import sys
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,29 +40,31 @@ DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
 
 @dataclass
 class RunConfig:
+    """One parsed command line; ``build_parser`` holds every default."""
+
     subcommand: str
-    case: str = "example1"
-    gamma: float = 0.5
-    alpha: float = 1.5
-    r: float = 2.0
-    mu: Optional[float] = None          # None -> 1 + alpha/2
-    M: list[int] = field(default_factory=list)
-    N: list[int] = field(default_factory=list)
+    case: str
+    gamma: float
+    alpha: float
+    r: float
+    mu: Optional[float]            # None -> 1 + alpha/2
+    M: list[int]
+    N: list[int]
     # time2 | timemu | space2 | spacemu; None -> space2 for convergence-space,
     # time2 otherwise
-    coupling: Optional[str] = None
-    scheme: str = "fids"
-    solver: str = "auto"
-    epsilon: Optional[float] = None     # None -> per-case default
-    tol: float = 1e-10
-    out: Optional[str] = None
-    format: str = "csv"
-    level: Optional[int] = None
-    kappa_const: Optional[float] = None
-    delta: Optional[float] = None
-    T: float = 1.0
-    points: int = 10_000
-    time_reps: int = 1
+    coupling: Optional[str]
+    scheme: str
+    solver: str
+    epsilon: Optional[float]       # None -> per-case default
+    tol: float
+    out: Optional[str]
+    format: str
+    level: Optional[int]
+    kappa_const: Optional[float]
+    delta: Optional[float]
+    T: float
+    points: int
+    time_reps: int
 
     def __post_init__(self):
         if self.coupling is None:

@@ -101,27 +101,3 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
         l=float(l), N=int(N), h=h, scale=scale, first_col=col,
     )
 
-
-def diagonal_dominance_gap(d) -> float:
-    """D(A) = min_i (|a_ii| - sum_{j != i} |a_ij|), in O(N) using symmetry.
-
-    Accepts an IflDiscretization or a bare first column.  Row i (1-based,
-    i = 1..n) of the symmetric Toeplitz matrix has off-diagonal magnitude sum
-    S_i = sum_{k=1}^{i-1} |c_k| + sum_{k=1}^{n-i} |c_k| where c_k =
-    first_col[k]; the minimum over rows is taken via prefix sums.
-    """
-    col = d.first_col if hasattr(d, "first_col") else np.asarray(d, dtype=float)
-    c = np.abs(col)
-    n = c.size
-    prefix = np.concatenate([[0.0], np.cumsum(c[1:])])  # prefix[j] = sum_{k=1}^{j} |c_k|
-    i = np.arange(1, n + 1)
-    row_sums = prefix[i - 1] + prefix[n - i]
-    return float(np.min(c[0] - row_sums))
-
-
-def dominance_gap_dense(C: np.ndarray) -> float:
-    """D(C) for an arbitrary dense matrix: min_i (|C_ii| - sum_{j != i} |C_ij|)."""
-    C = np.asarray(C, dtype=float)
-    absC = np.abs(C)
-    diag = np.diag(absC)
-    return float(np.min(2.0 * diag - absC.sum(axis=1)))

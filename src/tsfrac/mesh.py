@@ -7,11 +7,9 @@ are the exact per-interval averages of the kernel (t_m - s)^{-gamma}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -23,15 +21,6 @@ class GradedMesh:
     T: float
     t: np.ndarray    # shape (M+1,), t[0] = 0, t[M] = T, strictly increasing
     tau: np.ndarray  # shape (M,), tau[m-1] = t[m] - t[m-1] > 0
-
-
-@dataclass(frozen=True)
-class L1Weights:
-    """L1 weights a_1 < a_2 < ... < a_m for one time level m."""
-
-    gamma: float
-    m: int
-    a: np.ndarray  # shape (m,), a[k-1] is the weight of interval k
 
 
 def build_mesh(M: int, r: float, T: float) -> GradedMesh:
@@ -55,8 +44,8 @@ def _last_weight(tau_m: float, gamma: float) -> float:
     return tau_m ** (-gamma) / (1.0 - gamma)
 
 
-def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> L1Weights:
-    """L1 weights at level m: a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)).
+def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
+    """L1 weights at level m: a[k-1] = a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)).
 
     This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds.
     The weights are strictly positive and strictly increasing in k.
@@ -82,30 +71,5 @@ def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> L1Weights:
                   * np.expm1(one_mg * np.log1p((L - R) / R))
                   / (mesh.tau[:m - 1] * one_mg))
     a[-1] = _last_weight(mesh.tau[m - 1], gamma)
-    return L1Weights(gamma=float(gamma), m=int(m), a=a)
+    return a
 
-
-def caputo_l1_apply(
-    history: np.ndarray,
-    current: np.ndarray,
-    weights: L1Weights,
-    gamma: float,
-) -> np.ndarray:
-    """Discrete Caputo derivative at level m from the full solution history.
-
-    Evaluates (1/Gamma(1-g)) * [a_m u^m - sum_{k=1}^{m-1} (a_{k+1}-a_k) u^k
-    - a_1 u^0] where ``history`` stacks u^0 .. u^{m-1} row-wise and ``current``
-    is u^m.  Cost is O(m * len(current)).
-    """
-    hist = np.atleast_2d(np.asarray(history, dtype=float))
-    u_m = np.asarray(current, dtype=float)
-    m = weights.m
-    if hist.shape[0] != m:
-        raise ValueError(f"history holds {hist.shape[0]} levels, weights expect {m}")
-    if hist.shape[1] != u_m.shape[0]:
-        raise ValueError("history and current vectors have mismatched lengths")
-    a = weights.a
-    acc = a[-1] * u_m - a[0] * hist[0]
-    if m > 1:
-        acc -= np.diff(a) @ hist[1:]
-    return acc / math.exp(gammaln(1.0 - gamma))

@@ -64,17 +64,6 @@ def _ifl_prefactor(s: int, alpha: float) -> float:
     )
 
 
-def exact_ifl_of_bump(s: int, alpha: float, x) -> np.ndarray | float:
-    """Exact fractional Laplacian of (1-x^2)^{s+alpha/2} inside [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise ValueError("x must lie in [-1, 1]")
-    out = _ifl_prefactor(s, alpha) * hypergeom_terminating(
-        (alpha + 1.0) / 2.0, s, x * x
-    )
-    return out if np.ndim(out) else float(out)
-
-
 def _bump(x, power: float):
     # exp((s + alpha/2) log1p(-x^2)) with an explicit zero at |x| = 1: the
     # exponent is fractional so accuracy near the boundary matters
@@ -114,25 +103,16 @@ def _source(factors: tuple, kappa, gamma: float, x: np.ndarray, t: float):
     return time_term + kappa(x, t) * prefactor * series * (t ** gamma + 1.0)
 
 
-def example_source(kind: str, s: int, alpha: float, gamma: float, x, t):
-    """Source f(x,t) that manufactures the exact solution for the given case."""
-    x = np.asarray(x, dtype=float)
-    return _source(_factors(s, alpha, gamma, x), _kappa(kind), gamma, x, t)
-
-
-def make_case(name: str, alpha: float, gamma: float, s: int | None = None,
+def make_case(name: str, alpha: float, gamma: float,
               T: float = 1.0) -> ManufacturedCase:
-    """Case registry: "example1" (s=3 default) or "example2" (s=1 fixed).
+    """Case registry: "example1" (s=3) or "example2" (s=1).
 
     The source and exact solution evaluate their x-only factors once per
     grid; only kappa(x, t) and t^gamma are computed at every call.
     """
     if name not in CASE_NAMES:
         raise KeyError(f"unknown case {name!r}; available: {CASE_NAMES}")
-    if name == "example2":
-        s = 1
-    elif s is None:
-        s = 3
+    s = 3 if name == "example1" else 1
     kappa = _kappa(name)
     cache = {}  # the last grid's (bytes, shape) -> its _factors
 

@@ -44,19 +44,21 @@ from .ifl import IflDiscretization, build_ifl
 from .krylov import solve_bicgstab, solve_cg, solve_dense
 from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
-                  fast_coefficients, history_push)
+                  history_push)
 from .toeplitz import ToeplitzOperator, build_preconditioner, build_toeplitz
 
 # Largest N-1 handled by the dense direct path.  Measured end to end, FIDS
-# on example2 (alpha 1.9, gamma 0.5, r 2, mu 1.95, eps 1e-9) at M = 600, one
-# BLAS thread, min of 3 runs, direct / pkrylov in s:
-#   N = 192: 0.189 / 0.347    208: 0.210 / 0.361    210: 0.221 / 0.411
-#   N = 212: 0.255 / 0.382    224: 0.259 / 0.394    256: 0.295 / 0.464
-#   N = 320: 0.492 / 0.743    384: 0.763 / 1.222    441: 0.976 / 1.660
-# The direct path wins at every N-1 up to DENSE_CROSSOVER (440), where the
-# Krylov kernels switch to real FFTs.  Above it the winner depends on the
-# factors of N-1: N = 442: 0.871 / 0.687, 456: 1.079 / 0.639, 512: 1.301 /
-# 0.916, but 448: 1.189 / 1.159 and 464 (N-1 prime): 1.037 / 1.303.
+# on example2 (alpha 1.9, gamma 0.5, r 2, mu 1.95, eps 1e-9), one BLAS
+# thread, min of 3 interleaved runs, direct / pkrylov in s, at M = 600:
+#   N-1 = 320: 0.576 / 0.776    352: 0.714 / 1.056    360: 0.765 / 1.115
+#   N-1 = 384: 0.742 / 0.850    400: 0.895 / 0.840    420: 1.052 / 0.875
+#   N-1 = 431: 1.005 / 1.581    440: 1.182 / 1.016
+# At M = 300 and every N-1 in [352, 440], the direct path wins at 76 of 89
+# orders, all up to 391, and the summed time is least with the switch at
+# 439-440.  Above DENSE_CROSSOVER the Krylov kernels are real FFTs, whose
+# cost follows the factors of N-1; so does the winner above 440: N = 442:
+# 0.871 / 0.687, 456: 1.079 / 0.639, 512: 1.301 / 0.916, but 448: 1.189 /
+# 1.159 and 464 (N-1 prime): 1.037 / 1.303.
 DIRECT_THRESHOLD = 440
 # Largest N-1 the direct path accepts: its work matrix takes 8 (N-1)^2 bytes.
 DENSE_SOLVE_CAP = 2048
@@ -100,15 +102,6 @@ class SolveReport:
     wall_time: float = 0.0
     history_ops: np.ndarray = field(default=None)  # per-level history-term flops
     history_memory_values: int = 0                 # floats held for the history term
-
-
-@dataclass(frozen=True)
-class StabilityCheck:
-    """Per-level verification of the unconditional-stability inequality."""
-
-    ok: bool
-    per_level: np.ndarray  # bool, level k = 1..M
-    max_slack: float       # max_k (||u^k||_inf - bound_k); <= 0 when ok
 
 
 def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
@@ -248,7 +241,7 @@ class _L1Sum:
 
     def add_known(self, rhs: np.ndarray, m: int) -> int:
         """rhs += the known history part of level m; returns the op count."""
-        a = l1_weights(self.mesh, self.gamma, m).a
+        a = l1_weights(self.mesh, self.gamma, m)
         hist = self.hist
         rhs += (a[0] / self.g1mg) * hist[0]
         if m > 1:
@@ -344,10 +337,6 @@ def run_dids(
     return history.hist, report
 
 
-def _default_soe(spec: ProblemSpec, M: int, r: float, epsilon: float):
-    return build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
-
-
 def run_fids(
     spec: ProblemSpec,
     M: int,
@@ -362,59 +351,16 @@ def run_fids(
 
     The SOE compresses t^{-gamma} to ``epsilon`` on [tau_1, T], tau_1 =
     (1/M)^r T being the shortest step.  With ``keep_history`` the full (M+1, N-1)
-    history is returned for error measurement; the memory-lean mode returns
-    only the final level, the scheme itself consuming just u^{m-1} and the
-    exponential accumulators.
+    history is returned (the report's errors are tracked level by level
+    either way); the memory-lean mode returns only the final level, the
+    scheme itself consuming just u^{m-1} and the exponential accumulators.
     """
     t0 = time.perf_counter()
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     mesh, disc, x = _setup(spec, M, r, N, mu)
-    history = _SoeRecurrence(_default_soe(spec, M, r, epsilon), mesh, N - 1,
-                             keep_history)
+    soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
+    history = _SoeRecurrence(soe, mesh, N - 1, keep_history)
     report = _march(spec, mesh, disc, x, options, history, t0)
     return (history.hist if keep_history else history.u_prev), report
 
-
-def stability_probe(
-    spec: ProblemSpec,
-    M: int,
-    r: float,
-    N: int,
-    scheme: str = "dids",
-    epsilon: float = 1e-10,
-    mu: Optional[float] = None,
-    options: SolverOptions = SolverOptions(),
-) -> StabilityCheck:
-    """Run a scheme and verify the unconditional-stability bound per level:
-
-    ||u^k||_inf <= ||u^0||_inf + Gamma(1-gamma) max_{1<=s<=k} ||f^s||_inf / c^{(s)}_1
-
-    with c = a-weights for DIDS and c = b-coefficients for FIDS.
-    """
-    mesh, disc, x = _setup(spec, M, r, N, mu)
-    if scheme == "dids":
-        history = _L1Sum(spec.gamma, mesh, N - 1)
-        c1 = [l1_weights(mesh, spec.gamma, m).a[0] for m in range(1, M + 1)]
-    elif scheme == "fids":
-        soe = _default_soe(spec, M, r, epsilon)
-        history = _SoeRecurrence(soe, mesh, N - 1, keep_history=True)
-        c1 = [fast_coefficients(soe, mesh, m)[0] for m in range(1, M + 1)]
-    else:
-        raise ValueError(f"scheme must be 'dids' or 'fids', got {scheme!r}")
-    _march(spec, mesh, disc, x, options, history, time.perf_counter())
-    hist = history.hist
-
-    g1mg = math.exp(gammaln(1.0 - spec.gamma))
-    u0_norm = float(np.max(np.abs(hist[0])))
-    f_ratio_max = 0.0
-    ok = np.empty(M, dtype=bool)
-    max_slack = -math.inf
-    for k in range(1, M + 1):
-        f_norm = float(np.max(np.abs(spec.source(x, mesh.t[k]))))
-        f_ratio_max = max(f_ratio_max, f_norm / c1[k - 1])
-        bound = u0_norm + g1mg * f_ratio_max
-        slack = float(np.max(np.abs(hist[k]))) - bound
-        ok[k - 1] = slack <= 1e-12 * max(bound, 1.0)
-        max_slack = max(max_slack, slack)
-    return StabilityCheck(ok=bool(np.all(ok)), per_level=ok, max_slack=max_slack)

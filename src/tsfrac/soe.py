@@ -41,9 +41,8 @@ import numpy as np
 from scipy.linalg.blas import dger
 from scipy.special import gammaln
 
-from .mesh import GradedMesh, _last_weight
-
-DEFAULT_NODE_CAP = 256
+# most exponentials an SOE may take; a tolerance that needs more fails
+NODE_CAP = 256
 # rows of exp(-t s) formed at once by SoeApproximation.evaluate: a 4096-point
 # validation grid at 100-200 nodes would otherwise take 3-7 MB in one piece
 _EVAL_ROWS = 256
@@ -154,12 +153,11 @@ def build_soe(
     epsilon: float,
     delta: float,
     T: float,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> SoeApproximation:
     """Compress t^{-gamma} on [delta, T] to absolute tolerance epsilon.
 
     Raises SoeConstructionError if the validated bound cannot be met within
-    ``node_cap`` nodes.
+    ``NODE_CAP`` nodes.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -175,10 +173,10 @@ def build_soe(
     h = _lattice_step(gamma, epsilon * delta ** gamma / 4.0)
     for _ in range(6):
         s, w = _build_lattice(gamma, epsilon, delta, T, h)
-        if s.size > node_cap:
+        if s.size > NODE_CAP:
             raise SoeConstructionError(
                 f"tolerance {epsilon:g} on [{delta:g}, {T:g}] at gamma={gamma:g} "
-                f"needs {s.size} exponentials, cap is {node_cap}"
+                f"needs {s.size} exponentials, cap is {NODE_CAP}"
             )
         soe = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
                                delta=float(delta), T=float(T), nodes=s, weights=w)
@@ -188,29 +186,6 @@ def build_soe(
     raise SoeConstructionError(
         f"validation failed to reach {epsilon:g} on [{delta:g}, {T:g}]"
     )
-
-
-def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.ndarray:
-    """Coefficients b_k at level m; the direct (O(m N_exp)) oracle form.
-
-    b_k = sum_j w_j (e^{-s_j (t_m - t_k)} - e^{-s_j (t_m - t_{k-1})}) / (s_j tau_k)
-    for k < m, and b_m equals the last L1 weight a_m.  Used to cross-check the
-    recurrence path and for b_1 in the stability bound; the level loop never
-    calls this.
-    """
-    if not 1 <= m <= mesh.M:
-        raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
-    t = mesh.t
-    b = np.empty(m)
-    s, w = soe.nodes, soe.weights
-    for k in range(1, m):
-        # e^{-s(t_m - t_k)} - e^{-s(t_m - t_{k-1})} via expm1: the arguments
-        # nearly coincide for the smallest nodes
-        tau_k = mesh.tau[k - 1]
-        ek = np.exp(-s * (t[m] - t[k])) * (-np.expm1(-s * tau_k))
-        b[k - 1] = np.dot(w, ek / s) / tau_k
-    b[m - 1] = _last_weight(mesh.tau[m - 1], soe.gamma)
-    return b
 
 
 def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHistory:

@@ -1,7 +1,9 @@
 """Dense spectrum diagnostics for the per-level systems and preconditioners.
 
 Everything here assembles dense matrices (capped at a few hundred unknowns)
-and goes through LAPACK (``eigvalsh``/``svdvals``).
+and goes through LAPACK (``eigvalsh``/``svdvals``).  The diagnostics take an
+IflDiscretization or a bare Toeplitz first column; the x-dependent one
+builds the operator's Strang preconditioner as a run does.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import circulant, eigvalsh, svdvals, toeplitz
 
-from .toeplitz import build_preconditioner, precond_solve, strang_first_column
+from .toeplitz import (build_preconditioner, build_toeplitz, precond_solve,
+                       strang_first_column)
 
 DENSE_SPECTRUM_CAP = 256
 
@@ -64,7 +67,7 @@ def preconditioned_singular_values(disc, shift: float,
     """
     col = _first_col(disc)
     M = dense_system(col, shift, kappa)
-    p = build_preconditioner(col, shift, float(np.mean(kappa)))
+    p = build_preconditioner(build_toeplitz(col), shift, float(np.mean(kappa)))
     PinvM = np.column_stack([precond_solve(p, col) for col in M.T])
     return svdvals(PinvM)[::-1]
 

@@ -8,9 +8,10 @@ costs one real FFT pair; the preconditioner solve costs one length-n real
 FFT pair.  Both cache their real half-spectra.
 
 The Strang preconditioner copies the central diagonals of A into a circulant
-s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A).  The
-eigenvalues of s(A) depend on A alone: a ToeplitzOperator computes them once,
-on first use, and each level only forms shift + kappa_bar*lam and its inverse.
+s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A), built
+from the ToeplitzOperator of A.  The eigenvalues lam of s(A) depend on A
+alone: the operator computes them once, on first use, and each level only
+forms shift + kappa_bar*lam and its inverse.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ from scipy.linalg import toeplitz
 
 from . import fourier
 
-# Largest order served by the dense kernels.  Measured single-thread, one
-# matvec plus one preconditioner solve: the dense pair grows as n^2 (48 us at
-# n = 400, 105 us at n = 511); the real-FFT pair costs 39-110 us for n in
-# [384, 512] by the factors of n, median 53 us (dense reaches it near
-# n = 415), median over odd n 83 us (near n = 470).
-DENSE_CROSSOVER = 440
+# Largest order served by the dense kernels.  Measured on whole runs, FIDS
+# pkrylov on example2 (alpha 1.9, gamma 0.5, r 2, eps 1e-9) at M = 300, one
+# BLAS thread, each kernel forced, min of 3 interleaved runs at every n in
+# [320, 440]; median s dense / real-FFT, and the orders where dense wins:
+#   n = 320-339: 0.469 / 0.539, 18 of 20   340-359: 0.561 / 0.557, 13 of 20
+#   n = 360-379: 0.643 / 0.529,  4 of 20   380-399: 0.766 / 0.616,  7 of 20
+#   n = 400-419: 0.843 / 0.538,  2 of 20   420-440: 0.873 / 0.510,  1 of 21
+# The FFT side loses where n has a large prime factor (n = 331: 0.392 /
+# 0.598, 367: 0.594 / 0.878, 383: 0.837 / 0.913).  Summed over the scan, a
+# switch at n = 359-360 costs least: 68.2 s, against 82.9 s at n = 440.
+DENSE_CROSSOVER = 360
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,18 @@ class ToeplitzOperator:
 
     @cached_property
     def strang_eigs(self) -> np.ndarray:
-        """Eigenvalues of the Strang circulant s(A), computed on first use."""
-        return _strang_eigenvalues(self.first_col)
+        """Eigenvalues of the Strang circulant s(A), computed on first use:
+        the real part of DFT(c_S), checked to be real, since s(A) is a real
+        symmetric circulant and a sizable imaginary part means broken input."""
+        spec = fourier.fft(strang_first_column(self.first_col))
+        lam = spec.real
+        imag_resid = np.abs(spec.imag).max()
+        if imag_resid > 1e-10 * max(np.abs(lam).max(), 1e-300):
+            raise PreconditionerError(
+                f"Strang spectrum is not numerically real (residual {imag_resid:g})"
+            )
+        lam.flags.writeable = False  # shared by every level's preconditioner
+        return lam
 
 
 def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
@@ -105,37 +121,22 @@ class PreconditionerError(RuntimeError):
     """Raised when the circulant preconditioner is not positive definite."""
 
 
-def _strang_eigenvalues(first_col: np.ndarray) -> np.ndarray:
-    """Real part of DFT(c_S), checked to be real: s(A) is a real symmetric
-    circulant, so a sizable imaginary part means broken input."""
-    spec = fourier.fft(strang_first_column(first_col))
-    lam = spec.real
-    imag_resid = np.abs(spec.imag).max()
-    if imag_resid > 1e-10 * max(np.abs(lam).max(), 1e-300):
-        raise PreconditionerError(
-            f"Strang spectrum is not numerically real (residual {imag_resid:g})"
-        )
-    lam.flags.writeable = False  # shared by every level's preconditioner
-    return lam
-
-
 @dataclass(frozen=True)
 class CirculantPreconditioner:
     """P = shift*I + kappa_bar*s(A), diagonalized by the length-n DFT.
 
-    The inverse is derived on construction: the dense circulant P^{-1} for
+    It is built from the eigenvalues of P alone; the order n and the inverse
+    are derived on construction: the dense circulant P^{-1} for
     n <= DENSE_CROSSOVER, otherwise the inverse half-eigenvalues.
     """
 
-    n: int
-    shift: float
-    kappa_bar: float
-    lam: np.ndarray         # eigenvalues of s(A): real part of DFT(c_S)
-    total_eigs: np.ndarray  # shift + kappa_bar * lam, all > 0
+    total_eigs: np.ndarray  # shift + kappa_bar * eigenvalues of s(A), all > 0
+    n: int = field(init=False)
     inv_half: np.ndarray = field(init=False, repr=False, compare=False)
     inv_dense: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", self.total_eigs.size)
         inv_half = 1.0 / self.total_eigs[: self.n // 2 + 1]
         inv_dense = None
         if self.n <= DENSE_CROSSOVER:
@@ -158,8 +159,9 @@ def _cosine_synthesis(n: int) -> np.ndarray:
     c_j = (X_0 + 2 sum_{0<k<n/2} X_k cos(2 pi jk/n) + X_{n/2} (-1)^j) / n, the
     last term for even n only.  One small gemv replaces a length-n inverse FFT,
     which at a prime n goes through Bluestein.  Measured on the whole dense
-    preconditioner build: 30-45% faster at n = 127, 331, 383 and 431, about
-    10% slower at the FFT-friendly n = 420 and 440.
+    preconditioner build, one thread: 35-50% faster at n = 127, 331, 353 and
+    359, 7-10% faster at n = 255 and 256, 3-13% slower at the FFT-friendly
+    n = 360.
     """
     k = np.arange(n // 2 + 1)
     jk = np.outer(k, k) % n  # exact reduction keeps the angles small
@@ -182,31 +184,22 @@ def _circulant(c: np.ndarray) -> np.ndarray:
                       strides=(-step, step)).copy()
 
 
-def build_preconditioner(d, shift: float, kappa_bar: float) -> CirculantPreconditioner:
-    """Strang preconditioner from a ToeplitzOperator, an IflDiscretization or
-    a bare first column.
+def build_preconditioner(op: ToeplitzOperator, shift: float,
+                         kappa_bar: float) -> CirculantPreconditioner:
+    """Strang preconditioner shift*I + kappa_bar*s(A) of the operator A.
 
-    A ToeplitzOperator supplies its cached Strang eigenvalues; the other
-    inputs have them computed afresh.  Total eigenvalues shift + kappa_bar *
-    lam must all be strictly positive, otherwise PreconditionerError signals
-    a numerical breakdown.
+    The operator supplies its cached Strang eigenvalues lam.  Total
+    eigenvalues shift + kappa_bar * lam must all be strictly positive,
+    otherwise PreconditionerError signals a numerical breakdown.
     """
     if shift <= 0.0:
         raise ValueError(f"shift must be > 0, got {shift}")
     if kappa_bar <= 0.0:
         raise ValueError(f"kappa_bar must be > 0, got {kappa_bar}")
-    if isinstance(d, ToeplitzOperator):
-        lam = d.strang_eigs
-    else:
-        lam = _strang_eigenvalues(
-            d.first_col if hasattr(d, "first_col") else np.asarray(d, dtype=float))
-    total = shift + kappa_bar * lam
+    total = shift + kappa_bar * op.strang_eigs
     if np.any(total <= 0.0):
         raise PreconditionerError("preconditioner has a non-positive eigenvalue")
-    return CirculantPreconditioner(
-        n=lam.size, shift=float(shift), kappa_bar=float(kappa_bar),
-        lam=lam, total_eigs=total,
-    )
+    return CirculantPreconditioner(total)
 
 
 def precond_solve(p: CirculantPreconditioner, v: np.ndarray) -> np.ndarray:

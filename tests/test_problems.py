@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from tsfrac.problems import (
-    exact_ifl_of_bump,
-    example_source,
-    hypergeom_terminating,
-    make_case,
-)
+from oracles import exact_ifl_of_bump
+from tsfrac.problems import hypergeom_terminating, make_case
 
 
 class TestHypergeomTerminating:
@@ -65,13 +61,13 @@ class TestExampleSource:
                      else 7.0 * (math.log(5.0 + 2.0 + t) + math.cos(t)) / 4.0)
             expected = (kappa * exact_ifl_of_bump(s, alpha, 1.0)
                         * (t ** gamma + 1.0))
-            got = example_source(kind, s, alpha, gamma, np.array([1.0]), t)
+            got = make_case(kind, alpha, gamma).spec.source(np.array([1.0]), t)
             assert got[0] == pytest.approx(expected, rel=1e-13)
 
     def test_initial_time_value(self):
         x = np.array([0.3])
         s, alpha, gamma = 3, 1.5, 0.5
-        got = example_source("example1", s, alpha, gamma, x, 0.0)
+        got = make_case("example1", alpha, gamma).spec.source(x, 0.0)
         bump = (1 - 0.09) ** (s + alpha / 2)
         kappa0 = math.exp(0.8 * 0.3 + 1.0)
         expected = (math.exp(gammaln(1 + gamma)) * bump
@@ -79,10 +75,11 @@ class TestExampleSource:
         assert got[0] == pytest.approx(expected, rel=1e-13)
 
     def test_domain_violations(self):
+        source = make_case("example1", 1.5, 0.5).spec.source
         with pytest.raises(ValueError):
-            example_source("example1", 3, 1.5, 0.5, np.array([1.2]), 0.5)
+            source(np.array([1.2]), 0.5)
         with pytest.raises(ValueError):
-            example_source("example1", 3, 1.5, 0.5, np.array([0.5]), -0.1)
+            source(np.array([0.5]), -0.1)
 
 
 class TestMakeCase:
@@ -91,9 +88,6 @@ class TestMakeCase:
         assert make_case("example2", 1.9, 0.8).s == 1
         with pytest.raises(KeyError):
             make_case("example3", 1.0, 0.5)
-
-    def test_example2_forces_s_one(self):
-        assert make_case("example2", 0.5, 0.5, s=7).s == 1
 
     def test_exact_at_t0_equals_initial(self):
         case = make_case("example1", 1.3, 0.4)
@@ -123,8 +117,6 @@ class TestMakeCase:
                       * hypergeom_terminating((alpha + 1) / 2, s, x * x)
                       * (t ** gamma + 1.0))
             np.testing.assert_array_equal(spec.source(x, t), source)
-            np.testing.assert_array_equal(
-                example_source(name, s, alpha, gamma, x.copy(), t), source)
             np.testing.assert_array_equal(spec.exact(x, t), bump * (t ** gamma + 1.0))
 
         for t in np.linspace(0.0, 1.0, 60):

@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsfrac.krylov
 import tsfrac.scheme
 import tsfrac.toeplitz
-from oracles import level_solve_unscaled
+from oracles import dominance_gap_dense, level_solve_unscaled, stability_probe
 from tsfrac.couplings import m_from_n, n_from_m
-from tsfrac.ifl import build_ifl, dominance_gap_dense
+from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.problems import make_case
 from tsfrac.scheme import (
@@ -22,7 +24,6 @@ from tsfrac.scheme import (
     run_dids,
     run_fids,
     select_solver,
-    stability_probe,
 )
 from tsfrac.soe import build_soe
 from tsfrac.spectrum import dense_system
@@ -369,6 +370,25 @@ class TestFidsDidsAgreement:
         h_fids, _ = run_fids(case.spec, 2 ** 7, 2, 2 ** 5, epsilon=eps)
         assert np.max(np.abs(h_fids - h_dids)) <= 100 * eps
 
+    # gamma and alpha at both ends of their ranges on small grids.  The SOE
+    # cannot be built for gamma below about 1e-7, a subnormal alpha gives a
+    # NaN solution, and FIDS at M = 1 has an empty SOE interval [T, T]: the
+    # strategy stops short of those known failures.
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(2, 64), N=st.integers(3, 17),
+           gamma=st.one_of(st.floats(1e-6, 0.05),
+                           st.floats(0.95, 1.0, exclude_max=True)),
+           alpha=st.one_of(st.floats(1e-300, 0.1),
+                           st.floats(1.9, 2.0, exclude_max=True)),
+           r=st.sampled_from((1.0, 3.0)),
+           name=st.sampled_from(("example1", "example2")))
+    def test_proximity_at_parameter_edges(self, M, N, gamma, alpha, r, name):
+        eps = 1e-10
+        case = make_case(name, alpha, gamma)
+        h_dids, _ = run_dids(case.spec, M, r, N)
+        h_fids, _ = run_fids(case.spec, M, r, N, epsilon=eps)
+        assert np.max(np.abs(h_fids - h_dids)) <= 100 * eps
+
 
 class TestDominancePreservation:
     @pytest.mark.parametrize("N", [8, 32, 64])
@@ -381,7 +401,7 @@ class TestDominancePreservation:
         x = disc.interior_points()
         g = math.gamma(1.0 - 0.5)
         for m in range(1, M + 1):
-            shift = l1_weights(mesh, 0.5, m).a[-1] / g
+            shift = l1_weights(mesh, 0.5, m)[-1] / g
             kappa = case.spec.kappa(x, mesh.t[m])
             mat = dense_system(disc, shift, kappa)
             assert dominance_gap_dense(mat) >= shift - 1e-12 * disc.scale

@@ -43,7 +43,8 @@ class TestToeplitzMatvec:
         out = op.matvec(e1)
         assert np.max(np.abs(out - col)) <= 1e-12 * np.abs(col).max()
 
-    @pytest.mark.parametrize("n", [200, 512, DENSE_CROSSOVER, DENSE_CROSSOVER + 1])
+    @pytest.mark.parametrize("n", [200, 440, 441, 512, DENSE_CROSSOVER,
+                                   DENSE_CROSSOVER + 1])
     def test_matches_dense_multiplication(self, rng, n):
         col = rng.standard_normal(n)
         v = rng.standard_normal(n)
@@ -63,8 +64,8 @@ class TestToeplitzMatvec:
             above.half_spectrum,
             embedding_spectrum(above.first_col, L)[: L // 2 + 1].real)
         for n, dense in ((DENSE_CROSSOVER, True), (DENSE_CROSSOVER + 1, False)):
-            p = CirculantPreconditioner(n=n, shift=1.0, kappa_bar=1.0,
-                                        lam=np.zeros(n), total_eigs=np.ones(n))
+            p = CirculantPreconditioner(np.ones(n))
+            assert p.n == n
             assert (p.inv_dense is not None) == dense
 
     def test_embedding_length_is_power_of_two(self):
@@ -130,62 +131,61 @@ class TestStrangFirstColumn:
 def _example_shift(M=16, r=2.0, gamma=0.5, m=1):
     mesh = build_mesh(M, r, 1.0)
     from scipy.special import gammaln
-    return l1_weights(mesh, gamma, m).a[-1] / math.exp(gammaln(1.0 - gamma))
+    return l1_weights(mesh, gamma, m)[-1] / math.exp(gammaln(1.0 - gamma))
 
 
 class TestBuildPreconditioner:
     def test_identity_column(self):
         col = np.zeros(6)
         col[0] = 1.0
-        p = build_preconditioner(col, 1.0, 1.0)
+        p = build_preconditioner(build_toeplitz(col), 1.0, 1.0)
         np.testing.assert_allclose(p.total_eigs, 2.0, rtol=1e-14)
 
     def test_strang_eigs_against_dense_jacobi(self):
         d = build_ifl(1.5, 1.75, 1.0, 32)
-        shift = _example_shift()
-        p = build_preconditioner(d, shift, 1.0)
+        lam = build_toeplitz(d.first_col).strang_eigs
         dense_eigs = jacobi_eigenvalues(circulant(strang_first_column(d.first_col)))
-        assert np.max(np.abs(np.sort(p.lam) - dense_eigs)) <= 1e-10 * dense_eigs.max()
+        assert np.max(np.abs(np.sort(lam) - dense_eigs)) <= 1e-10 * dense_eigs.max()
         # Gershgorin disc {z : |z - a11| < a11}
         a11 = d.first_col[0]
-        assert p.lam.min() > 0
-        assert np.max(np.abs(p.lam - a11)) < a11
+        assert lam.min() > 0
+        assert np.max(np.abs(lam - a11)) < a11
 
     @pytest.mark.parametrize("alpha,mu,N", [(0.4, 1.2, 8), (1.1, 2.0, 16),
                                             (1.9, 1.95, 64)])
     def test_gershgorin_for_ifl_columns(self, alpha, mu, N):
         d = build_ifl(alpha, mu, 1.0, N)
-        p = build_preconditioner(d, 1.0, 2.0)
-        assert np.all(p.lam > 0)
-        assert np.all(p.lam < 2.0 * d.first_col[0])
+        lam = build_toeplitz(d.first_col).strang_eigs
+        assert np.all(lam > 0)
+        assert np.all(lam < 2.0 * d.first_col[0])
 
     def test_invalid_shift_or_kappa(self):
-        d = build_ifl(1.5, 1.75, 1.0, 8)
+        op = build_toeplitz(build_ifl(1.5, 1.75, 1.0, 8).first_col)
         with pytest.raises(ValueError):
-            build_preconditioner(d, 0.0, 1.0)
+            build_preconditioner(op, 0.0, 1.0)
         with pytest.raises(ValueError):
-            build_preconditioner(d, 1.0, -1.0)
+            build_preconditioner(op, 1.0, -1.0)
 
     def test_nonpositive_spectrum_is_a_breakdown(self):
         col = np.zeros(4)
         col[0] = -1.0  # not an IFL column; forces a negative total eigenvalue
         with pytest.raises(PreconditionerError):
-            build_preconditioner(col, 0.5, 1.0)
+            build_preconditioner(build_toeplitz(col), 0.5, 1.0)
 
 
 class TestPrecondSolve:
     def test_identity_preconditioner(self, rng):
         col = np.zeros(8)
         col[0] = 1.0
-        p = build_preconditioner(col, 0.5, 0.5)  # P = I
+        p = build_preconditioner(build_toeplitz(col), 0.5, 0.5)  # P = I
         v = rng.standard_normal(8)
         np.testing.assert_allclose(precond_solve(p, v), v, rtol=1e-13, atol=1e-13)
 
     def test_forward_then_inverse_roundtrip(self, rng):
         d = build_ifl(1.5, 1.75, 1.0, 32)
-        p = build_preconditioner(d, _example_shift(), 1.3)
-        P = p.shift * np.eye(p.n) + p.kappa_bar * circulant(
-            strang_first_column(d.first_col))
+        shift = _example_shift()
+        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.3)
+        P = shift * np.eye(p.n) + 1.3 * circulant(strang_first_column(d.first_col))
         v = rng.standard_normal(p.n)
         out = precond_solve(p, P @ v)
         assert np.max(np.abs(out - v)) <= 1e-12 * np.abs(v).max()
@@ -199,9 +199,7 @@ class TestPrecondSolve:
         gen[1:1 + body.size] = body
         gen[n - body.size:] = body[::-1]
         eigs = np.fft.fft(gen).real
-        p = CirculantPreconditioner(n=n, shift=0.0, kappa_bar=1.0,
-                                    lam=eigs, total_eigs=eigs)
-        return circulant(gen), p
+        return circulant(gen), CirculantPreconditioner(eigs)
 
     def test_against_dense_lu(self, rng):
         n = 100
@@ -212,7 +210,8 @@ class TestPrecondSolve:
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.abs(ref).max()
 
     # odd and even n: the length irfft returns depends on the parity
-    @pytest.mark.parametrize("n", [DENSE_CROSSOVER + 1, DENSE_CROSSOVER + 2])
+    @pytest.mark.parametrize("n", [DENSE_CROSSOVER + 1, DENSE_CROSSOVER + 2,
+                                   441, 442])
     def test_against_dense_lu_on_the_fft_side(self, rng, n):
         P, p = self._random_spd_circulant(rng, n)
         assert p.inv_dense is None
@@ -227,33 +226,41 @@ class TestPrecondSolve:
         # scipy.linalg.circulant(np.fft.irfft(inv_half, n))
         eigs = rng.uniform(0.5, 2.0, size=n // 2 + 1)
         total = np.concatenate((eigs, eigs[1:(n + 1) // 2][::-1]))
-        p = CirculantPreconditioner(n=n, shift=0.0, kappa_bar=1.0, lam=total,
-                                    total_eigs=total)
+        p = CirculantPreconditioner(total)
         ref = circulant(np.fft.irfft(1.0 / eigs, n))
         assert np.max(np.abs(p.inv_dense - ref)) <= 4e-15 * np.abs(ref).max()
         assert p.inv_dense.flags.c_contiguous
 
-    def test_strang_spectrum_is_computed_once_per_operator(self):
-        op = build_toeplitz(build_ifl(1.5, 1.75, 1.0, 32).first_col)
+    def test_strang_spectrum_is_computed_once_per_operator(self, monkeypatch):
+        import tsfrac.fourier
+
+        col = build_ifl(1.5, 1.75, 1.0, 32).first_col
+        fresh = build_toeplitz(col).strang_eigs
+        op = build_toeplitz(col)
+        calls = []
+        fft = tsfrac.fourier.fft
+        monkeypatch.setattr(tsfrac.fourier, "fft",
+                            lambda x: calls.append(x.size) or fft(x))
         p1 = build_preconditioner(op, 1.0, 1.0)
         p2 = build_preconditioner(op, 2.0, 0.5)
-        assert p1.lam is p2.lam is op.strang_eigs
-        np.testing.assert_array_equal(
-            p1.lam, build_preconditioner(op.first_col, 1.0, 1.0).lam)
+        assert calls == [op.n]
+        assert op.strang_eigs is op.strang_eigs
+        np.testing.assert_array_equal(op.strang_eigs, fresh)
+        np.testing.assert_array_equal(p1.total_eigs, 1.0 + 1.0 * fresh)
+        np.testing.assert_array_equal(p2.total_eigs, 2.0 + 0.5 * fresh)
 
     def test_inverse_norm_bound(self):
         d = build_ifl(1.5, 1.75, 1.0, 16)
         shift = _example_shift()
-        p = build_preconditioner(d, shift, 1.0)
-        P = p.shift * np.eye(p.n) + p.kappa_bar * circulant(
-            strang_first_column(d.first_col))
+        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.0)
+        P = shift * np.eye(p.n) + circulant(strang_first_column(d.first_col))
         inv_norm = np.linalg.norm(np.linalg.inv(P), 2)
-        assert inv_norm <= (1.0 + 1e-12) / (shift + p.kappa_bar * p.lam.min())
+        assert inv_norm <= (1.0 + 1e-12) / p.total_eigs.min()
 
     def test_dimension_mismatch(self):
         col = np.zeros(4)
         col[0] = 1.0
-        p = build_preconditioner(col, 1.0, 1.0)
+        p = build_preconditioner(build_toeplitz(col), 1.0, 1.0)
         with pytest.raises(ValueError):
             precond_solve(p, np.zeros(5))
 
