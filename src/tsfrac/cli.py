@@ -10,7 +10,7 @@ soe-check           kernel-compression error profile over a log grid
 soe-nodes           CSV dump of the SOE nodes and weights
 ifl-column          CSV dump of the Toeplitz first column
 
-Output is CSV on stdout by default (```--format json`` wraps rows plus the
+Output is CSV on stdout by default (``--format json`` wraps rows plus the
 config); every table is preceded by ``#`` comment lines echoing the full
 configuration so each row is reproducible from the file alone.  Errors are
 printed with 4 significant digits, rates with 3 decimals.  Exit code 0 on
@@ -23,8 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,47 +36,12 @@ from .soe import build_soe
 DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
 
 
-@dataclass
-class RunConfig:
-    """One parsed command line; ``build_parser`` holds every default."""
+def resolved_mu(config: argparse.Namespace) -> float:
+    return 1.0 + config.alpha / 2.0 if config.mu is None else config.mu
 
-    subcommand: str
-    case: str
-    gamma: float
-    alpha: float
-    r: float
-    mu: Optional[float]            # None -> 1 + alpha/2
-    M: list[int]
-    N: list[int]
-    # time2 | timemu | space2 | spacemu; None -> space2 for convergence-space,
-    # time2 otherwise
-    coupling: Optional[str]
-    scheme: str
-    solver: str
-    epsilon: Optional[float]       # None -> per-case default
-    tol: float
-    out: Optional[str]
-    format: str
-    level: Optional[int]
-    kappa_const: Optional[float]
-    delta: Optional[float]
-    T: float
-    points: int
-    time_reps: int
 
-    def __post_init__(self):
-        if self.coupling is None:
-            self.coupling = ("space2" if self.subcommand == "convergence-space"
-                             else "time2")
-        for flag, value in (("--points", self.points), ("--time-reps", self.time_reps)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
-
-    def resolved_mu(self) -> float:
-        return 1.0 + self.alpha / 2.0 if self.mu is None else self.mu
-
-    def resolved_eps(self) -> float:
-        return DEFAULT_EPS[self.case] if self.epsilon is None else self.epsilon
+def resolved_eps(config: argparse.Namespace) -> float:
+    return DEFAULT_EPS[config.case] if config.epsilon is None else config.epsilon
 
 
 def _fmt_err(v) -> str:
@@ -99,8 +62,8 @@ class Table:
         self.rows.append([str(v) for v in values])
 
 
-def _emit(config: RunConfig, table: Table) -> str:
-    cfg = {k: v for k, v in asdict(config).items() if v not in (None, [])}
+def _emit(config: argparse.Namespace, table: Table) -> str:
+    cfg = {k: v for k, v in vars(config).items() if v not in (None, [])}
     if config.format == "json":
         payload = {"config": cfg, "meta": table.meta, "columns": table.columns,
                    "rows": [dict(zip(table.columns, row)) for row in table.rows]}
@@ -112,17 +75,18 @@ def _emit(config: RunConfig, table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_scheme(config: RunConfig, scheme: str, M: int, N: int, solver: str):
+def _run_scheme(config: argparse.Namespace, scheme: str, M: int, N: int, solver: str):
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
     options = SolverOptions(solver=solver, tol=config.tol)
-    kwargs = dict(mu=config.resolved_mu(), options=options)
+    kwargs = dict(mu=resolved_mu(config), options=options)
     best_wall = math.inf
     for _ in range(config.time_reps):
         if scheme == "dids":
             _, report = run_dids(case.spec, M, config.r, N, **kwargs)
         else:
             _, report = run_fids(case.spec, M, config.r, N,
-                                 epsilon=config.resolved_eps(), **kwargs)
+                                 epsilon=resolved_eps(config),
+                                 keep_history=False, **kwargs)
         best_wall = min(best_wall, report.wall_time)
     report.wall_time = best_wall
     return report
@@ -132,11 +96,11 @@ _CONV_COLUMNS = ["M", "N", "err_inf", "rate_inf", "err_2", "rate_2",
                  "avg_its", "wall_s"]
 
 
-def _coupling_q(config: RunConfig) -> float:
-    return 2.0 if config.coupling.endswith("2") else config.resolved_mu()
+def _coupling_q(config: argparse.Namespace) -> float:
+    return 2.0 if config.coupling.endswith("2") else resolved_mu(config)
 
 
-def cmd_convergence(config: RunConfig) -> Table:
+def cmd_convergence(config: argparse.Namespace) -> Table:
     """convergence-time doubles M and couples N(M); convergence-space doubles
     N and couples M(N)."""
     q = _coupling_q(config)
@@ -162,7 +126,7 @@ def cmd_convergence(config: RunConfig) -> Table:
     return table
 
 
-def cmd_solver_compare(config: RunConfig) -> Table:
+def cmd_solver_compare(config: argparse.Namespace) -> Table:
     if not config.N:
         raise ValueError("solver-compare needs --N")
     N = config.N[0]
@@ -179,7 +143,7 @@ def cmd_solver_compare(config: RunConfig) -> Table:
     return table
 
 
-def cmd_spectrum(config: RunConfig) -> Table:
+def cmd_spectrum(config: argparse.Namespace) -> Table:
     if not config.N:
         raise ValueError("spectrum needs --N")
     N = config.N[0]
@@ -193,7 +157,7 @@ def cmd_spectrum(config: RunConfig) -> Table:
         raise ValueError(f"--level must lie in [1, {M}], got {level}")
     mesh = build_mesh(M, config.r, config.T)
     shift = _level_shift(mesh, config.gamma, level)
-    disc = build_ifl(config.alpha, config.resolved_mu(), 1.0, N)
+    disc = build_ifl(config.alpha, resolved_mu(config), 1.0, N)
     x = disc.interior_points()
 
     if config.kappa_const is not None:
@@ -218,13 +182,13 @@ def cmd_spectrum(config: RunConfig) -> Table:
     return table
 
 
-def _soe_of(config: RunConfig):
+def _soe_of(config: argparse.Namespace):
     """The SOE for --gamma/--eps on [delta, T]; delta defaults to (1/256)^r."""
     delta = config.delta if config.delta is not None else (1.0 / 256.0) ** config.r
-    return build_soe(config.gamma, config.resolved_eps(), delta, config.T), delta
+    return build_soe(config.gamma, resolved_eps(config), delta, config.T), delta
 
 
-def cmd_soe_check(config: RunConfig) -> Table:
+def cmd_soe_check(config: argparse.Namespace) -> Table:
     soe, delta = _soe_of(config)
     t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
     err = np.abs(t ** (-config.gamma) - soe.evaluate(t))
@@ -236,7 +200,7 @@ def cmd_soe_check(config: RunConfig) -> Table:
     return table
 
 
-def cmd_soe_nodes(config: RunConfig) -> Table:
+def cmd_soe_nodes(config: argparse.Namespace) -> Table:
     soe, _ = _soe_of(config)
     table = Table(["node", "weight"])
     for s, w in zip(soe.nodes, soe.weights):
@@ -244,10 +208,10 @@ def cmd_soe_nodes(config: RunConfig) -> Table:
     return table
 
 
-def cmd_ifl_column(config: RunConfig) -> Table:
+def cmd_ifl_column(config: argparse.Namespace) -> Table:
     if not config.N:
         raise ValueError("ifl-column needs --N")
-    disc = build_ifl(config.alpha, config.resolved_mu(), 1.0, config.N[0])
+    disc = build_ifl(config.alpha, resolved_mu(config), 1.0, config.N[0])
     table = Table(["k", "first_col"])
     for k, v in enumerate(disc.first_col, start=1):
         table.add(k, f"{v:.16e}")
@@ -296,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", dest="epsilon", type=float, default=None,
                        help="SOE tolerance; default 1e-10 (example1) / 1e-9 (example2)")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        # --out before --format: the echoed config keeps this order
         p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--level", type=int, default=None)
         p.add_argument("--kappa-const", dest="kappa_const", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
@@ -307,16 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(config: RunConfig) -> str:
-    table = _COMMANDS[config.subcommand](config)
-    return _emit(config, table)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    config = build_parser().parse_args(argv)
     try:
-        config = RunConfig(**vars(args))
-        text = run_command(config)
+        if config.coupling is None:
+            config.coupling = ("space2" if config.subcommand == "convergence-space"
+                               else "time2")
+        for flag, value in (("--points", config.points),
+                            ("--time-reps", config.time_reps)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
+        text = _emit(config, _COMMANDS[config.subcommand](config))
     except Exception as exc:  # any run failure -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,6 +92,10 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
 
     col = np.empty(N - 1)
     col[0] = scale * diag
+    # the 2 nu/(alpha N^alpha) term overflows for a subnormal alpha
+    if not math.isfinite(col[0]):
+        raise ValueError(f"alpha = {alpha!r} is too small for N = {N}: the "
+                         f"diagonal of A is {col[0]}, not finite")
     col[1] = -scale * (2.0 ** nu + kappa_mu - 1.0) / 2.0
     k = np.arange(2.0, N - 1)
     col[2:] = -scale * ((k + 1.0) ** nu - (k - 1.0) ** nu) / (2.0 * k ** mu)

@@ -2,6 +2,7 @@
 
 The Krylov solvers take the operator as a callable v -> M v (for a time
 level, shift*v + K*(A v)); its order is the length of the right-hand side.
+The preconditioner is None or a callable v -> P^{-1} v.
 BiCGSTAB applies the circulant preconditioner on the right (solve
 M P^{-1} y = b, x = P^{-1} y), so the residual driving the stopping rule
 ||r_k||_2 / ||r_0||_2 < tol is the true-system residual.  CG uses the
@@ -41,17 +42,9 @@ class KrylovReport:
     breakdown: Optional[str] = None
 
 
-def _psolve_of(precond):
-    if precond is None:
-        return lambda v: v
-    if hasattr(precond, "solve"):
-        return precond.solve
-    return precond  # already a callable
-
-
 def solve_cg(
     apply: Callable[[np.ndarray], np.ndarray],
-    precond,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]],
     rhs: np.ndarray,
     tol: float = 1e-10,
     max_iters: int | None = None,
@@ -64,7 +57,7 @@ def solve_cg(
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     max_iters = max_iters if max_iters is not None else 10 * n
-    psolve = _psolve_of(precond)
+    psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -96,7 +89,7 @@ def solve_cg(
 
 def solve_bicgstab(
     apply: Callable[[np.ndarray], np.ndarray],
-    precond,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]],
     rhs: np.ndarray,
     tol: float = 1e-10,
     max_iters: int | None = None,
@@ -111,7 +104,7 @@ def solve_bicgstab(
     r0 = np.asarray(rhs, dtype=float)  # the shadow residual, never written
     n = r0.size
     max_iters = max_iters if max_iters is not None else 10 * n
-    psolve = _psolve_of(precond)
+    psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
     r = r0.copy()

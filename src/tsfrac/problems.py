@@ -24,15 +24,10 @@ from scipy.special import gammaln
 
 from .scheme import ProblemSpec
 
-CASE_NAMES = ("example1", "example2")
-
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    name: str
     s: int
-    alpha: float
-    gamma: float
     spec: ProblemSpec
 
 
@@ -74,13 +69,11 @@ def _bump(x, power: float):
     return out if out.ndim else float(out)
 
 
-def _kappa(kind: str):
-    if kind == "example1":
-        return lambda x, t: (1.0 + t) * np.exp(0.8 * np.asarray(x) + 1.0)
-    if kind == "example2":
-        return lambda x, t: 7.0 * (np.log(5.0 + 2.0 * np.asarray(x) + t)
-                                   + np.cos(np.asarray(x) * t)) / 4.0
-    raise KeyError(f"unknown case {kind!r}; available: {CASE_NAMES}")
+_KAPPA = {
+    "example1": lambda x, t: (1.0 + t) * np.exp(0.8 * np.asarray(x) + 1.0),
+    "example2": lambda x, t: 7.0 * (np.log(5.0 + 2.0 * np.asarray(x) + t)
+                                    + np.cos(np.asarray(x) * t)) / 4.0,
+}
 
 
 def _factors(s: int, alpha: float, gamma: float, x: np.ndarray) -> tuple:
@@ -110,10 +103,10 @@ def make_case(name: str, alpha: float, gamma: float,
     The source and exact solution evaluate their x-only factors once per
     grid; only kappa(x, t) and t^gamma are computed at every call.
     """
-    if name not in CASE_NAMES:
-        raise KeyError(f"unknown case {name!r}; available: {CASE_NAMES}")
+    if name not in _KAPPA:
+        raise KeyError(f"unknown case {name!r}; available: {tuple(_KAPPA)}")
     s = 3 if name == "example1" else 1
-    kappa = _kappa(name)
+    kappa = _KAPPA[name]
     cache = {}  # the last grid's (bytes, shape) -> its _factors
 
     def factors(x):
@@ -140,5 +133,4 @@ def make_case(name: str, alpha: float, gamma: float,
         initial=lambda x: _bump(x, s + alpha / 2.0),
         exact=exact,
     )
-    return ManufacturedCase(name=name, s=int(s), alpha=float(alpha),
-                            gamma=float(gamma), spec=spec)
+    return ManufacturedCase(s=s, spec=spec)

@@ -168,7 +168,7 @@ class _LevelSolver:
 
         precond = None
         if self.tag == "pkrylov":
-            precond = build_preconditioner(self.op, shift, float(kappa.mean()))
+            precond = build_preconditioner(self.op, shift, float(kappa.mean())).solve
         u, report = solver(apply, precond, rhs, tol=self.options.tol)
         if not report.converged:
             raise RuntimeError(
@@ -182,8 +182,6 @@ class _LevelSolver:
 
 
 def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
     mesh = build_mesh(M, r, spec.T)
     mu = 1.0 + spec.alpha / 2.0 if mu is None else mu
     disc = build_ifl(spec.alpha, mu, spec.l, N)
@@ -350,14 +348,16 @@ def run_fids(
     """Fast implicit scheme with the SOE history recurrence.
 
     The SOE compresses t^{-gamma} to ``epsilon`` on [tau_1, T], tau_1 =
-    (1/M)^r T being the shortest step.  With ``keep_history`` the full (M+1, N-1)
-    history is returned (the report's errors are tracked level by level
-    either way); the memory-lean mode returns only the final level, the
-    scheme itself consuming just u^{m-1} and the exponential accumulators.
+    (1/M)^r T being the shortest step, so M must be at least 2.  With
+    ``keep_history`` the full (M+1, N-1) history is returned (the report's
+    errors are tracked level by level either way); the memory-lean mode
+    returns only the final level, the scheme itself consuming just u^{m-1}
+    and the exponential accumulators.
     """
     t0 = time.perf_counter()
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if M < 2:
+        raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
+                         f"[(1/M)^r T, T] is empty")
     mesh, disc, x = _setup(spec, M, r, N, mu)
     soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
     history = _SoeRecurrence(soe, mesh, N - 1, keep_history)

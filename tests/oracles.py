@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from tsfrac.ifl import build_ifl
-from tsfrac.krylov import KrylovReport, _psolve_of
+from tsfrac.krylov import KrylovReport
 from tsfrac.mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from tsfrac.problems import _ifl_prefactor, hypergeom_terminating
 from tsfrac.scheme import ProblemSpec, SolverOptions, run_dids, run_fids
@@ -214,7 +214,7 @@ def cg_reference(
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     max_iters = max_iters if max_iters is not None else 10 * n
-    psolve = _psolve_of(precond)
+    psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -260,7 +260,7 @@ def bicgstab_reference(
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
     max_iters = max_iters if max_iters is not None else 10 * n
-    psolve = _psolve_of(precond)
+    psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
     r = rhs.copy()

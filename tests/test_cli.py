@@ -190,3 +190,185 @@ class TestOutputFile:
         code = main(["convergence-time", "--M", "16", "--out", str(path)])
         assert code == 0
         assert path.read_text().startswith("#")
+
+
+# The full echo of one invocation of each subcommand: the CSV "#" block
+# (config keys sorted, then the table's meta lines) and the JSON "config"
+# object (in field order).  A dropped, renamed or reordered field fails here.
+_ECHO_BASE = {"case": "example1", "gamma": 0.5, "alpha": 1.5, "r": 2.0}
+_ECHO_TAIL = {"T": 1.0, "points": 10000, "time_reps": 1}
+_ECHO = [
+    (["convergence-time", "--M", "16", "--scheme", "dids"],
+     {"subcommand": "convergence-time", **_ECHO_BASE, "M": [16],
+      "coupling": "time2", "scheme": "dids", "solver": "auto", "tol": 1e-10,
+      **_ECHO_TAIL},
+     """\
+# M = [16]
+# T = 1.0
+# alpha = 1.5
+# case = example1
+# coupling = time2
+# format = csv
+# gamma = 0.5
+# points = 10000
+# r = 2.0
+# scheme = dids
+# solver = auto
+# subcommand = convergence-time
+# time_reps = 1
+# tol = 1e-10"""),
+    (["convergence-space", "--N", "8", "--scheme", "dids",
+      "--coupling", "spacemu", "--mu", "1.8"],
+     {"subcommand": "convergence-space", **_ECHO_BASE, "mu": 1.8, "N": [8],
+      "coupling": "spacemu", "scheme": "dids", "solver": "auto", "tol": 1e-10,
+      **_ECHO_TAIL},
+     """\
+# N = [8]
+# T = 1.0
+# alpha = 1.5
+# case = example1
+# coupling = spacemu
+# format = csv
+# gamma = 0.5
+# mu = 1.8
+# points = 10000
+# r = 2.0
+# scheme = dids
+# solver = auto
+# subcommand = convergence-space
+# time_reps = 1
+# tol = 1e-10"""),
+    (["solver-compare", "--N", "8", "--M", "4", "--case", "example2"],
+     {"subcommand": "solver-compare", **_ECHO_BASE, "case": "example2",
+      "M": [4], "N": [8], "coupling": "time2", "scheme": "fids",
+      "solver": "auto", "tol": 1e-10, **_ECHO_TAIL},
+     """\
+# M = [4]
+# N = [8]
+# T = 1.0
+# alpha = 1.5
+# case = example2
+# coupling = time2
+# format = csv
+# gamma = 0.5
+# points = 10000
+# r = 2.0
+# scheme = fids
+# solver = auto
+# subcommand = solver-compare
+# time_reps = 1
+# tol = 1e-10"""),
+    (["spectrum", "--N", "8", "--M", "4", "--level", "2", "--kappa-const", "1.0"],
+     {"subcommand": "spectrum", **_ECHO_BASE, "M": [4], "N": [8],
+      "coupling": "time2", "scheme": "fids", "solver": "auto", "tol": 1e-10,
+      "level": 2, "kappa_const": 1.0, **_ECHO_TAIL},
+     """\
+# M = [4]
+# N = [8]
+# T = 1.0
+# alpha = 1.5
+# case = example1
+# coupling = time2
+# format = csv
+# gamma = 0.5
+# kappa_const = 1.0
+# level = 2
+# points = 10000
+# r = 2.0
+# scheme = fids
+# solver = auto
+# subcommand = spectrum
+# time_reps = 1
+# tol = 1e-10
+# shift = 2.605880e+00"""),
+    (["soe-check", "--eps", "1e-6", "--delta", "1e-2", "--points", "5"],
+     {"subcommand": "soe-check", **_ECHO_BASE, "coupling": "time2",
+      "scheme": "fids", "solver": "auto", "epsilon": 1e-06, "tol": 1e-10,
+      "delta": 0.01, "T": 1.0, "points": 5, "time_reps": 1},
+     """\
+# T = 1.0
+# alpha = 1.5
+# case = example1
+# coupling = time2
+# delta = 0.01
+# epsilon = 1e-06
+# format = csv
+# gamma = 0.5
+# points = 5
+# r = 2.0
+# scheme = fids
+# solver = auto
+# subcommand = soe-check
+# time_reps = 1
+# tol = 1e-10
+# n_exp = 29
+# sup_error = 5.303e-08"""),
+    (["soe-nodes", "--eps", "1e-6", "--delta", "1e-2", "--T", "2.0"],
+     {"subcommand": "soe-nodes", **_ECHO_BASE, "coupling": "time2",
+      "scheme": "fids", "solver": "auto", "epsilon": 1e-06, "tol": 1e-10,
+      "delta": 0.01, "T": 2.0, "points": 10000, "time_reps": 1},
+     """\
+# T = 2.0
+# alpha = 1.5
+# case = example1
+# coupling = time2
+# delta = 0.01
+# epsilon = 1e-06
+# format = csv
+# gamma = 0.5
+# points = 10000
+# r = 2.0
+# scheme = fids
+# solver = auto
+# subcommand = soe-nodes
+# time_reps = 1
+# tol = 1e-10"""),
+    (["ifl-column", "--N", "6", "--alpha", "1.0"],
+     {"subcommand": "ifl-column", **_ECHO_BASE, "alpha": 1.0, "N": [6],
+      "coupling": "time2", "scheme": "fids", "solver": "auto", "tol": 1e-10,
+      **_ECHO_TAIL},
+     """\
+# N = [6]
+# T = 1.0
+# alpha = 1.0
+# case = example1
+# coupling = time2
+# format = csv
+# gamma = 0.5
+# points = 10000
+# r = 2.0
+# scheme = fids
+# solver = auto
+# subcommand = ifl-column
+# time_reps = 1
+# tol = 1e-10"""),
+]
+
+
+class TestEcho:
+    @pytest.mark.parametrize("argv,config,block", _ECHO, ids=[e[0][0] for e in _ECHO])
+    def test_csv_comment_block(self, capsys, argv, config, block):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert parse_csv(out)[0] == block.splitlines()
+
+    @pytest.mark.parametrize("argv,config,block", _ECHO, ids=[e[0][0] for e in _ECHO])
+    def test_json_config(self, capsys, argv, config, block):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        # format sits after tol (and out) in field order
+        fields = list(config)
+        fields.insert(fields.index("tol") + 1, "format")
+        expected = [(k, "json" if k == "format" else config[k]) for k in fields]
+        assert list(json.loads(out)["config"].items()) == expected
+
+    def test_out_file_config(self, tmp_path):
+        path = tmp_path / "col.json"
+        assert main(["ifl-column", "--N", "6", "--format", "json",
+                     "--out", str(path)]) == 0
+        assert list(json.loads(path.read_text())["config"].items()) == [
+            ("subcommand", "ifl-column"), ("case", "example1"), ("gamma", 0.5),
+            ("alpha", 1.5), ("r", 2.0), ("N", [6]), ("coupling", "time2"),
+            ("scheme", "fids"), ("solver", "auto"), ("tol", 1e-10),
+            ("out", str(path)), ("format", "json"), ("T", 1.0),
+            ("points", 10000), ("time_reps", 1)]

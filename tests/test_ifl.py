@@ -73,6 +73,17 @@ class TestBuildIfl:
         with pytest.raises(ValueError):
             build_ifl(*args)
 
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_alpha_fails(self, alpha):
+        # the diagonal's 2 nu/(alpha N^alpha) term overflows: before the
+        # check, first_col[0] was inf at 1e-310 and nan at 5e-324
+        with pytest.raises(ValueError, match=rf"alpha = {alpha!r} is too small "
+                                             rf"for N = 9: the diagonal of A is"):
+            build_ifl(alpha, 1.0 + alpha / 2.0, 1.0, 9)
+
+    def test_smallest_normal_alphas_build(self):
+        assert np.all(np.isfinite(build_ifl(1e-300, 1.0, 1.0, 9).first_col))
+
     def test_decay_law_slope(self):
         # |first_col[k]| ~ k^{-1-alpha}; log-log slope within 0.15
         for alpha in (0.5, 1.1, 1.9):

@@ -176,6 +176,35 @@ class TestInputChecks:
         assert peak < 2e6
         assert calls == []
 
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_alpha_fails(self, run, alpha):
+        # before the check: a NaN history and err_inf = nan, with no warning
+        spec = make_case("example1", alpha, 0.5).spec
+        with pytest.raises(ValueError, match=rf"alpha = {alpha!r} is too small "
+                                             rf"for N = 9: the diagonal of A is"):
+            run(spec, 8, 2, 9)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    def test_smallest_normal_alphas_run(self, run):
+        _, report = run(make_case("example1", 1e-300, 0.5).spec, 8, 2, 9)
+        assert math.isfinite(report.err_inf)
+
+    @pytest.mark.parametrize("M", [1, 0])
+    def test_fids_without_an_soe_interval_names_m(self, monkeypatch, M):
+        built, calls = [], []
+        monkeypatch.setattr(tsfrac.scheme, "build_mesh",
+                            lambda *args: built.append(args))
+        spec = make_case("example1", 1.5, 0.5).spec
+        source = spec.source
+        spec = dataclasses.replace(
+            spec, source=lambda x, t: calls.append(t) or source(x, t))
+        with pytest.raises(ValueError, match=(
+                rf"FIDS needs M >= 2, got M = {M}: the SOE interval "
+                r"\[\(1/M\)\^r T, T\] is empty")):
+            run_fids(spec, M, 2, 16)
+        assert built == [] and calls == []
+
     @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
     def test_true_kappa_x_independent_claim_runs_cg(self, methods, solver):
         # no flag: a kappa constant on the grid is observed at every level
