@@ -122,8 +122,8 @@ def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
     j0 = math.floor(math.log(a) / h - 0.5)
     u0 = (j0 + 0.5) * h
     # geometric tail sums of weight and first moment over u_j <= u0
-    m0 = h * inv_g * math.exp(gamma * u0) / (1.0 - math.exp(-gamma * h))
-    m1 = h * inv_g * math.exp((gamma + 1.0) * u0) / (1.0 - math.exp(-(gamma + 1.0) * h))
+    m0 = h * inv_g * math.exp(gamma * u0) / -math.expm1(-gamma * h)
+    m1 = h * inv_g * math.exp((gamma + 1.0) * u0) / -math.expm1(-(gamma + 1.0) * h)
     nodes, weights = [m1 / m0], [m0]
     j = j0 + 1
     while True:
@@ -136,7 +136,9 @@ def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
             break
         j += 1
         if len(nodes) > 100_000:
-            raise SoeConstructionError("right tail of the lattice does not terminate")
+            raise SoeConstructionError(
+                f"right tail of the lattice does not terminate: tolerance "
+                f"{eps:g} on [{delta:g}, {T:g}] at gamma={gamma:g}")
     return np.array(nodes), np.array(weights)
 
 

@@ -50,6 +50,19 @@ class TestBuildSoe:
                            match=r"at gamma=0\.97 needs \d+ exponentials, cap is 256"):
             build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 3, 1.0)
 
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-10])
+    def test_small_gamma_builds(self, gamma):
+        # the lattice's tail sums used to cancel in 1 - exp(-gamma h), and
+        # validation failed at these gamma
+        soe = build_soe(gamma, 1e-10, (1.0 / 16) ** 3, 1.0)
+        assert sup_error(soe) <= 1e-10
+
+    def test_unterminated_tail_names_its_inputs(self):
+        with pytest.raises(SoeConstructionError, match=(
+                r"right tail of the lattice does not terminate: tolerance 1e-10 "
+                r"on \[0\.000244141, 1\] at gamma=1e-12")):
+            build_soe(1e-12, 1e-10, (1.0 / 16) ** 3, 1.0)
+
     def test_build_peak_memory_stays_under_one_megabyte(self):
         # the pk-n128 workload's SOE: gamma 0.5, epsilon 1e-9, M = 3326, r = 2;
         # one 4096 x N_exp kernel matrix for validation took 6.4 MB
