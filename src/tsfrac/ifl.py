@@ -36,7 +36,7 @@ class IflDiscretization:
     first_col: np.ndarray  # shape (N-1,), first column of A
 
     def dense(self) -> np.ndarray:
-        """Dense (N-1)x(N-1) assembly; for oracles and small direct solves."""
+        """Dense (N-1)x(N-1) A, for test oracles and the benchmark's DIDS set-up."""
         return toeplitz(self.first_col)
 
     def interior_points(self) -> np.ndarray:
@@ -71,8 +71,8 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
         raise ValueError(f"mu must lie in (alpha, 2], got mu={mu}, alpha={alpha}")
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    if l <= 0.0:
-        raise ValueError(f"half-width l must be > 0, got {l}")
+    if not 0.0 < l < math.inf:  # NaN fails both tests
+        raise ValueError(f"half-width l must be finite and > 0, got {l}")
 
     nu = mu - alpha
     kappa_mu = 2 if mu == 2.0 else 1

@@ -7,6 +7,8 @@ are the exact per-interval averages of the kernel (t_m - s)^{-gamma}.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,17 +28,22 @@ class GradedMesh:
 def build_mesh(M: int, r: float, T: float) -> GradedMesh:
     """Build the graded mesh t_m = (m/M)^r T.
 
-    Requires M >= 1, r >= 1 and T > 0; r may be any real >= 1.
+    Requires an integer M >= 1, a finite real r >= 1 and a finite T > 0.
     """
+    try:
+        M = operator.index(M)
+    except TypeError:
+        raise ValueError(f"M must be a positive integer, got {M!r}") from None
     if M < 1:
         raise ValueError(f"M must be a positive integer, got {M}")
-    if r < 1.0:
-        raise ValueError(f"grading exponent r must be >= 1, got {r}")
-    if T <= 0.0:
-        raise ValueError(f"final time T must be > 0, got {T}")
+    # NaN fails both tests
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"grading exponent r must be finite and >= 1, got {r}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"final time T must be finite and > 0, got {T}")
     t = (np.arange(M + 1, dtype=float) / M) ** r * T
     tau = np.diff(t)
-    return GradedMesh(M=int(M), r=float(r), T=float(T), t=t, tau=tau)
+    return GradedMesh(M=M, r=float(r), T=float(T), t=t, tau=tau)
 
 
 def _last_weight(tau_m: float, gamma: float) -> float:

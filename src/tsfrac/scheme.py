@@ -13,19 +13,18 @@ the Caputo history term from the full solution history with the L1 weights
 recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 /(1-gamma) is shared by both schemes and never goes through the SOE.
 
-Solver dispatch: a dense direct solve when the system order N-1 is at most
-the direct threshold, otherwise circulant-preconditioned BiCGSTAB.  A Krylov
-level whose kappa is constant on the grid runs CG instead: shift_m I + kappa A
-is then symmetric positive definite.  The direct path solves the
-symmetrically scaled system
+Solver dispatch: the level solve is a per-run strategy too, built once from
+``select_solver``'s tag (auto is direct when the order N-1 is at most the
+direct threshold, else pkrylov).  ``_CholeskyLevels`` solves the scaled system
 
     (A + diag(shift_m / kappa)) u^m = rhs_m / kappa,
 
-which is symmetric positive definite because A is a symmetric M-matrix, so
-``solve_dense`` factors it by Cholesky.  A run holds A as a read-only view of
-the 2N-3 values that define it, and one work matrix that each level refills
-and factors in place.  The Krylov path applies A and the preconditioner
-through ``toeplitz``, which picks dense BLAS or real-FFT kernels by order.
+symmetric positive definite because A is a symmetric M-matrix, by Cholesky
+in ``solve_dense``, holding A as a read-only view of its 2N-3 values and one
+work matrix that each level refills and factors in place.  ``_KrylovLevels``
+holds the Toeplitz operator and runs BiCGSTAB, circulant-preconditioned for
+pkrylov, or CG at a level whose kappa is constant on the grid, where
+shift_m I + kappa A is symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -116,48 +115,49 @@ def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
     return _last_weight(mesh.tau[m - 1], gamma) / math.exp(gammaln(1.0 - gamma))
 
 
-class _LevelSolver:
-    """Per-run solver context: dense factor path or matrix-free Krylov path."""
+class _CholeskyLevels:
+    """Direct levels: one work matrix per run, refilled and factored in place."""
 
-    def __init__(self, disc: IflDiscretization, tag: str, options: SolverOptions):
-        self.tag = tag
-        self.options = options
-        self.n = disc.N - 1
-        if tag == "direct":
-            n = self.n
-            if n > DENSE_SOLVE_CAP:
-                raise ValueError(
-                    f"the direct solver is capped at N-1 = {DENSE_SOLVE_CAP}, "
-                    f"got N-1 = {n}: its {n}x{n} matrix would take "
-                    f"{8 * n * n} bytes")
-            # A[i, j] = col[|i - j|]: row i is a window of col[n-1], .., col[1],
-            # col[0], .., col[n-1], so A is a read-only view of 2n-1 values
-            col = disc.first_col
-            self.A = sliding_window_view(np.concatenate((col[::-1], col[1:])), n)[::-1]
-            self._work = np.empty((n, n), order="F")
-            self._diag = self._work.reshape(-1, order="F")[:: n + 1]  # a view
-        else:
-            self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
+    def __init__(self, disc: IflDiscretization):
+        n = disc.N - 1
+        if n > DENSE_SOLVE_CAP:
+            raise ValueError(
+                f"the direct solver is capped at N-1 = {DENSE_SOLVE_CAP}, "
+                f"got N-1 = {n}: its {n}x{n} matrix would take "
+                f"{8 * n * n} bytes")
+        # A[i, j] = col[|i - j|]: row i is a window of col[n-1], .., col[1],
+        # col[0], .., col[n-1], so A is a read-only view of 2n-1 values
+        col = disc.first_col
+        self.A = sliding_window_view(np.concatenate((col[::-1], col[1:])), n)[::-1]
+        self._work = np.empty((n, n), order="F")
+        self._diag = self._work.reshape(-1, order="F")[:: n + 1]  # a view
 
     def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
               m: int, t: float) -> tuple[np.ndarray, int]:
-        """u with (shift*I + diag(kappa) A) u = rhs at level m (time t), and
-        the iteration count."""
-        if self.tag == "direct":
-            # K^{-1}(shift*I + K A) = A + diag(shift/kappa): symmetric positive
-            # definite, since A is a symmetric M-matrix and shift/kappa > 0.
-            # A is symmetric, so it fills the work matrix through the
-            # C-ordered transpose, the faster way to copy the view
-            np.copyto(self._work.T, self.A)
-            self._diag += shift / kappa
-            return solve_dense(self._work, rhs / kappa), 0
+        """u with (shift*I + diag(kappa) A) u = rhs, and 0 iterations."""
+        # K^{-1}(shift*I + K A) = A + diag(shift/kappa) is SPD: A is a symmetric
+        # M-matrix and shift/kappa > 0.  A fills the work matrix through the
+        # C-ordered transpose, the faster way to copy the symmetric view
+        np.copyto(self._work.T, self.A)
+        self._diag += shift / kappa
+        return solve_dense(self._work, rhs / kappa), 0
 
+
+class _KrylovLevels:
+    """Krylov levels on the run's Toeplitz operator; pkrylov preconditions."""
+
+    def __init__(self, disc: IflDiscretization, tag: str, tol: float):
+        self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
+        self.tol = tol
+        self.precondition = tag == "pkrylov"
+
+    def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
+              m: int, t: float) -> tuple[np.ndarray, int]:
+        """u with (shift*I + diag(kappa) A) u = rhs, and the iteration count."""
         # a kappa constant on the grid leaves shift*I + kappa*A symmetric
         hi = float(kappa.max())
-        if hi - float(kappa.min()) <= 1e-12 * hi:
-            method, solver = "CG", solve_cg
-        else:
-            method, solver = "BiCGSTAB", solve_bicgstab
+        cg = hi - float(kappa.min()) <= 1e-12 * hi
+        method, solver = ("CG", solve_cg) if cg else ("BiCGSTAB", solve_bicgstab)
         matvec = self.op.matvec
 
         def apply(v):
@@ -166,16 +166,15 @@ class _LevelSolver:
             out *= kappa
             return daxpy(v, out, a=shift)
 
-        precond = None
-        if self.tag == "pkrylov":
-            precond = build_preconditioner(self.op, shift, float(kappa.mean())).solve
-        u, report = solver(apply, precond, rhs, tol=self.options.tol)
+        precond = (build_preconditioner(self.op, shift, float(kappa.mean())).solve
+                   if self.precondition else None)
+        u, report = solver(apply, precond, rhs, tol=self.tol)
         if not report.converged:
             raise RuntimeError(
-                f"{method} ({self.tag}) did not "
-                f"converge at level m={m}, t_m={t:.6g}: {report.iterations} "
-                f"iterations, final relative residual "
-                f"{report.final_relative_residual:.3e} (tol {self.options.tol:g}), "
+                f"{method} ({'pkrylov' if self.precondition else 'krylov'}) "
+                f"did not converge at level m={m}, t_m={t:.6g}: "
+                f"{report.iterations} iterations, final relative residual "
+                f"{report.final_relative_residual:.3e} (tol {self.tol:g}), "
                 f"breakdown: {report.breakdown or 'none'}"
             )
         return u, report.iterations
@@ -284,7 +283,8 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
            t0: float) -> SolveReport:
     """Step levels 1..M with ``history`` supplying the Caputo history term."""
     tag = select_solver(disc.N, options)
-    solver = _LevelSolver(disc, tag, options)
+    levels = (_CholeskyLevels(disc) if tag == "direct"
+              else _KrylovLevels(disc, tag, options.tol))
 
     u = np.asarray(spec.initial(x), dtype=float)
     _check_grid("initial", "finite", u, np.isfinite(u), x, 0, 0.0)
@@ -302,7 +302,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
         rhs = np.array(spec.source(x, tm), dtype=float)
         _check_grid("source", "finite", rhs, np.isfinite(rhs), x, m, tm)
         ops[m - 1] = history.add_known(rhs, m)
-        u, its = solver.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
+        u, its = levels.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
         its_total += its
         history.record(m, u)
         tracker.update(u, tm)

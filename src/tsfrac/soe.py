@@ -163,8 +163,11 @@ def build_soe(
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    # NaN fails both tests
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not math.isfinite(T):
+        raise ValueError(f"final time T must be finite, got {T}")
     if not 0.0 < delta < T:
         raise SoeConstructionError(
             f"cutoff must satisfy 0 < delta < T, got delta={delta}, T={T}"

@@ -68,10 +68,20 @@ class TestBuildIfl:
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0, 8), (2.0, 2.0, 1.0, 8),
                                       (1.0, 1.0, 1.0, 8), (1.0, 2.1, 1.0, 8),
-                                      (1.0, 2.0, 1.0, 2), (1.0, 2.0, -1.0, 8)])
+                                      (1.0, 2.0, 1.0, 2), (1.0, 2.0, -1.0, 8),
+                                      (1.0, 2.0, math.nan, 8),
+                                      (1.0, 2.0, math.inf, 8)])
     def test_invalid_arguments(self, args):
         with pytest.raises(ValueError):
             build_ifl(*args)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf])
+    def test_bad_half_width_is_named(self, l):
+        # before the check, l = nan failed as "alpha = 1.5 is too small" and
+        # l = inf as a kappa error at x = nan
+        with pytest.raises(ValueError, match=f"^half-width l must be finite "
+                                             f"and > 0, got {l}$"):
+            build_ifl(1.5, 1.75, l, 16)
 
     @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
     def test_subnormal_alpha_fails(self, alpha):

@@ -33,11 +33,19 @@ class TestBuildMesh:
         assert np.all(np.diff(mesh.t) > 0)
         assert np.all(mesh.tau > 0)
 
+    # before the checks, M = 8.5 built 10 times ending at 1.121, r = inf
+    # gave NaN times and r = nan failed later as a kappa error
     @pytest.mark.parametrize("M,r,T", [(0, 2, 1.0), (4, 0.5, 1.0), (4, 2, 0.0),
-                                       (4, 2, -1.0)])
+                                       (4, 2, -1.0), (8.5, 2, 1.0), (4.0, 2, 1.0),
+                                       (4, math.inf, 1.0), (4, math.nan, 1.0),
+                                       (4, 2, math.inf), (4, 2, math.nan)])
     def test_invalid_arguments(self, M, r, T):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             build_mesh(M, r, T)
+        # the message names the bad parameter and its value
+        message = str(info.value)
+        assert any(f"{name} must " in message and message.endswith(f"got {value}")
+                   for name, value in (("M", M), ("r", r), ("T", T)))
 
 
 class TestL1Weights:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -19,8 +20,9 @@ from tsfrac.scheme import (
     DIRECT_THRESHOLD,
     ProblemSpec,
     SolverOptions,
+    _CholeskyLevels,
+    _KrylovLevels,
     _level_shift,
-    _LevelSolver,
     run_dids,
     run_fids,
     select_solver,
@@ -296,8 +298,8 @@ class TestKrylovLevel:
 
         # the level operator goes through the module attribute on every apply
         monkeypatch.setattr(tsfrac.toeplitz, "toeplitz_matvec", counted)
-        direct = _LevelSolver(disc, "direct", SolverOptions(solver="direct"))
-        krylov = _LevelSolver(disc, solver, SolverOptions(solver=solver))
+        direct = _CholeskyLevels(disc)
+        krylov = _KrylovLevels(disc, solver, SolverOptions().tol)
         k, rhs = kappa(x), np.cos(x) + x
         for m in (1, 64):
             shift = _level_shift(mesh, 0.5, m)
@@ -307,6 +309,50 @@ class TestKrylovLevel:
             assert its <= len(matvecs) <= 2 * its
             assert np.max(np.abs(u - ref)) <= 1e-8 * np.abs(ref).max()
         assert methods == [method] * 2
+
+
+@pytest.fixture
+def seam_calls(monkeypatch):
+    """Calls through tsfrac.scheme's solver names, counted by name."""
+    calls = collections.Counter()
+    for name in ("solve_dense", "solve_cg", "solve_bicgstab",
+                 "build_preconditioner", "build_toeplitz"):
+        def counted(*args, _name=name, _call=getattr(tsfrac.scheme, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(tsfrac.scheme, name, counted)
+    return calls
+
+
+class TestLevelStrategies:
+    """A run builds one level strategy, which calls through tsfrac.scheme."""
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("solver,calls", [
+        ("direct", {"solve_dense": 16}),
+        ("auto", {"solve_dense": 16}),
+        ("krylov", {"build_toeplitz": 1, "solve_bicgstab": 16}),
+        ("pkrylov", {"build_toeplitz": 1, "build_preconditioner": 16,
+                     "solve_bicgstab": 16})],
+        ids=["direct", "auto", "krylov", "pkrylov"])
+    def test_calls_per_run(self, seam_calls, run, solver, calls):
+        run(make_case("example2", 1.5, 0.5).spec, 16, 2, 32,
+            options=SolverOptions(solver=solver))
+        assert dict(seam_calls) == calls
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("solver", ["krylov", "pkrylov"])
+    def test_a_krylov_run_allocates_no_matrix(self, run, solver):
+        # n = 1025 takes the real-FFT kernels, which hold no n x n array
+        n = 1025
+        tracemalloc.start()
+        try:
+            run(make_case("example2", 1.5, 0.5).spec, 4, 2, n + 1,
+                options=SolverOptions(solver=solver))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
 
 class TestDirectLevelSolve:
@@ -323,7 +369,7 @@ class TestDirectLevelSolve:
         def unscaled(self, shift, kappa, rhs, m, t):
             return level_solve_unscaled(self.A, shift, kappa, rhs), 0
 
-        monkeypatch.setattr(tsfrac.scheme._LevelSolver, "solve", unscaled)
+        monkeypatch.setattr(tsfrac.scheme._CholeskyLevels, "solve", unscaled)
         for run, hist in runs:
             ref, _ = run(spec, 16, 2, 32, options=options)
             assert np.max(np.abs(hist - ref)) <= 1e-10 * np.abs(ref).max()
@@ -333,7 +379,7 @@ class TestDirectLevelSolve:
         # in place, so its transient memory is a few vectors of length n
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
-        solver = _LevelSolver(disc, "direct", SolverOptions(solver="direct"))
+        solver = _CholeskyLevels(disc)
         mesh = build_mesh(16, 2, 1.0)
         x = disc.interior_points()
         kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)

@@ -44,6 +44,19 @@ class TestBuildSoe:
         with pytest.raises(SoeConstructionError):
             build_soe(0.5, 1e-10, 2.0, 1.0)
 
+    # before the checks: epsilon = nan failed converting NaN to an integer,
+    # epsilon = inf overflowed and T = inf raised a math domain error
+    @pytest.mark.parametrize("args,match", [
+        ((0.5, math.nan, 0.01, 1.0), "epsilon must be finite and > 0, got nan"),
+        ((0.5, math.inf, 0.01, 1.0), "epsilon must be finite and > 0, got inf"),
+        ((0.5, 0.0, 0.01, 1.0), "epsilon must be finite and > 0, got 0.0"),
+        ((0.5, 1e-10, 0.01, math.inf), "final time T must be finite, got inf"),
+        ((0.5, 1e-10, 0.01, math.nan), "final time T must be finite, got nan")],
+        ids=["epsilon-nan", "epsilon-inf", "epsilon-0", "T-inf", "T-nan"])
+    def test_non_finite_epsilon_or_t_is_named(self, args, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            build_soe(*args)
+
     def test_cap_failure_names_gamma(self):
         # gamma near 1 with deep grading (r = 3, M = 2^16) needs about 286 nodes
         with pytest.raises(SoeConstructionError,

@@ -8,6 +8,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "tsfrac"
 # __init__.py imports what the package exports
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -33,3 +34,42 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every private module-level name (``_x``, not
+    a dunder) that the modules define and none of them reads, by name or as
+    an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {"a.py": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\n"
+                       "class _Old:\n    pass\n",
+               "b.py": "from a import _f\nimport a\n_f()\na._B\n_unused = 3\n"}
+    assert unread_private_names(sources) == [("a.py", 6, "_Old"),
+                                             ("b.py", 5, "_unused")]
+
+
+def test_every_private_name_is_read():
+    # a private function or class nothing reads is dead code
+    assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
