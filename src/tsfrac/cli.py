@@ -147,9 +147,8 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
     if not config.N:
         raise ValueError("spectrum needs --N")
     N = config.N[0]
-    if N - 1 > spectrum.DENSE_SPECTRUM_CAP:
-        raise ValueError(f"spectrum diagnostics capped at N-1 <= "
-                         f"{spectrum.DENSE_SPECTRUM_CAP}")
+    # before the coupled M, which grows like N^2, sizes the mesh
+    spectrum.check_order(N - 1)
     q = _coupling_q(config)
     M = config.M[0] if config.M else couplings.m_from_n(N, config.r, config.gamma, q)
     level = config.level if config.level is not None else M
@@ -158,11 +157,11 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
     mesh = build_mesh(M, config.r, config.T)
     shift = _level_shift(mesh, config.gamma, level)
     disc = build_ifl(config.alpha, resolved_mu(config), 1.0, N)
-    x = disc.interior_points()
+    x, col = disc.interior_points(), disc.first_col
 
     if config.kappa_const is not None:
-        orig = spectrum.system_eigenvalues(disc, shift, config.kappa_const)
-        prec = spectrum.preconditioned_eigenvalues(disc, shift, config.kappa_const)
+        orig = spectrum.system_eigenvalues(col, shift, config.kappa_const)
+        prec = spectrum.preconditioned_eigenvalues(col, shift, config.kappa_const)
         table = Table(["index", "eig_original", "eig_preconditioned"])
         table.meta["shift"] = f"{shift:.6e}"
         for i, (a, b) in enumerate(zip(orig, prec)):
@@ -171,8 +170,8 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
 
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
     kappa = np.asarray(case.spec.kappa(x, mesh.t[level]), dtype=float)
-    sv = spectrum.preconditioned_singular_values(disc, shift, kappa)
-    summary = spectrum.gershgorin_summary(spectrum.dense_system(disc, shift, kappa))
+    sv = spectrum.preconditioned_singular_values(col, shift, kappa)
+    summary = spectrum.gershgorin_summary(spectrum.dense_system(col, shift, kappa))
     table = Table(["index", "sv_preconditioned"])
     table.meta["shift"] = f"{shift:.6e}"
     for k, v in summary.items():

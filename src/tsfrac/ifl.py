@@ -16,11 +16,13 @@ assembly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
+
+from .toeplitz import symmetric_toeplitz
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,9 @@ class IflDiscretization:
     first_col: np.ndarray  # shape (N-1,), first column of A
 
     def dense(self) -> np.ndarray:
-        """Dense (N-1)x(N-1) A, for test oracles and the benchmark's DIDS set-up."""
-        return toeplitz(self.first_col)
+        """Dense (N-1)x(N-1) A, a writable copy of the Toeplitz layer's view,
+        for test oracles and the benchmark's DIDS set-up."""
+        return symmetric_toeplitz(self.first_col).copy()
 
     def interior_points(self) -> np.ndarray:
         """Interior grid x_i = -l + i h, i = 1..N-1."""
@@ -69,8 +72,12 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     if not alpha < mu <= 2.0:
         raise ValueError(f"mu must lie in (alpha, 2], got mu={mu}, alpha={alpha}")
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"N must be an integer >= 3, got {N!r}") from None
     if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
+        raise ValueError(f"N must be an integer >= 3, got {N}")
     if not 0.0 < l < math.inf:  # NaN fails both tests
         raise ValueError(f"half-width l must be finite and > 0, got {l}")
 
@@ -102,6 +109,6 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
 
     return IflDiscretization(
         alpha=float(alpha), mu=float(mu), nu=float(nu), kappa_mu=kappa_mu,
-        l=float(l), N=int(N), h=h, scale=scale, first_col=col,
+        l=float(l), N=N, h=h, scale=scale, first_col=col,
     )
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy
 from scipy.special import gammaln
 
@@ -44,7 +43,8 @@ from .krylov import solve_bicgstab, solve_cg, solve_dense
 from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
                   history_push)
-from .toeplitz import ToeplitzOperator, build_preconditioner, build_toeplitz
+from .toeplitz import (ToeplitzOperator, build_preconditioner, build_toeplitz,
+                       symmetric_toeplitz)
 
 # Largest N-1 handled by the dense direct path.  Measured end to end, FIDS
 # on example2 (alpha 1.9, gamma 0.5, r 2, mu 1.95, eps 1e-9), one BLAS
@@ -125,10 +125,7 @@ class _CholeskyLevels:
                 f"the direct solver is capped at N-1 = {DENSE_SOLVE_CAP}, "
                 f"got N-1 = {n}: its {n}x{n} matrix would take "
                 f"{8 * n * n} bytes")
-        # A[i, j] = col[|i - j|]: row i is a window of col[n-1], .., col[1],
-        # col[0], .., col[n-1], so A is a read-only view of 2n-1 values
-        col = disc.first_col
-        self.A = sliding_window_view(np.concatenate((col[::-1], col[1:])), n)[::-1]
+        self.A = symmetric_toeplitz(disc.first_col)  # read-only, 2n-1 values
         self._work = np.empty((n, n), order="F")
         self._diag = self._work.reshape(-1, order="F")[:: n + 1]  # a view
 
@@ -255,7 +252,6 @@ class _SoeRecurrence:
 
     def __init__(self, soe: SoeApproximation, mesh: GradedMesh, n: int,
                  keep_history: bool):
-        self.gamma = soe.gamma
         self.mesh = mesh
         self.fast = FastHistory.fresh(soe, n)
         self.ops = soe.n_exp * n
@@ -265,9 +261,7 @@ class _SoeRecurrence:
 
     def add_known(self, rhs: np.ndarray, m: int) -> int:
         """rhs += the known history part of level m; returns the op count."""
-        tau_m = self.mesh.tau[m - 1]
-        rhs += fast_caputo_rhs(self.fast, _last_weight(tau_m, self.gamma),
-                               self.u_prev, self.gamma, tau_m)
+        rhs += fast_caputo_rhs(self.fast, self.u_prev, self.mesh.tau[m - 1])
         return self.ops
 
     def record(self, m: int, u: np.ndarray):

@@ -41,6 +41,8 @@ import numpy as np
 from scipy.linalg.blas import dger
 from scipy.special import gammaln
 
+from .mesh import _last_weight
+
 # most exponentials an SOE may take; a tolerance that needs more fails
 NODE_CAP = 256
 # rows of exp(-t s) formed at once by SoeApproximation.evaluate: a 4096-point
@@ -216,22 +218,18 @@ def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHisto
     return h
 
 
-def fast_caputo_rhs(
-    h: FastHistory,
-    a_mm: float,
-    u_prev: np.ndarray,
-    gamma: float,
-    tau_m: float,
-) -> np.ndarray:
+def fast_caputo_rhs(h: FastHistory, u_prev: np.ndarray, tau_m: float) -> np.ndarray:
     """Known part of the fast Caputo derivative at the next level.
 
-    Returns r = (a_mm u^{m-1} - sum_j w_j e^{-s_j tau_m} W_j^{m-1}) / Gamma(1-gamma)
-    so that the discrete fast Caputo of the unknown u^m is
+    Returns r = (a_mm u^{m-1} - sum_j w_j e^{-s_j tau_m} W_j^{m-1}) / Gamma(1-gamma),
+    with gamma that of the SOE and a_mm = tau_m^{-gamma} / (1-gamma) the last
+    L1 weight, so that the discrete fast Caputo of the unknown u^m is
     a_mm u^m / Gamma(1-gamma) - r, and scheme assembly only adds the a_mm term.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     if u_prev.shape[0] != h.W.shape[1]:
         raise ValueError("u_prev length does not match the history width")
-    s, w = h.soe.nodes, h.soe.weights
+    gamma, s, w = h.soe.gamma, h.soe.nodes, h.soe.weights
     hist_term = (w * np.exp(-s * tau_m)) @ h.W
-    return (a_mm * u_prev - hist_term) / math.exp(gammaln(1.0 - gamma))
+    return ((_last_weight(tau_m, gamma) * u_prev - hist_term)
+            / math.exp(gammaln(1.0 - gamma)))

@@ -1,49 +1,52 @@
 """Dense spectrum diagnostics for the per-level systems and preconditioners.
 
 Everything here assembles dense matrices (capped at a few hundred unknowns)
-and goes through LAPACK (``eigvalsh``/``svdvals``).  The diagnostics take an
-IflDiscretization or a bare Toeplitz first column; the x-dependent one
-builds the operator's Strang preconditioner as a run does.
+and goes through LAPACK (``eigvalsh``/``svdvals``).  The diagnostics take
+the Toeplitz first column of A (``IflDiscretization.first_col``) and form A
+and s(A) through the Toeplitz layer's ``symmetric_toeplitz``; the
+x-dependent one builds the operator's Strang preconditioner as a run does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import circulant, eigvalsh, svdvals, toeplitz
+from scipy.linalg import eigvalsh, svdvals
 
 from .toeplitz import (build_preconditioner, build_toeplitz, precond_solve,
-                       strang_first_column)
+                       strang_first_column, symmetric_toeplitz)
 
 DENSE_SPECTRUM_CAP = 256
 
 
-def _first_col(disc) -> np.ndarray:
-    col = disc.first_col if hasattr(disc, "first_col") else np.asarray(disc, float)
-    if col.size > DENSE_SPECTRUM_CAP:
+def check_order(n: int) -> None:
+    """Raise, naming n and the cap, when order n is above DENSE_SPECTRUM_CAP."""
+    if n > DENSE_SPECTRUM_CAP:
         raise ValueError(
-            f"dense diagnostics capped at order {DENSE_SPECTRUM_CAP}, got {col.size}"
-        )
+            f"dense diagnostics capped at order {DENSE_SPECTRUM_CAP}, got {n}")
+
+
+def _first_col(first_col) -> np.ndarray:
+    col = np.asarray(first_col, dtype=float)
+    check_order(col.size)
     return col
 
 
-def dense_system(disc, shift: float, kappa: np.ndarray) -> np.ndarray:
-    """Dense shift*I + diag(kappa) A for one time level.
-
-    ``disc`` is an IflDiscretization or a bare Toeplitz first column.
-    """
-    col = _first_col(disc)
+def dense_system(first_col, shift: float, kappa: np.ndarray) -> np.ndarray:
+    """Dense shift*I + diag(kappa) A for one time level, A given by its
+    Toeplitz first column."""
+    col = _first_col(first_col)
     n = col.size
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (n,))
-    return shift * np.eye(n) + kappa[:, None] * toeplitz(col)
+    return shift * np.eye(n) + kappa[:, None] * symmetric_toeplitz(col)
 
 
-def system_eigenvalues(disc, shift: float, kappa_const: float) -> np.ndarray:
+def system_eigenvalues(first_col, shift: float, kappa_const: float) -> np.ndarray:
     """Eigenvalues of the (symmetric, constant-kappa) level matrix, ascending."""
-    n = _first_col(disc).size
-    return eigvalsh(dense_system(disc, shift, np.full(n, kappa_const)))
+    col = _first_col(first_col)
+    return eigvalsh(dense_system(col, shift, np.full(col.size, kappa_const)))
 
 
-def preconditioned_eigenvalues(disc, shift: float,
+def preconditioned_eigenvalues(first_col, shift: float,
                                kappa_const: float) -> np.ndarray:
     """Eigenvalues of P^{-1} M for constant kappa, ascending.
 
@@ -51,21 +54,22 @@ def preconditioned_eigenvalues(disc, shift: float,
     symmetric and P is positive definite, so these are the eigenvalues of
     the symmetric-definite pencil (M, P).
     """
-    col = _first_col(disc)
+    col = _first_col(first_col)
     n = col.size
     M = dense_system(col, shift, np.full(n, kappa_const))
-    P = shift * np.eye(n) + kappa_const * circulant(strang_first_column(col))
+    # s(A), a symmetric circulant, is the Toeplitz matrix of its even column
+    P = shift * np.eye(n) + kappa_const * symmetric_toeplitz(strang_first_column(col))
     return eigvalsh(M, P)
 
 
-def preconditioned_singular_values(disc, shift: float,
+def preconditioned_singular_values(first_col, shift: float,
                                    kappa: np.ndarray) -> np.ndarray:
     """Singular values of P^{-1} M for x-dependent kappa, ascending.
 
     The preconditioned matrix is nonsymmetric here, so the diagnostic reports
     singular values instead of asserting a symmetric eigendecomposition.
     """
-    col = _first_col(disc)
+    col = _first_col(first_col)
     M = dense_system(col, shift, kappa)
     p = build_preconditioner(build_toeplitz(col), shift, float(np.mean(kappa)))
     PinvM = np.column_stack([precond_solve(p, col) for col in M.T])

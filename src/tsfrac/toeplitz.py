@@ -1,5 +1,9 @@
 """Symmetric-Toeplitz products and Strang circulant preconditioners.
 
+Every dense matrix the package forms, A and the symmetric circulants s(A)
+and P^{-1} (whose first columns are even), is T[i, j] = c[|i - j|], formed
+by ``symmetric_toeplitz`` as one read-only view of 2n-1 values.
+
 Each operation has two kernels, and the order n alone picks one.  Up to
 ``DENSE_CROSSOVER`` the operator keeps the dense Toeplitz matrix and the
 preconditioner its dense inverse, so every apply is one BLAS product.  Above
@@ -21,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import fourier
 
@@ -36,6 +39,19 @@ from . import fourier
 # 0.598, 367: 0.594 / 0.878, 383: 0.837 / 0.913).  Summed over the scan, a
 # switch at n = 359-360 costs least: 68.2 s, against 82.9 s at n = 440.
 DENSE_CROSSOVER = 360
+
+
+def symmetric_toeplitz(col: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view T[i, j] = col[|i - j|] over the 2n-1 values
+    [col reversed, col[1:]]: row i starts n-1-i entries in."""
+    col = np.asarray(col, dtype=float)
+    n = col.size
+    ext = np.concatenate((col[::-1], col[1:]))
+    step = ext.itemsize
+    view = np.ndarray((n, n), buffer=ext, offset=(n - 1) * step,
+                      strides=(-step, step))
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,7 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
         L *= 2
     if n <= DENSE_CROSSOVER:
         return ToeplitzOperator(n=n, first_col=first_col, embed_len=L,
-                                dense=toeplitz(first_col))
+                                dense=symmetric_toeplitz(first_col).copy())
     emb = np.zeros(L)
     emb[:n] = first_col
     emb[L - n + 1:] = first_col[1:][::-1]
@@ -140,11 +156,11 @@ class CirculantPreconditioner:
         inv_half = 1.0 / self.total_eigs[: self.n // 2 + 1]
         inv_dense = None
         if self.n <= DENSE_CROSSOVER:
-            # the first column of P^{-1} is even: synthesize c_0..c_{n//2}
-            # and mirror the rest
+            # the first column of P^{-1} is even, so P^{-1} is its symmetric
+            # Toeplitz matrix: synthesize c_0..c_{n//2} and mirror the rest
             head = _cosine_synthesis(self.n) @ inv_half
-            inv_dense = _circulant(
-                np.concatenate((head, head[(self.n + 1) // 2 - 1: 0: -1])))
+            inv_dense = symmetric_toeplitz(np.concatenate(
+                (head, head[(self.n + 1) // 2 - 1: 0: -1]))).copy()
         object.__setattr__(self, "inv_half", inv_half)
         object.__setattr__(self, "inv_dense", inv_dense)
 
@@ -172,16 +188,6 @@ def _cosine_synthesis(n: int) -> np.ndarray:
     C = np.cos((2.0 * np.pi / n) * jk) * weight
     C.flags.writeable = False
     return C
-
-
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """scipy.linalg.circulant(c), copied from a strided view of 2n-1 values:
-    row i of the view starts n-1-i entries into [c reversed, c[n-1:0:-1]]."""
-    n = c.size
-    ext = np.concatenate((c[::-1], c[:0:-1]))
-    step = ext.itemsize
-    return np.ndarray((n, n), buffer=ext, offset=(n - 1) * step,
-                      strides=(-step, step)).copy()
 
 
 def build_preconditioner(op: ToeplitzOperator, shift: float,

@@ -92,6 +92,14 @@ class TestSolverCompare:
         # so allow one quantum of the last digit
         assert errs[-1] - errs[0] <= 2e-6
 
+    def test_runs_above_the_dense_spectrum_cap(self, capsys):
+        # solver-compare runs no dense spectrum diagnostic: its direct solve
+        # is capped at N-1 <= 2048, not at the spectrum's 256
+        code, out = run_cli(capsys, "solver-compare", "--N", "300", "--M", "4")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 6 and {r["N"] for r in rows} == {"300"}
+
 
 class TestSpectrum:
     def test_constant_kappa_listing(self, capsys):
@@ -134,6 +142,16 @@ class TestSpectrum:
     def test_cap(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--N", "512")
         assert code == 1
+
+    @pytest.mark.parametrize("N", ["512", "1000000"])
+    def test_cap_fails_before_the_mesh_is_built(self, capsys, monkeypatch, N):
+        # the coupled M grows like N^2: at N = 10^6 the mesh alone would take
+        # 1.82 TiB
+        monkeypatch.setattr("tsfrac.cli.build_mesh",
+                            lambda *args: pytest.fail("the mesh was built"))
+        assert main(["spectrum", "--N", N]) == 1
+        assert (f"dense diagnostics capped at order 256, got {int(N) - 1}"
+                in capsys.readouterr().err)
 
 
 class TestSoeCommands:

@@ -83,6 +83,14 @@ class TestBuildIfl:
                                              f"and > 0, got {l}$"):
             build_ifl(1.5, 1.75, l, 16)
 
+    @pytest.mark.parametrize("N", [16.5, 16.0, 2])
+    def test_bad_n_is_named(self, N):
+        # one message for both rejections; before the integer check,
+        # np.empty(N - 1) failed as a TypeError naming neither N nor its value
+        with pytest.raises(ValueError, match=f"^N must be an integer >= 3, "
+                                             f"got {N}$"):
+            build_ifl(1.5, 1.75, 1.0, N)
+
     @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
     def test_subnormal_alpha_fails(self, alpha):
         # the diagonal's 2 nu/(alpha N^alpha) term overflows: before the

@@ -46,7 +46,7 @@ class TestPreconditionedSpectrum:
         counts = []
         for N in (32, 64, 128):
             d = build_ifl(1.5, 1.75, 1.0, N)
-            eigs = preconditioned_eigenvalues(d, d.scale, 1.0)
+            eigs = preconditioned_eigenvalues(d.first_col, d.scale, 1.0)
             counts.append(int(np.sum((eigs < 0.9) | (eigs > 1.1))))
         assert counts[1] <= counts[0] + 2
         assert counts[2] <= counts[1] + 2
@@ -56,7 +56,7 @@ class TestPreconditionedSpectrum:
         conds = []
         for alpha in (1.1, 1.9):
             d = build_ifl(alpha, 1.0 + alpha / 2.0, 1.0, 64)
-            eigs = system_eigenvalues(d, shift, 1.0)
+            eigs = system_eigenvalues(d.first_col, shift, 1.0)
             conds.append(eigs.max() / eigs.min())
         assert conds[1] > conds[0]
 
@@ -64,8 +64,8 @@ class TestPreconditionedSpectrum:
         # small shift = the ill-conditioned late-time regime
         d = build_ifl(1.9, 1.95, 1.0, 64)
         shift = 1e-3 * d.scale
-        orig = system_eigenvalues(d, shift, 1.0)
-        prec = preconditioned_eigenvalues(d, shift, 1.0)
+        orig = system_eigenvalues(d.first_col, shift, 1.0)
+        prec = preconditioned_eigenvalues(d.first_col, shift, 1.0)
         assert (prec.max() / prec.min()) < 0.2 * (orig.max() / orig.min())
 
     def test_cap_enforced(self):
@@ -78,7 +78,7 @@ class TestXDependentDiagnostics:
         d = build_ifl(1.5, 1.75, 1.0, 32)
         x = d.interior_points()
         kappa = (1.0 + 0.5) * np.exp(0.8 * x + 1.0)
-        sv = preconditioned_singular_values(d, d.scale, kappa)
+        sv = preconditioned_singular_values(d.first_col, d.scale, kappa)
         assert np.all(sv > 0)
         assert np.all(np.isfinite(sv))
         # reported, not asserted tightly: the bulk should sit around 1
@@ -86,7 +86,7 @@ class TestXDependentDiagnostics:
 
     def test_gershgorin_summary_fields(self):
         d = build_ifl(1.5, 1.75, 1.0, 16)
-        M = dense_system(d, 2.0, np.linspace(1.0, 2.0, 15))
+        M = dense_system(d.first_col, 2.0, np.linspace(1.0, 2.0, 15))
         s = gershgorin_summary(M)
         assert s["lower_bound"] <= s["center_min"] <= s["center_max"] <= s["upper_bound"]
         assert s["radius_max"] > 0

@@ -17,6 +17,7 @@ from tsfrac.toeplitz import (
     build_toeplitz,
     precond_solve,
     strang_first_column,
+    symmetric_toeplitz,
     toeplitz_matvec,
 )
 
@@ -126,6 +127,33 @@ class TestStrangFirstColumn:
         col = rng.standard_normal(12)
         c = strang_first_column(col)
         np.testing.assert_array_equal(c[1:], c[1:][::-1])
+
+
+class TestSymmetricToeplitz:
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, DENSE_CROSSOVER,
+                                   DENSE_CROSSOVER + 1])
+    def test_matches_scipy_toeplitz(self, rng, n):
+        col = rng.standard_normal(n)
+        np.testing.assert_array_equal(symmetric_toeplitz(col), toeplitz(col))
+
+    @pytest.mark.parametrize("N", [16, 17])  # odd and even order n = N-1
+    def test_even_column_gives_the_circulant(self, N):
+        c = strang_first_column(build_ifl(1.5, 1.75, 1.0, N).first_col)
+        np.testing.assert_array_equal(symmetric_toeplitz(c), circulant(c))
+
+    def test_view_is_read_only(self):
+        view = symmetric_toeplitz(np.arange(4.0))
+        with pytest.raises(ValueError, match="read-only"):
+            view[1, 2] = 0.0
+
+    def test_dense_matrices_are_writable_copies(self):
+        disc = build_ifl(1.5, 1.75, 1.0, 64)
+        op = build_toeplitz(disc.first_col)
+        p = build_preconditioner(op, 1.0, 1.0)
+        for dense in (op.dense, p.inv_dense, disc.dense()):
+            assert dense.flags.owndata and dense.flags.writeable
+            assert dense.flags.c_contiguous
+            np.testing.assert_array_equal(dense, symmetric_toeplitz(dense[:, 0]))
 
 
 def _example_shift(M=16, r=2.0, gamma=0.5, m=1):

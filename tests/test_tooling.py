@@ -73,3 +73,67 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     # a private function or class nothing reads is dead code
     assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def _walk_in_functions(node, function="<module>"):
+    """Every node below ``node`` with the name of its innermost function."""
+    for child in ast.iter_child_nodes(node):
+        yield child, function
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        yield from _walk_in_functions(child, inner)
+
+
+def dense_layout_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, function, what) of every place that can lay out T[i, j] =
+    c[|i - j|] densely: an import or attribute read of scipy.linalg's
+    ``toeplitz`` or ``circulant`` or of numpy's ``sliding_window_view`` or
+    ``as_strided``, and every ``ndarray`` call given strides."""
+    scipy_names = {"toeplitz", "circulant"}
+    numpy_names = {"sliding_window_view", "as_strided"}
+    sites = []
+    for module, source in sources.items():
+        for node, function in _walk_in_functions(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = (scipy_names if node.module.startswith("scipy.linalg")
+                         else numpy_names if node.module.startswith("numpy")
+                         else set())
+                sites += [(module, function, f"{node.module}.{alias.name}")
+                          for alias in node.names if alias.name in names]
+            elif isinstance(node, ast.Attribute):
+                # scipy.linalg.toeplitz or linalg.toeplitz, not tsfrac.toeplitz
+                owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+                if node.attr in numpy_names or (node.attr in scipy_names
+                                                and owner == "linalg"):
+                    sites.append((module, function, node.attr))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "ndarray"
+                  and (len(node.args) >= 5
+                       or any(k.arg == "strides" for k in node.keywords))):
+                sites.append((module, function, "ndarray(strides)"))
+    return sorted(sites)
+
+
+def test_the_check_finds_a_dense_layout_site():
+    source = ("from scipy.linalg import eigvalsh, toeplitz\n"
+              "import numpy as np\n"
+              "import scipy.linalg\n"
+              "def f(c):\n"
+              "    return scipy.linalg.circulant(c)\n"
+              "class P:\n"
+              "    def g(self, c):\n"
+              "        w = np.lib.stride_tricks.sliding_window_view(c, 2)\n"
+              "        return np.ndarray((2, 2), buffer=c, strides=(-8, 8))\n"
+              "from numpy.lib.stride_tricks import as_strided\n")
+    assert dense_layout_sites({"m.py": source}) == [
+        ("m.py", "<module>", "numpy.lib.stride_tricks.as_strided"),
+        ("m.py", "<module>", "scipy.linalg.toeplitz"),
+        ("m.py", "f", "circulant"),
+        ("m.py", "g", "ndarray(strides)"),
+        ("m.py", "g", "sliding_window_view"),
+    ]
+
+
+def test_one_function_lays_out_every_dense_toeplitz_matrix():
+    # A, s(A) and P^{-1} are all T[i, j] = c[|i - j|]; one strided view forms them
+    assert dense_layout_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("toeplitz.py", "symmetric_toeplitz", "ndarray(strides)")]
