@@ -1,20 +1,25 @@
 """Command-line harness: convergence studies, solver comparisons, diagnostics.
 
-Subcommands
------------
-convergence-time    error/rate table over a doubling list of M (N coupled)
-convergence-space   error/rate table over a doubling list of N (M coupled)
-solver-compare      scheme x solver matrix at one grid size
-spectrum            dense eigenvalue / singular-value listing at one level
-soe-check           kernel-compression error profile over a log grid
-soe-nodes           CSV dump of the SOE nodes and weights
-ifl-column          CSV dump of the Toeplitz first column
+Subcommands, and the flags each takes besides --out and --format
+----------------------------------------------------------------
+convergence-time    error/rate table over a doubling list --M, N coupled
+convergence-space   the same over a doubling list --N, M coupled; both take
+                    --case --gamma --alpha --r --mu --coupling --scheme
+                    --solver --eps --tol --T --time-reps
+solver-compare      scheme x solver matrix at one grid --N [--M]; the flags
+                    above but --scheme and --solver
+spectrum            dense spectra at one --level of one grid --N [--M]; --case
+                    --gamma --alpha --r --mu --coupling --kappa-const --T
+soe-check           kernel-compression error profile over a log grid;
+                    --case --gamma --r --eps --delta --T --points
+soe-nodes           SOE nodes and weights; soe-check's flags but --points
+ifl-column          CSV dump of the Toeplitz first column; --alpha --mu --N
 
 Output is CSV on stdout by default (``--format json`` wraps rows plus the
 config); every table is preceded by ``#`` comment lines echoing the full
 configuration so each row is reproducible from the file alone.  Errors are
 printed with 4 significant digits, rates with 3 decimals.  Exit code 0 on
-success, nonzero on any run failure.
+success, 1 on a run failure, 2 on a flag the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -76,6 +81,8 @@ def _emit(config: argparse.Namespace, table: Table) -> str:
 
 
 def _run_scheme(config: argparse.Namespace, scheme: str, M: int, N: int, solver: str):
+    if config.time_reps < 1:
+        raise ValueError(f"--time-reps must be >= 1, got {config.time_reps}")
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
     options = SolverOptions(solver=solver, tol=config.tol)
     kwargs = dict(mu=resolved_mu(config), options=options)
@@ -97,7 +104,7 @@ _CONV_COLUMNS = ["M", "N", "err_inf", "rate_inf", "err_2", "rate_2",
 
 
 def _coupling_q(config: argparse.Namespace) -> float:
-    return 2.0 if config.coupling.endswith("2") else resolved_mu(config)
+    return 2.0 if config.coupling == "2" else resolved_mu(config)
 
 
 def cmd_convergence(config: argparse.Namespace) -> Table:
@@ -126,12 +133,18 @@ def cmd_convergence(config: argparse.Namespace) -> Table:
     return table
 
 
-def cmd_solver_compare(config: argparse.Namespace) -> Table:
-    if not config.N:
-        raise ValueError("solver-compare needs --N")
-    N = config.N[0]
+def _one_grid(config: argparse.Namespace) -> tuple[int, int]:
+    """(N, M) from --N and --M; M defaults to the coupled M(N)."""
+    if config.N is None:
+        raise ValueError(f"{config.subcommand} needs --N")
+    if config.M is not None:
+        return config.N, config.M
     q = _coupling_q(config)
-    M = config.M[0] if config.M else couplings.m_from_n(N, config.r, config.gamma, q)
+    return config.N, couplings.m_from_n(config.N, config.r, config.gamma, q)
+
+
+def cmd_solver_compare(config: argparse.Namespace) -> Table:
+    N, M = _one_grid(config)
     table = Table(["scheme", "solver", "M", "N", "err_inf", "err_2",
                    "avg_its", "wall_s"])
     for scheme in ("dids", "fids"):
@@ -144,13 +157,9 @@ def cmd_solver_compare(config: argparse.Namespace) -> Table:
 
 
 def cmd_spectrum(config: argparse.Namespace) -> Table:
-    if not config.N:
-        raise ValueError("spectrum needs --N")
-    N = config.N[0]
+    N, M = _one_grid(config)
     # before the coupled M, which grows like N^2, sizes the mesh
     spectrum.check_order(N - 1)
-    q = _coupling_q(config)
-    M = config.M[0] if config.M else couplings.m_from_n(N, config.r, config.gamma, q)
     level = config.level if config.level is not None else M
     if not 1 <= level <= M:
         raise ValueError(f"--level must lie in [1, {M}], got {level}")
@@ -188,6 +197,8 @@ def _soe_of(config: argparse.Namespace):
 
 
 def cmd_soe_check(config: argparse.Namespace) -> Table:
+    if config.points < 1:
+        raise ValueError(f"--points must be >= 1, got {config.points}")
     soe, delta = _soe_of(config)
     t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
     err = np.abs(t ** (-config.gamma) - soe.evaluate(t))
@@ -208,28 +219,59 @@ def cmd_soe_nodes(config: argparse.Namespace) -> Table:
 
 
 def cmd_ifl_column(config: argparse.Namespace) -> Table:
-    if not config.N:
+    if config.N is None:
         raise ValueError("ifl-column needs --N")
-    disc = build_ifl(config.alpha, resolved_mu(config), 1.0, config.N[0])
+    disc = build_ifl(config.alpha, resolved_mu(config), 1.0, config.N)
     table = Table(["k", "first_col"])
     for k, v in enumerate(disc.first_col, start=1):
         table.add(k, f"{v:.16e}")
     return table
 
 
-_COMMANDS = {
-    "convergence-time": cmd_convergence,
-    "convergence-space": cmd_convergence,
-    "solver-compare": cmd_solver_compare,
-    "spectrum": cmd_spectrum,
-    "soe-check": cmd_soe_check,
-    "soe-nodes": cmd_soe_nodes,
-    "ifl-column": cmd_ifl_column,
-}
-
-
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
+
+
+# Each flag's add_argument keywords, in JSON echo order; "M*"/"N*" take lists.
+_FLAGS = {
+    "case": dict(choices=("example1", "example2"), default="example1"),
+    "gamma": dict(type=float, default=0.5),
+    "alpha": dict(type=float, default=1.5),
+    "r": dict(type=float, default=2.0),
+    "mu": dict(type=float, default=None, help="splitting parameter; default 1 + alpha/2"),
+    "M*": dict(type=_int_list, default=[], help="comma-separated time-step counts"),
+    "M": dict(type=int, default=None, help="time-step count; default coupled to N"),
+    "N*": dict(type=_int_list, default=[], help="comma-separated spatial interval counts"),
+    "N": dict(type=int, default=None, help="spatial interval count"),
+    "coupling": dict(choices=("2", "mu"), default="2", help="q of the coupled grid"),
+    "scheme": dict(choices=("dids", "fids"), default="fids"),
+    "solver": dict(choices=("auto", "direct", "krylov", "pkrylov"), default="auto"),
+    "eps": dict(dest="epsilon", type=float, default=None,
+                help="SOE tolerance; default 1e-10 (example1) / 1e-9 (example2)"),
+    "tol": dict(type=float, default=1e-10),
+    "out": dict(default=None),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "level": dict(type=int, default=None),
+    "kappa-const": dict(dest="kappa_const", type=float, default=None),
+    "delta": dict(type=float, default=None),
+    "T": dict(type=float, default=1.0),
+    "points": dict(type=int, default=10_000),
+    "time-reps": dict(dest="time_reps", type=int, default=1),
+}
+
+# subcommand -> (command, the flags it reads besides --out and --format)
+_COMMANDS = {
+    "convergence-time": (cmd_convergence, "case gamma alpha r mu M* coupling "
+                         "scheme solver eps tol T time-reps"),
+    "convergence-space": (cmd_convergence, "case gamma alpha r mu N* coupling "
+                          "scheme solver eps tol T time-reps"),
+    "solver-compare": (cmd_solver_compare,
+                       "case gamma alpha r mu M N coupling eps tol T time-reps"),
+    "spectrum": (cmd_spectrum, "case gamma alpha r mu M N coupling level kappa-const T"),
+    "soe-check": (cmd_soe_check, "case gamma r eps delta T points"),
+    "soe-nodes": (cmd_soe_nodes, "case gamma r eps delta T"),
+    "ifl-column": (cmd_ifl_column, "alpha mu N"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,50 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="benchmarks for the fractional-diffusion difference schemes",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--case", choices=("example1", "example2"), default="example1")
-        p.add_argument("--gamma", type=float, default=0.5)
-        p.add_argument("--alpha", type=float, default=1.5)
-        p.add_argument("--r", type=float, default=2.0)
-        p.add_argument("--mu", type=float, default=None,
-                       help="splitting parameter; default 1 + alpha/2")
-        p.add_argument("--M", type=_int_list, default=[],
-                       help="comma-separated time-step counts")
-        p.add_argument("--N", type=_int_list, default=[],
-                       help="comma-separated spatial interval counts")
-        p.add_argument("--coupling",
-                       choices=("time2", "timemu", "space2", "spacemu"),
-                       default=None)
-        p.add_argument("--scheme", choices=("dids", "fids"), default="fids")
-        p.add_argument("--solver", choices=("auto", "direct", "krylov", "pkrylov"),
-                       default="auto")
-        p.add_argument("--eps", dest="epsilon", type=float, default=None,
-                       help="SOE tolerance; default 1e-10 (example1) / 1e-9 (example2)")
-        p.add_argument("--tol", type=float, default=1e-10)
-        # --out before --format: the echoed config keeps this order
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--kappa-const", dest="kappa_const", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--T", type=float, default=1.0)
-        p.add_argument("--points", type=int, default=10_000)
-        p.add_argument("--time-reps", dest="time_reps", type=int, default=1)
+        for flag in sorted(flags.split() + ["out", "format"], key=list(_FLAGS).index):
+            p.add_argument("--" + flag.rstrip("*"), **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     config = build_parser().parse_args(argv)
     try:
-        if config.coupling is None:
-            config.coupling = ("space2" if config.subcommand == "convergence-space"
-                               else "time2")
-        for flag, value in (("--points", config.points),
-                            ("--time-reps", config.time_reps)):
-            if value < 1:
-                raise ValueError(f"{flag} must be >= 1, got {value}")
-        text = _emit(config, _COMMANDS[config.subcommand](config))
+        text = _emit(config, _COMMANDS[config.subcommand][0](config))
     except Exception as exc:  # any run failure -> nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 Temporal studies couple the spatial resolution to the step count,
 N(M) = 2 M^{p/q}, and spatial studies couple the other way,
 M(N) = (N/2)^{q/p}, with p = min(r*gamma, 2-gamma) and q = 2 for the
-smooth-profile studies or q = mu for the reduced-regularity ones.
+smooth-profile studies or q = mu for the reduced-regularity ones.  The CLI's
+``--coupling 2|mu`` selects q; the subcommand selects the direction.
 
 Both rules truncate the double-precision value.  This is deliberate and
 load-bearing: the pinned benchmark numbers depend on it, including cases
@@ -18,6 +19,8 @@ import math
 
 def temporal_exponent(r: float, gamma: float) -> float:
     """p = min(r*gamma, 2-gamma), the graded-L1 temporal order."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     return min(r * gamma, 2.0 - gamma)
 
 

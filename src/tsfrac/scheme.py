@@ -61,6 +61,9 @@ from .toeplitz import (ToeplitzOperator, build_preconditioner, build_toeplitz,
 DIRECT_THRESHOLD = 440
 # Largest N-1 the direct path accepts: its work matrix takes 8 (N-1)^2 bytes.
 DENSE_SOLVE_CAP = 2048
+# Most values a full (M+1) x (N-1) history may hold: 2^26 values, 512 MiB,
+# about 20x the largest in the test suite (M = 12854, N = 256: 3.3 M values).
+HISTORY_CAP = 2 ** 26
 _SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
@@ -112,6 +115,8 @@ def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
 
 def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
     """shift_m = a^{(m)}_m / Gamma(1-gamma) of the level-m system."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     return _last_weight(mesh.tau[m - 1], gamma) / math.exp(gammaln(1.0 - gamma))
 
 
@@ -183,6 +188,16 @@ def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
     disc = build_ifl(spec.alpha, mu, spec.l, N)
     x = disc.interior_points()
     return mesh, disc, x
+
+
+def _check_history(M: int, N: int):
+    """Raise, naming M, N and the bytes, before a full history above
+    HISTORY_CAP values is allocated."""
+    size = (M + 1) * (N - 1)
+    if size > HISTORY_CAP:
+        raise ValueError(
+            f"the full history is capped at {HISTORY_CAP} values, got M = {M}, "
+            f"N = {N}: its {M + 1}x{N - 1} array would take {8 * size} bytes")
 
 
 def _check_grid(name: str, what: str, values: np.ndarray, ok: np.ndarray,
@@ -320,9 +335,11 @@ def run_dids(
     """Direct implicit scheme; returns (history of shape (M+1, N-1), report).
 
     The history term at level m is the weighted sum of all previous levels
-    with freshly computed L1 weights (O(m) work and storage per level).
+    with freshly computed L1 weights (O(m) work and storage per level); the
+    history it returns is capped at HISTORY_CAP values.
     """
     t0 = time.perf_counter()
+    _check_history(M, N)
     mesh, disc, x = _setup(spec, M, r, N, mu)
     history = _L1Sum(spec.gamma, mesh, N - 1)
     report = _march(spec, mesh, disc, x, options, history, t0)
@@ -343,15 +360,18 @@ def run_fids(
 
     The SOE compresses t^{-gamma} to ``epsilon`` on [tau_1, T], tau_1 =
     (1/M)^r T being the shortest step, so M must be at least 2.  With
-    ``keep_history`` the full (M+1, N-1) history is returned (the report's
-    errors are tracked level by level either way); the memory-lean mode
-    returns only the final level, the scheme itself consuming just u^{m-1}
-    and the exponential accumulators.
+    ``keep_history`` the full (M+1, N-1) history, capped at HISTORY_CAP
+    values, is returned (the report's errors are tracked level by level
+    either way); the memory-lean mode, not capped, returns only the final
+    level, the scheme itself consuming just u^{m-1} and the exponential
+    accumulators.
     """
     t0 = time.perf_counter()
     if M < 2:
         raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
                          f"[(1/M)^r T, T] is empty")
+    if keep_history:
+        _check_history(M, N)
     mesh, disc, x = _setup(spec, M, r, N, mu)
     soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
     history = _SoeRecurrence(soe, mesh, N - 1, keep_history)

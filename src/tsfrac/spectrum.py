@@ -33,10 +33,17 @@ def _first_col(first_col) -> np.ndarray:
 
 def dense_system(first_col, shift: float, kappa: np.ndarray) -> np.ndarray:
     """Dense shift*I + diag(kappa) A for one time level, A given by its
-    Toeplitz first column."""
+    Toeplitz first column; shift and kappa must be positive and finite."""
     col = _first_col(first_col)
     n = col.size
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (n,))
+    # NaN fails both tests
+    if not 0.0 < shift < np.inf:
+        raise ValueError(f"shift must be positive and finite, got {shift}")
+    bad = np.flatnonzero(~((kappa > 0.0) & (kappa < np.inf)))
+    if bad.size:
+        raise ValueError(f"kappa must be positive and finite, got kappa[{bad[0]}] "
+                         f"= {kappa[bad[0]]}")
     return shift * np.eye(n) + kappa[:, None] * symmetric_toeplitz(col)
 
 

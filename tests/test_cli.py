@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from tsfrac.cli import main
+from tsfrac.cli import _COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -81,7 +82,7 @@ class TestSolverCompare:
     def test_matrix_of_cells_and_error_agreement(self, capsys):
         code, out = run_cli(capsys, "solver-compare", "--N", "16",
                             "--case", "example2", "--alpha", "1.5",
-                            "--gamma", "0.5", "--r", "2", "--coupling", "spacemu")
+                            "--gamma", "0.5", "--r", "2", "--coupling", "mu")
         assert code == 0
         _, _, rows = parse_csv(out)
         assert len(rows) == 6
@@ -177,7 +178,7 @@ class TestSoeCommands:
         weights = np.array([float(r["weight"]) for r in rows])
         assert np.all(nodes > 0) and np.all(weights > 0)
 
-    @pytest.mark.parametrize("command", ["soe-check", "soe-nodes"])
+    @pytest.mark.parametrize("command", ["soe-check"])
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_points_must_be_positive(self, capsys, command, points):
         code = main([command, "--points", points])
@@ -202,6 +203,111 @@ class TestIflColumn:
                                    rtol=1e-15)
 
 
+class TestRejectedFlags:
+    # a flag the subcommand does not read, or in a form it does not read,
+    # fails at parse time with argparse naming it
+    @pytest.mark.parametrize("argv,flag", [
+        (["solver-compare", "--N", "8", "--scheme", "dids"], "--scheme"),
+        (["convergence-time", "--M", "16", "--N", "64"], "--N"),
+        (["ifl-column", "--N", "6", "--points", "0"], "--points"),
+        (["soe-nodes", "--points", "0"], "--points"),
+        (["soe-nodes", "--points", "-1"], "--points"),
+        (["solver-compare", "--N", "8,16"], "--N"),
+        (["convergence-time", "--M", "16", "--coupling", "time2"], "--coupling"),
+    ], ids=["solver-compare-scheme", "convergence-time-N", "ifl-column-points",
+            "soe-nodes-points-0", "soe-nodes-points--1", "solver-compare-N-list", "coupling-time2"])
+    def test_rejected_at_parse_time(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert flag in captured.err
+
+
+class TestBadParameters:
+    # each fails by name in the library function the path calls
+    @pytest.mark.parametrize("gamma", ["0", "-0.3", "1", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["convergence-time", "--M", "16"], ["convergence-space", "--N", "8"],
+        ["solver-compare", "--N", "8"], ["spectrum", "--N", "8"]],
+        ids=lambda argv: argv[0])
+    def test_gamma_of_a_coupled_grid(self, capsys, argv, gamma):
+        # couplings.temporal_exponent
+        assert main(argv + ["--gamma", gamma]) == 1
+        assert (f"gamma must lie in (0, 1), got {float(gamma)}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("gamma", ["0", "-0.3", "1", "1.5"])
+    def test_gamma_of_the_level_shift(self, capsys, gamma):
+        # scheme._level_shift: with --M given, no coupling is computed
+        assert main(["spectrum", "--N", "8", "--M", "4", "--kappa-const", "1",
+                     "--gamma", gamma]) == 1
+        assert (f"gamma must lie in (0, 1), got {float(gamma)}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kappa", ["-1", "0", "nan", "inf"])
+    def test_kappa_const(self, capsys, kappa):
+        # spectrum.dense_system
+        assert main(["spectrum", "--N", "8", "--M", "4", "--kappa-const", kappa]) == 1
+        assert (f"kappa must be positive and finite, got kappa[0] = {float(kappa)}"
+                in capsys.readouterr().err)
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that adds each attribute read to ``log`` while it is a set."""
+    log = None
+
+    def __getattribute__(self, name):
+        if type(self).log is not None:
+            type(self).log.add(name)
+        return super().__getattribute__(name)
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _unread_dests(parser, argvs):
+    """Per subcommand, the dests it registers that no run of ``argvs`` reads;
+    --out counts as read by main and --format by _emit."""
+    read = {name: {"out", "format"} for name in _COMMANDS}
+    for argv in argvs:
+        config = parser.parse_args(argv, namespace=_ReadLog())
+        _ReadLog.log = read[argv[0]]
+        try:
+            _COMMANDS[argv[0]][0](config)
+        finally:
+            _ReadLog.log = None
+    unread = {name: {a.dest for a in sub._actions if a.dest != "help"} - read[name]
+              for name, sub in _subparsers(parser).items()}
+    return {name: dests for name, dests in unread.items() if dests}
+
+
+# small runs that, between them, take every branch that reads a flag:
+# each leaves the defaults that fall back on another flag unset
+_READ_RUNS = [
+    ["convergence-time", "--M", "8"],
+    ["convergence-space", "--N", "8"],
+    ["solver-compare", "--N", "8"],
+    ["spectrum", "--N", "8"],
+    ["soe-check", "--points", "5"],
+    ["soe-nodes"],
+    ["ifl-column", "--N", "6"],
+]
+
+
+class TestFlagsRead:
+    def test_every_registered_flag_is_read(self):
+        assert _unread_dests(build_parser(), _READ_RUNS) == {}
+
+    def test_an_unread_flag_is_caught(self):
+        parser = build_parser()
+        _subparsers(parser)["ifl-column"].add_argument("--dummy", default=0)
+        assert _unread_dests(parser, _READ_RUNS) == {"ifl-column": {"dummy"}}
+
+
 class TestOutputFile:
     def test_out_path(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -212,23 +318,23 @@ class TestOutputFile:
 
 # The full echo of one invocation of each subcommand: the CSV "#" block
 # (config keys sorted, then the table's meta lines) and the JSON "config"
-# object (in field order).  A dropped, renamed or reordered field fails here.
+# object (in field order, format as csv).  A dropped, renamed, reordered or
+# unread field fails here.
 _ECHO_BASE = {"case": "example1", "gamma": 0.5, "alpha": 1.5, "r": 2.0}
-_ECHO_TAIL = {"T": 1.0, "points": 10000, "time_reps": 1}
+_ECHO_TAIL = {"T": 1.0, "time_reps": 1}
 _ECHO = [
     (["convergence-time", "--M", "16", "--scheme", "dids"],
      {"subcommand": "convergence-time", **_ECHO_BASE, "M": [16],
-      "coupling": "time2", "scheme": "dids", "solver": "auto", "tol": 1e-10,
-      **_ECHO_TAIL},
+      "coupling": "2", "scheme": "dids", "solver": "auto", "tol": 1e-10,
+      "format": "csv", **_ECHO_TAIL},
      """\
 # M = [16]
 # T = 1.0
 # alpha = 1.5
 # case = example1
-# coupling = time2
+# coupling = 2
 # format = csv
 # gamma = 0.5
-# points = 10000
 # r = 2.0
 # scheme = dids
 # solver = auto
@@ -236,20 +342,19 @@ _ECHO = [
 # time_reps = 1
 # tol = 1e-10"""),
     (["convergence-space", "--N", "8", "--scheme", "dids",
-      "--coupling", "spacemu", "--mu", "1.8"],
+      "--coupling", "mu", "--mu", "1.8"],
      {"subcommand": "convergence-space", **_ECHO_BASE, "mu": 1.8, "N": [8],
-      "coupling": "spacemu", "scheme": "dids", "solver": "auto", "tol": 1e-10,
-      **_ECHO_TAIL},
+      "coupling": "mu", "scheme": "dids", "solver": "auto", "tol": 1e-10,
+      "format": "csv", **_ECHO_TAIL},
      """\
 # N = [8]
 # T = 1.0
 # alpha = 1.5
 # case = example1
-# coupling = spacemu
+# coupling = mu
 # format = csv
 # gamma = 0.5
 # mu = 1.8
-# points = 10000
 # r = 2.0
 # scheme = dids
 # solver = auto
@@ -258,108 +363,73 @@ _ECHO = [
 # tol = 1e-10"""),
     (["solver-compare", "--N", "8", "--M", "4", "--case", "example2"],
      {"subcommand": "solver-compare", **_ECHO_BASE, "case": "example2",
-      "M": [4], "N": [8], "coupling": "time2", "scheme": "fids",
-      "solver": "auto", "tol": 1e-10, **_ECHO_TAIL},
+      "M": 4, "N": 8, "coupling": "2", "tol": 1e-10, "format": "csv",
+      **_ECHO_TAIL},
      """\
-# M = [4]
-# N = [8]
+# M = 4
+# N = 8
 # T = 1.0
 # alpha = 1.5
 # case = example2
-# coupling = time2
+# coupling = 2
 # format = csv
 # gamma = 0.5
-# points = 10000
 # r = 2.0
-# scheme = fids
-# solver = auto
 # subcommand = solver-compare
 # time_reps = 1
 # tol = 1e-10"""),
     (["spectrum", "--N", "8", "--M", "4", "--level", "2", "--kappa-const", "1.0"],
-     {"subcommand": "spectrum", **_ECHO_BASE, "M": [4], "N": [8],
-      "coupling": "time2", "scheme": "fids", "solver": "auto", "tol": 1e-10,
-      "level": 2, "kappa_const": 1.0, **_ECHO_TAIL},
+     {"subcommand": "spectrum", **_ECHO_BASE, "M": 4, "N": 8,
+      "coupling": "2", "format": "csv", "level": 2, "kappa_const": 1.0,
+      "T": 1.0},
      """\
-# M = [4]
-# N = [8]
+# M = 4
+# N = 8
 # T = 1.0
 # alpha = 1.5
 # case = example1
-# coupling = time2
+# coupling = 2
 # format = csv
 # gamma = 0.5
 # kappa_const = 1.0
 # level = 2
-# points = 10000
 # r = 2.0
-# scheme = fids
-# solver = auto
 # subcommand = spectrum
-# time_reps = 1
-# tol = 1e-10
 # shift = 2.605880e+00"""),
     (["soe-check", "--eps", "1e-6", "--delta", "1e-2", "--points", "5"],
-     {"subcommand": "soe-check", **_ECHO_BASE, "coupling": "time2",
-      "scheme": "fids", "solver": "auto", "epsilon": 1e-06, "tol": 1e-10,
-      "delta": 0.01, "T": 1.0, "points": 5, "time_reps": 1},
+     {"subcommand": "soe-check", "case": "example1", "gamma": 0.5, "r": 2.0,
+      "epsilon": 1e-06, "format": "csv", "delta": 0.01, "T": 1.0, "points": 5},
      """\
 # T = 1.0
-# alpha = 1.5
 # case = example1
-# coupling = time2
 # delta = 0.01
 # epsilon = 1e-06
 # format = csv
 # gamma = 0.5
 # points = 5
 # r = 2.0
-# scheme = fids
-# solver = auto
 # subcommand = soe-check
-# time_reps = 1
-# tol = 1e-10
 # n_exp = 29
 # sup_error = 5.303e-08"""),
     (["soe-nodes", "--eps", "1e-6", "--delta", "1e-2", "--T", "2.0"],
-     {"subcommand": "soe-nodes", **_ECHO_BASE, "coupling": "time2",
-      "scheme": "fids", "solver": "auto", "epsilon": 1e-06, "tol": 1e-10,
-      "delta": 0.01, "T": 2.0, "points": 10000, "time_reps": 1},
+     {"subcommand": "soe-nodes", "case": "example1", "gamma": 0.5, "r": 2.0,
+      "epsilon": 1e-06, "format": "csv", "delta": 0.01, "T": 2.0},
      """\
 # T = 2.0
-# alpha = 1.5
 # case = example1
-# coupling = time2
 # delta = 0.01
 # epsilon = 1e-06
 # format = csv
 # gamma = 0.5
-# points = 10000
 # r = 2.0
-# scheme = fids
-# solver = auto
-# subcommand = soe-nodes
-# time_reps = 1
-# tol = 1e-10"""),
+# subcommand = soe-nodes"""),
     (["ifl-column", "--N", "6", "--alpha", "1.0"],
-     {"subcommand": "ifl-column", **_ECHO_BASE, "alpha": 1.0, "N": [6],
-      "coupling": "time2", "scheme": "fids", "solver": "auto", "tol": 1e-10,
-      **_ECHO_TAIL},
+     {"subcommand": "ifl-column", "alpha": 1.0, "N": 6, "format": "csv"},
      """\
-# N = [6]
-# T = 1.0
+# N = 6
 # alpha = 1.0
-# case = example1
-# coupling = time2
 # format = csv
-# gamma = 0.5
-# points = 10000
-# r = 2.0
-# scheme = fids
-# solver = auto
-# subcommand = ifl-column
-# time_reps = 1
-# tol = 1e-10"""),
+# subcommand = ifl-column"""),
 ]
 
 
@@ -374,10 +444,7 @@ class TestEcho:
     def test_json_config(self, capsys, argv, config, block):
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        # format sits after tol (and out) in field order
-        fields = list(config)
-        fields.insert(fields.index("tol") + 1, "format")
-        expected = [(k, "json" if k == "format" else config[k]) for k in fields]
+        expected = [(k, "json" if k == "format" else v) for k, v in config.items()]
         assert list(json.loads(out)["config"].items()) == expected
 
     def test_out_file_config(self, tmp_path):
@@ -385,8 +452,5 @@ class TestEcho:
         assert main(["ifl-column", "--N", "6", "--format", "json",
                      "--out", str(path)]) == 0
         assert list(json.loads(path.read_text())["config"].items()) == [
-            ("subcommand", "ifl-column"), ("case", "example1"), ("gamma", 0.5),
-            ("alpha", 1.5), ("r", 2.0), ("N", [6]), ("coupling", "time2"),
-            ("scheme", "fids"), ("solver", "auto"), ("tol", 1e-10),
-            ("out", str(path)), ("format", "json"), ("T", 1.0),
-            ("points", 10000), ("time_reps", 1)]
+            ("subcommand", "ifl-column"), ("alpha", 1.5), ("N", 6),
+            ("out", str(path)), ("format", "json")]

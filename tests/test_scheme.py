@@ -179,6 +179,47 @@ class TestInputChecks:
         assert calls == []
 
     @pytest.mark.parametrize("run", [run_dids, run_fids])
+    def test_history_cap_fails_before_allocating(self, run):
+        calls = []
+        spec = make_case("example1", 1.5, 0.5).spec
+        source = spec.source
+        spec = dataclasses.replace(
+            spec, source=lambda x, t: calls.append(t) or source(x, t))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    r"the full history is capped at 67108864 values, got "
+                    r"M = 65536, N = 2049: its 65537x2048 array would take "
+                    r"1073758208 bytes")):
+                run(spec, 2 ** 16, 2, 2049)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the history alone would take 1.07 GB
+        assert peak < 1e5
+        assert calls == []
+
+    def test_history_cap_spares_the_lean_fids_run(self, monkeypatch):
+        # (4+1) x (8-1) = 35 values: above a cap of 34, which only the full
+        # histories meet
+        monkeypatch.setattr(tsfrac.scheme, "HISTORY_CAP", 34)
+        spec = make_case("example1", 1.5, 0.5).spec
+        for run in (run_dids, run_fids):
+            with pytest.raises(ValueError, match="got M = 4, N = 8: its 5x7 array"):
+                run(spec, 4, 2, 8)
+        u, _ = run_fids(spec, 4, 2, 8, keep_history=False)
+        assert u.shape == (7,)
+        monkeypatch.setattr(tsfrac.scheme, "HISTORY_CAP", 35)
+        assert run_dids(spec, 4, 2, 8)[0].shape == (5, 7)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.3, 1.0, 1.5])
+    def test_gamma_outside_the_unit_interval_fails_by_name(self, gamma):
+        with pytest.raises(ValueError, match=rf"gamma must lie in \(0, 1\), got {gamma}"):
+            _level_shift(build_mesh(4, 2.0, 1.0), gamma, 1)
+        with pytest.raises(ValueError, match=rf"gamma must lie in \(0, 1\), got {gamma}"):
+            n_from_m(16, 2.0, gamma, 2.0)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
     @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
     def test_subnormal_alpha_fails(self, run, alpha):
         # before the check: a NaN history and err_inf = nan, with no warning

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,17 @@ class TestXDependentDiagnostics:
         assert np.all(np.isfinite(sv))
         # reported, not asserted tightly: the bulk should sit around 1
         assert 0.2 < np.median(sv) < 5.0
+
+    @pytest.mark.parametrize("shift,kappa,name,value", [
+        (0.0, 1.0, "shift", "0.0"), (-2.0, 1.0, "shift", "-2.0"),
+        (np.nan, 1.0, "shift", "nan"), (1.0, -1.0, "kappa", "kappa[0] = -1.0"),
+        (1.0, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], "kappa", "kappa[2] = 0.0"),
+        (1.0, np.inf, "kappa", "kappa[0] = inf")])
+    def test_dense_system_checks_shift_and_kappa(self, shift, kappa, name, value):
+        d = build_ifl(1.5, 1.75, 1.0, 8)
+        with pytest.raises(ValueError, match=(
+                rf"{name} must be positive and finite, got {re.escape(value)}$")):
+            dense_system(d.first_col, shift, kappa)
 
     def test_gershgorin_summary_fields(self):
         d = build_ifl(1.5, 1.75, 1.0, 16)
