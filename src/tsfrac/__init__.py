@@ -44,12 +44,12 @@ from .soe import (
     history_push,
 )
 from .toeplitz import (
-    CirculantPreconditioner,
     PreconditionerError,
     ToeplitzOperator,
     build_preconditioner,
     build_toeplitz,
     precond_solve,
+    strang_eigenvalues,
     strang_first_column,
     toeplitz_matvec,
 )

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import couplings, spectrum
-from .ifl import build_ifl
+from .ifl import build_ifl, splitting_parameter
 from .mesh import build_mesh
 from .problems import make_case
 from .scheme import SolverOptions, _level_shift, run_dids, run_fids
@@ -42,7 +42,7 @@ DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
 
 
 def resolved_mu(config: argparse.Namespace) -> float:
-    return 1.0 + config.alpha / 2.0 if config.mu is None else config.mu
+    return splitting_parameter(config.alpha, config.mu)
 
 
 def resolved_eps(config: argparse.Namespace) -> float:
@@ -116,13 +116,13 @@ def cmd_convergence(config: argparse.Namespace) -> Table:
     if not sizes:
         raise ValueError(f"{config.subcommand} needs {'--M' if in_time else '--N'} "
                          f"(comma-separated doubling list)")
+    # every grid is resolved, and a bad size reported, before the first solve
+    grids = [(size, couplings.n_from_m(size, config.r, config.gamma, q)) if in_time
+             else (couplings.m_from_n(size, config.r, config.gamma, q), size)
+             for size in sizes]
     table = Table(_CONV_COLUMNS)
     prev = (None, None)
-    for size in sizes:
-        if in_time:
-            M, N = size, couplings.n_from_m(size, config.r, config.gamma, q)
-        else:
-            M, N = couplings.m_from_n(size, config.r, config.gamma, q), size
+    for M, N in grids:
         report = _run_scheme(config, config.scheme, M, N, config.solver)
         rate_inf = couplings.rate(prev[0], report.err_inf) if prev[0] else None
         rate_2 = couplings.rate(prev[1], report.err_2) if prev[1] else None

@@ -1,6 +1,6 @@
 """Discrete Fourier transforms for the structured linear algebra layer.
 
-The spectra that ``toeplitz`` builds once per operator (the circulant
+The spectra that ``toeplitz`` builds once per run (A's circulant
 embedding and the Strang circulant) go through :func:`fft`, which delegates
 to numpy's pocketfft.  The per-iteration kernels of ``toeplitz`` call
 numpy's real transforms (``rfft``/``irfft``) directly.  The reference

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -27,8 +28,6 @@ from .toeplitz import symmetric_toeplitz
 
 @dataclass(frozen=True)
 class IflDiscretization:
-    alpha: float
-    mu: float
     nu: float
     kappa_mu: int      # 1 for mu in (alpha, 2), 2 for mu = 2
     l: float
@@ -59,6 +58,17 @@ def normalization_constant(alpha: float) -> float:
     )
 
 
+def splitting_parameter(alpha: float, mu: Optional[float] = None) -> float:
+    """mu, by default 1 + alpha/2, checked to lie in (alpha, 2] after alpha
+    is checked to lie in (0, 2)."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    mu = 1.0 + alpha / 2.0 if mu is None else mu
+    if not alpha < mu <= 2.0:
+        raise ValueError(f"mu must lie in (alpha, 2], got mu={mu}, alpha={alpha}")
+    return mu
+
+
 def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     """Assemble the first-column representation of A.
 
@@ -68,10 +78,7 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     first_col[1]            = -C (2^nu + kappa_mu - 1)/2
     first_col[k]            = -C ((k+1)^nu - (k-1)^nu)/(2 k^mu),  k >= 2.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if not alpha < mu <= 2.0:
-        raise ValueError(f"mu must lie in (alpha, 2], got mu={mu}, alpha={alpha}")
+    splitting_parameter(alpha, mu)
     try:
         N = operator.index(N)
     except TypeError:
@@ -108,7 +115,7 @@ def build_ifl(alpha: float, mu: float, l: float, N: int) -> IflDiscretization:
     col[2:] = -scale * ((k + 1.0) ** nu - (k - 1.0) ** nu) / (2.0 * k ** mu)
 
     return IflDiscretization(
-        alpha=float(alpha), mu=float(mu), nu=float(nu), kappa_mu=kappa_mu,
+        nu=float(nu), kappa_mu=kappa_mu,
         l=float(l), N=N, h=h, scale=scale, first_col=col,
     )
 

@@ -19,8 +19,6 @@ class GradedMesh:
     """Temporal grid t_m = (m/M)^r T with step sizes tau_m = t_m - t_{m-1}."""
 
     M: int
-    r: float
-    T: float
     t: np.ndarray    # shape (M+1,), t[0] = 0, t[M] = T, strictly increasing
     tau: np.ndarray  # shape (M,), tau[m-1] = t[m] - t[m-1] > 0
 
@@ -43,7 +41,7 @@ def build_mesh(M: int, r: float, T: float) -> GradedMesh:
         raise ValueError(f"final time T must be finite and > 0, got {T}")
     t = (np.arange(M + 1, dtype=float) / M) ** r * T
     tau = np.diff(t)
-    return GradedMesh(M=M, r=float(r), T=float(T), t=t, tau=tau)
+    return GradedMesh(M=M, t=t, tau=tau)
 
 
 def _last_weight(tau_m: float, gamma: float) -> float:

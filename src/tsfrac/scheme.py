@@ -22,9 +22,10 @@ direct threshold, else pkrylov).  ``_CholeskyLevels`` solves the scaled system
 symmetric positive definite because A is a symmetric M-matrix, by Cholesky
 in ``solve_dense``, holding A as a read-only view of its 2N-3 values and one
 work matrix that each level refills and factors in place.  ``_KrylovLevels``
-holds the Toeplitz operator and runs BiCGSTAB, circulant-preconditioned for
-pkrylov, or CG at a level whose kappa is constant on the grid, where
-shift_m I + kappa A is symmetric positive definite.
+holds the Toeplitz operator of A, and for pkrylov the Strang eigenvalues,
+and runs BiCGSTAB, circulant-preconditioned for pkrylov, or CG at a level
+whose kappa is constant on the grid, where shift_m I + kappa A is symmetric
+positive definite.
 """
 
 from __future__ import annotations
@@ -32,18 +33,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import daxpy
 from scipy.special import gammaln
 
-from .ifl import IflDiscretization, build_ifl
+from . import toeplitz
+from .ifl import IflDiscretization, build_ifl, splitting_parameter
 from .krylov import solve_bicgstab, solve_cg, solve_dense
 from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
                   history_push)
-from .toeplitz import (ToeplitzOperator, build_preconditioner, build_toeplitz,
+from .toeplitz import (build_preconditioner, build_toeplitz, strang_eigenvalues,
                        symmetric_toeplitz)
 
 # Largest N-1 handled by the dense direct path.  Measured end to end, FIDS
@@ -149,9 +152,10 @@ class _KrylovLevels:
     """Krylov levels on the run's Toeplitz operator; pkrylov preconditions."""
 
     def __init__(self, disc: IflDiscretization, tag: str, tol: float):
-        self.op: ToeplitzOperator = build_toeplitz(disc.first_col)
+        self.op = build_toeplitz(disc.first_col)
         self.tol = tol
-        self.precondition = tag == "pkrylov"
+        # the eigenvalues lam of s(A) depend on A alone: one transform per run
+        self.lam = strang_eigenvalues(disc.first_col) if tag == "pkrylov" else None
 
     def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
               m: int, t: float) -> tuple[np.ndarray, int]:
@@ -160,20 +164,24 @@ class _KrylovLevels:
         hi = float(kappa.max())
         cg = hi - float(kappa.min()) <= 1e-12 * hi
         method, solver = ("CG", solve_cg) if cg else ("BiCGSTAB", solve_bicgstab)
-        matvec = self.op.matvec
+        # both applies are looked up on the module once per level, so a
+        # wrapper set there sees every call
+        matvec, op = toeplitz.toeplitz_matvec, self.op
 
         def apply(v):
             # shift*v + kappa*(A v), written into the matvec's fresh output
-            out = matvec(v)
+            out = matvec(op, v)
             out *= kappa
             return daxpy(v, out, a=shift)
 
-        precond = (build_preconditioner(self.op, shift, float(kappa.mean())).solve
-                   if self.precondition else None)
+        precond = None
+        if self.lam is not None:
+            precond = partial(toeplitz.precond_solve, build_preconditioner(
+                self.lam, shift, float(kappa.mean())))
         u, report = solver(apply, precond, rhs, tol=self.tol)
         if not report.converged:
             raise RuntimeError(
-                f"{method} ({'pkrylov' if self.precondition else 'krylov'}) "
+                f"{method} ({'pkrylov' if self.lam is not None else 'krylov'}) "
                 f"did not converge at level m={m}, t_m={t:.6g}: "
                 f"{report.iterations} iterations, final relative residual "
                 f"{report.final_relative_residual:.3e} (tol {self.tol:g}), "
@@ -184,8 +192,7 @@ class _KrylovLevels:
 
 def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
     mesh = build_mesh(M, r, spec.T)
-    mu = 1.0 + spec.alpha / 2.0 if mu is None else mu
-    disc = build_ifl(spec.alpha, mu, spec.l, N)
+    disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
     x = disc.interior_points()
     return mesh, disc, x
 

@@ -4,7 +4,7 @@ Everything here assembles dense matrices (capped at a few hundred unknowns)
 and goes through LAPACK (``eigvalsh``/``svdvals``).  The diagnostics take
 the Toeplitz first column of A (``IflDiscretization.first_col``) and form A
 and s(A) through the Toeplitz layer's ``symmetric_toeplitz``; the
-x-dependent one builds the operator's Strang preconditioner as a run does.
+x-dependent one builds the Strang preconditioner as a run does.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigvalsh, svdvals
 
-from .toeplitz import (build_preconditioner, build_toeplitz, precond_solve,
+from .toeplitz import (build_preconditioner, precond_solve, strang_eigenvalues,
                        strang_first_column, symmetric_toeplitz)
 
 DENSE_SPECTRUM_CAP = 256
@@ -78,7 +78,7 @@ def preconditioned_singular_values(first_col, shift: float,
     """
     col = _first_col(first_col)
     M = dense_system(col, shift, kappa)
-    p = build_preconditioner(build_toeplitz(col), shift, float(np.mean(kappa)))
+    p = build_preconditioner(strang_eigenvalues(col), shift, float(np.mean(kappa)))
     PinvM = np.column_stack([precond_solve(p, col) for col in M.T])
     return svdvals(PinvM)[::-1]
 

@@ -4,24 +4,25 @@ Every dense matrix the package forms, A and the symmetric circulants s(A)
 and P^{-1} (whose first columns are even), is T[i, j] = c[|i - j|], formed
 by ``symmetric_toeplitz`` as one read-only view of 2n-1 values.
 
-Each operation has two kernels, and the order n alone picks one.  Up to
-``DENSE_CROSSOVER`` the operator keeps the dense Toeplitz matrix and the
-preconditioner its dense inverse, so every apply is one BLAS product.  Above
-it, the matvec embeds A in a circulant of power-of-two order >= 2n-1 and
-costs one real FFT pair; the preconditioner solve costs one length-n real
-FFT pair.  Both cache their real half-spectra.
+One record, ``ToeplitzOperator``, holds both A and P^{-1}, and one kernel,
+``_apply``, applies either; the order n alone picks its form.  Up to
+``DENSE_CROSSOVER`` the record keeps the dense matrix, so every apply is one
+BLAS product.  Above it, the record keeps the real half-spectrum of a
+circulant of order ``embed_len`` that embeds the matrix, and an apply costs
+one real FFT pair: A embeds in a circulant of power-of-two order >= 2n-1,
+and the circulant P^{-1} is its own embedding (``embed_len`` = n).
 
 The Strang preconditioner copies the central diagonals of A into a circulant
-s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A), built
-from the ToeplitzOperator of A.  The eigenvalues lam of s(A) depend on A
-alone: the operator computes them once, on first use, and each level only
-forms shift + kappa_bar*lam and its inverse.
+s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A).  The
+eigenvalues lam of s(A) depend on A alone: ``strang_eigenvalues`` computes
+them, once per run, and each level's ``build_preconditioner`` only forms
+shift + kappa_bar*lam and the inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -56,34 +57,18 @@ def symmetric_toeplitz(col: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToeplitzOperator:
-    """Symmetric Toeplitz operator, defined by its first column."""
+    """A symmetric Toeplitz matrix (A, or the circulant P^{-1}) of order n,
+    in the one form n picks."""
 
     n: int
-    first_col: np.ndarray
-    embed_len: int              # smallest power of two >= 2n-1
+    embed_len: int              # order of the circulant the matrix embeds in
     dense: Optional[np.ndarray] = None          # the matrix, n <= DENSE_CROSSOVER
     half_spectrum: Optional[np.ndarray] = None  # real DFT(embedding)[:L/2+1], above
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return toeplitz_matvec(self, v)
-
-    @cached_property
-    def strang_eigs(self) -> np.ndarray:
-        """Eigenvalues of the Strang circulant s(A), computed on first use:
-        the real part of DFT(c_S), checked to be real, since s(A) is a real
-        symmetric circulant and a sizable imaginary part means broken input."""
-        spec = fourier.fft(strang_first_column(self.first_col))
-        lam = spec.real
-        imag_resid = np.abs(spec.imag).max()
-        if imag_resid > 1e-10 * max(np.abs(lam).max(), 1e-300):
-            raise PreconditionerError(
-                f"Strang spectrum is not numerically real (residual {imag_resid:g})"
-            )
-        lam.flags.writeable = False  # shared by every level's preconditioner
-        return lam
-
 
 def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
+    """The operator of T[i, j] = first_col[|i - j|], embedded above the
+    crossover in a circulant of the smallest power-of-two order >= 2n-1."""
     first_col = np.asarray(first_col, dtype=float)
     n = first_col.size
     if n < 1:
@@ -92,21 +77,19 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
     while L < max(2 * n - 1, 1):
         L *= 2
     if n <= DENSE_CROSSOVER:
-        return ToeplitzOperator(n=n, first_col=first_col, embed_len=L,
+        return ToeplitzOperator(n=n, embed_len=L,
                                 dense=symmetric_toeplitz(first_col).copy())
     emb = np.zeros(L)
     emb[:n] = first_col
     emb[L - n + 1:] = first_col[1:][::-1]
     half = fourier.fft(emb)[: L // 2 + 1].real.copy()  # the embedding is even
-    return ToeplitzOperator(n=n, first_col=first_col, embed_len=L, half_spectrum=half)
+    return ToeplitzOperator(n=n, embed_len=L, half_spectrum=half)
 
 
-def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
-    """A @ v: one BLAS product, or O(n log n) through the circulant embedding.
-
-    The embedding path zero-pads v to the embedding length, multiplies by
-    the half-spectrum, inverse-transforms and keeps the leading n entries.
-    """
+def _apply(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
+    """op @ v: one BLAS product, or O(n log n) through the circulant embedding,
+    which zero-pads v to the embedding order, multiplies by the half-spectrum,
+    inverse-transforms and keeps the leading n entries."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"vector has shape {v.shape}, operator order is {op.n}")
@@ -114,6 +97,11 @@ def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
         return op.dense @ v
     L = op.embed_len
     return np.fft.irfft(op.half_spectrum * np.fft.rfft(v, L), L)[: op.n]
+
+
+def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
+    """A @ v for the operator of A."""
+    return _apply(op, v)
 
 
 def strang_first_column(first_col: np.ndarray) -> np.ndarray:
@@ -135,37 +123,6 @@ def strang_first_column(first_col: np.ndarray) -> np.ndarray:
 
 class PreconditionerError(RuntimeError):
     """Raised when the circulant preconditioner is not positive definite."""
-
-
-@dataclass(frozen=True)
-class CirculantPreconditioner:
-    """P = shift*I + kappa_bar*s(A), diagonalized by the length-n DFT.
-
-    It is built from the eigenvalues of P alone; the order n and the inverse
-    are derived on construction: the dense circulant P^{-1} for
-    n <= DENSE_CROSSOVER, otherwise the inverse half-eigenvalues.
-    """
-
-    total_eigs: np.ndarray  # shift + kappa_bar * eigenvalues of s(A), all > 0
-    n: int = field(init=False)
-    inv_half: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_dense: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.total_eigs.size)
-        inv_half = 1.0 / self.total_eigs[: self.n // 2 + 1]
-        inv_dense = None
-        if self.n <= DENSE_CROSSOVER:
-            # the first column of P^{-1} is even, so P^{-1} is its symmetric
-            # Toeplitz matrix: synthesize c_0..c_{n//2} and mirror the rest
-            head = _cosine_synthesis(self.n) @ inv_half
-            inv_dense = symmetric_toeplitz(np.concatenate(
-                (head, head[(self.n + 1) // 2 - 1: 0: -1]))).copy()
-        object.__setattr__(self, "inv_half", inv_half)
-        object.__setattr__(self, "inv_dense", inv_dense)
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return precond_solve(self, v)
 
 
 @lru_cache(maxsize=8)
@@ -190,29 +147,38 @@ def _cosine_synthesis(n: int) -> np.ndarray:
     return C
 
 
-def build_preconditioner(op: ToeplitzOperator, shift: float,
-                         kappa_bar: float) -> CirculantPreconditioner:
-    """Strang preconditioner shift*I + kappa_bar*s(A) of the operator A.
+def strang_eigenvalues(first_col: np.ndarray) -> np.ndarray:
+    """Eigenvalues lam of the Strang circulant s(A) of A, given A's first
+    column: the real part of DFT(c_S), s(A) being a real symmetric circulant."""
+    return fourier.fft(strang_first_column(first_col)).real
 
-    The operator supplies its cached Strang eigenvalues lam.  Total
-    eigenvalues shift + kappa_bar * lam must all be strictly positive,
-    otherwise PreconditionerError signals a numerical breakdown.
+
+def build_preconditioner(lam: np.ndarray, shift: float,
+                         kappa_bar: float) -> ToeplitzOperator:
+    """P^{-1} for P = shift*I + kappa_bar*s(A), lam the eigenvalues of s(A).
+
+    Total eigenvalues shift + kappa_bar * lam must all be strictly positive,
+    otherwise PreconditionerError signals a numerical breakdown.  Up to
+    DENSE_CROSSOVER the result holds the dense circulant P^{-1}, otherwise
+    the inverse half-eigenvalues, P^{-1} being its own embedding.
     """
     if shift <= 0.0:
         raise ValueError(f"shift must be > 0, got {shift}")
     if kappa_bar <= 0.0:
         raise ValueError(f"kappa_bar must be > 0, got {kappa_bar}")
-    total = shift + kappa_bar * op.strang_eigs
+    total = shift + kappa_bar * lam
     if np.any(total <= 0.0):
         raise PreconditionerError("preconditioner has a non-positive eigenvalue")
-    return CirculantPreconditioner(total)
+    n = total.size
+    inv_half = 1.0 / total[: n // 2 + 1]
+    if n > DENSE_CROSSOVER:
+        return ToeplitzOperator(n=n, embed_len=n, half_spectrum=inv_half)
+    # the first column of P^{-1} is even, so P^{-1} is its symmetric
+    # Toeplitz matrix: synthesize c_0..c_{n//2} and mirror the rest
+    head = _cosine_synthesis(n) @ inv_half
+    return build_toeplitz(np.concatenate((head, head[(n + 1) // 2 - 1: 0: -1])))
 
 
-def precond_solve(p: CirculantPreconditioner, v: np.ndarray) -> np.ndarray:
-    """P^{-1} v: one BLAS product, or length-n real transforms."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (p.n,):
-        raise ValueError(f"vector has shape {v.shape}, preconditioner order is {p.n}")
-    if p.inv_dense is not None:
-        return p.inv_dense @ v
-    return np.fft.irfft(np.fft.rfft(v) * p.inv_half, p.n)
+def precond_solve(p: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
+    """P^{-1} v for the operator of P^{-1} that build_preconditioner returns."""
+    return _apply(p, v)

@@ -245,6 +245,33 @@ class TestBadParameters:
         assert (f"gamma must lie in (0, 1), got {float(gamma)}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["convergence-time", "--M", "16"], ["convergence-space", "--N", "8"]],
+        ids=lambda argv: argv[0])
+    def test_mu_before_the_coupling(self, capsys, argv):
+        # ifl.splitting_parameter, before q = mu divides or sizes the grid
+        assert main(argv + ["--coupling", "mu", "--mu", "0"]) == 1
+        assert ("mu must lie in (alpha, 2], got mu=0.0, alpha=1.5"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["convergence-time", "--M", "16,-4"], "M must be >= 1, got -4"),
+        (["convergence-space", "--N", "8,1"], "N must be >= 2, got 1")],
+        ids=["convergence-time", "convergence-space"])
+    def test_every_grid_before_the_first_solve(self, capsys, monkeypatch, argv,
+                                               message):
+        # couplings.n_from_m / m_from_n, on every size before any row runs
+        import tsfrac.cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(tsfrac.cli, "run_dids", no_solve)
+        monkeypatch.setattr(tsfrac.cli, "run_fids", no_solve)
+        assert main(argv + ["--scheme", "dids"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("kappa", ["-1", "0", "nan", "inf"])
     def test_kappa_const(self, capsys, kappa):
         # spectrum.dense_system

@@ -9,13 +9,15 @@ from scipy.linalg import circulant, toeplitz
 from oracles import jacobi_eigenvalues
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.problems import make_case
+from tsfrac.scheme import SolverOptions, run_fids
 from tsfrac.toeplitz import (
     DENSE_CROSSOVER,
-    CirculantPreconditioner,
     PreconditionerError,
     build_preconditioner,
     build_toeplitz,
     precond_solve,
+    strang_eigenvalues,
     strang_first_column,
     symmetric_toeplitz,
     toeplitz_matvec,
@@ -33,7 +35,7 @@ def embedding_spectrum(col, L):
 class TestToeplitzMatvec:
     def test_tridiagonal_by_hand(self):
         op = build_toeplitz(np.array([2.0, -1.0, 0.0]))
-        np.testing.assert_allclose(op.matvec(np.ones(3)), [1.0, 0.0, 1.0],
+        np.testing.assert_allclose(toeplitz_matvec(op, np.ones(3)), [1.0, 0.0, 1.0],
                                    atol=1e-13)
 
     def test_unit_vector_reproduces_first_column(self, rng):
@@ -41,7 +43,7 @@ class TestToeplitzMatvec:
         op = build_toeplitz(col)
         e1 = np.zeros(17)
         e1[0] = 1.0
-        out = op.matvec(e1)
+        out = toeplitz_matvec(op, e1)
         assert np.max(np.abs(out - col)) <= 1e-12 * np.abs(col).max()
 
     @pytest.mark.parametrize("n", [200, 440, 441, 512, DENSE_CROSSOVER,
@@ -56,18 +58,19 @@ class TestToeplitzMatvec:
     def test_kernel_switches_at_the_crossover(self):
         # the dense matrix up to the crossover, the real half-spectrum above
         below = build_toeplitz(np.ones(DENSE_CROSSOVER))
-        above = build_toeplitz(np.ones(DENSE_CROSSOVER + 1))
+        col = np.ones(DENSE_CROSSOVER + 1)
+        above = build_toeplitz(col)
         assert below.dense is not None and below.half_spectrum is None
         assert above.dense is None
         assert above.half_spectrum.shape == (above.embed_len // 2 + 1,)
         L = above.embed_len
         np.testing.assert_array_equal(
             above.half_spectrum,
-            embedding_spectrum(above.first_col, L)[: L // 2 + 1].real)
+            embedding_spectrum(col, L)[: L // 2 + 1].real)
         for n, dense in ((DENSE_CROSSOVER, True), (DENSE_CROSSOVER + 1, False)):
-            p = CirculantPreconditioner(np.ones(n))
+            p = build_preconditioner(np.ones(n), 1.0, 1.0)
             assert p.n == n
-            assert (p.inv_dense is not None) == dense
+            assert (p.dense is not None) == dense
 
     def test_embedding_length_is_power_of_two(self):
         op = build_toeplitz(np.ones(100))
@@ -76,14 +79,15 @@ class TestToeplitzMatvec:
 
     def test_imaginary_residue_is_roundoff(self, rng):
         # the frequency-domain product of real data must come back real
-        op = build_toeplitz(rng.standard_normal(37))
+        col = rng.standard_normal(37)
+        op = build_toeplitz(col)
         v = rng.standard_normal(37)
         padded = np.zeros(op.embed_len, dtype=complex)
         padded[:37] = v
-        spectrum = embedding_spectrum(op.first_col, op.embed_len)
+        spectrum = embedding_spectrum(col, op.embed_len)
         full = np.fft.ifft(spectrum * np.fft.fft(padded))[:37]
         assert np.abs(full.imag).max() <= 1e-12 * np.linalg.norm(v)
-        ref = op.matvec(v)
+        ref = toeplitz_matvec(op, v)
         assert np.max(np.abs(full.real - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_dense_side_transforms_nothing(self, monkeypatch):
@@ -100,7 +104,7 @@ class TestToeplitzMatvec:
     def test_dimension_mismatch(self):
         op = build_toeplitz(np.ones(4))
         with pytest.raises(ValueError):
-            op.matvec(np.ones(5))
+            toeplitz_matvec(op, np.ones(5))
 
 
 class TestStrangFirstColumn:
@@ -149,8 +153,8 @@ class TestSymmetricToeplitz:
     def test_dense_matrices_are_writable_copies(self):
         disc = build_ifl(1.5, 1.75, 1.0, 64)
         op = build_toeplitz(disc.first_col)
-        p = build_preconditioner(op, 1.0, 1.0)
-        for dense in (op.dense, p.inv_dense, disc.dense()):
+        p = build_preconditioner(strang_eigenvalues(disc.first_col), 1.0, 1.0)
+        for dense in (op.dense, p.dense, disc.dense()):
             assert dense.flags.owndata and dense.flags.writeable
             assert dense.flags.c_contiguous
             np.testing.assert_array_equal(dense, symmetric_toeplitz(dense[:, 0]))
@@ -166,12 +170,12 @@ class TestBuildPreconditioner:
     def test_identity_column(self):
         col = np.zeros(6)
         col[0] = 1.0
-        p = build_preconditioner(build_toeplitz(col), 1.0, 1.0)
-        np.testing.assert_allclose(p.total_eigs, 2.0, rtol=1e-14)
+        p = build_preconditioner(strang_eigenvalues(col), 1.0, 1.0)
+        np.testing.assert_allclose(1.0 / np.linalg.eigvalsh(p.dense), 2.0, rtol=1e-14)
 
     def test_strang_eigs_against_dense_jacobi(self):
         d = build_ifl(1.5, 1.75, 1.0, 32)
-        lam = build_toeplitz(d.first_col).strang_eigs
+        lam = strang_eigenvalues(d.first_col)
         dense_eigs = jacobi_eigenvalues(circulant(strang_first_column(d.first_col)))
         assert np.max(np.abs(np.sort(lam) - dense_eigs)) <= 1e-10 * dense_eigs.max()
         # Gershgorin disc {z : |z - a11| < a11}
@@ -183,36 +187,36 @@ class TestBuildPreconditioner:
                                             (1.9, 1.95, 64)])
     def test_gershgorin_for_ifl_columns(self, alpha, mu, N):
         d = build_ifl(alpha, mu, 1.0, N)
-        lam = build_toeplitz(d.first_col).strang_eigs
+        lam = strang_eigenvalues(d.first_col)
         assert np.all(lam > 0)
         assert np.all(lam < 2.0 * d.first_col[0])
 
     def test_invalid_shift_or_kappa(self):
-        op = build_toeplitz(build_ifl(1.5, 1.75, 1.0, 8).first_col)
+        lam = strang_eigenvalues(build_ifl(1.5, 1.75, 1.0, 8).first_col)
         with pytest.raises(ValueError):
-            build_preconditioner(op, 0.0, 1.0)
+            build_preconditioner(lam, 0.0, 1.0)
         with pytest.raises(ValueError):
-            build_preconditioner(op, 1.0, -1.0)
+            build_preconditioner(lam, 1.0, -1.0)
 
     def test_nonpositive_spectrum_is_a_breakdown(self):
         col = np.zeros(4)
         col[0] = -1.0  # not an IFL column; forces a negative total eigenvalue
         with pytest.raises(PreconditionerError):
-            build_preconditioner(build_toeplitz(col), 0.5, 1.0)
+            build_preconditioner(strang_eigenvalues(col), 0.5, 1.0)
 
 
 class TestPrecondSolve:
     def test_identity_preconditioner(self, rng):
         col = np.zeros(8)
         col[0] = 1.0
-        p = build_preconditioner(build_toeplitz(col), 0.5, 0.5)  # P = I
+        p = build_preconditioner(strang_eigenvalues(col), 0.5, 0.5)  # P = I
         v = rng.standard_normal(8)
         np.testing.assert_allclose(precond_solve(p, v), v, rtol=1e-13, atol=1e-13)
 
     def test_forward_then_inverse_roundtrip(self, rng):
         d = build_ifl(1.5, 1.75, 1.0, 32)
         shift = _example_shift()
-        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.3)
+        p = build_preconditioner(strang_eigenvalues(d.first_col), shift, 1.3)
         P = shift * np.eye(p.n) + 1.3 * circulant(strang_first_column(d.first_col))
         v = rng.standard_normal(p.n)
         out = precond_solve(p, P @ v)
@@ -220,14 +224,15 @@ class TestPrecondSolve:
 
     @staticmethod
     def _random_spd_circulant(rng, n):
-        # random SPD circulant: diagonally dominant symmetric generator
+        # random SPD circulant I + circulant(gen): diagonally dominant
+        # symmetric generator
         gen = np.zeros(n)
-        gen[0] = 5.0
+        gen[0] = 4.0
         body = rng.uniform(0.01, 0.02, size=(n - 1) // 2)
         gen[1:1 + body.size] = body
         gen[n - body.size:] = body[::-1]
         eigs = np.fft.fft(gen).real
-        return circulant(gen), CirculantPreconditioner(eigs)
+        return np.eye(n) + circulant(gen), build_preconditioner(eigs, 1.0, 1.0)
 
     def test_against_dense_lu(self, rng):
         n = 100
@@ -242,7 +247,7 @@ class TestPrecondSolve:
                                    441, 442])
     def test_against_dense_lu_on_the_fft_side(self, rng, n):
         P, p = self._random_spd_circulant(rng, n)
-        assert p.inv_dense is None
+        assert p.dense is None
         v = rng.standard_normal(n)
         ref = np.linalg.solve(P, v)
         out = precond_solve(p, v)
@@ -251,44 +256,58 @@ class TestPrecondSolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 127, 128, DENSE_CROSSOVER])
     def test_dense_inverse_matches_the_inverse_fft(self, rng, n):
         # the cosine-matrix synthesis and the strided circulant copy replace
-        # scipy.linalg.circulant(np.fft.irfft(inv_half, n))
+        # scipy.linalg.circulant(np.fft.irfft(inv_half, n)); P = I + s with
+        # the eigenvalues of s drawn at random
         eigs = rng.uniform(0.5, 2.0, size=n // 2 + 1)
-        total = np.concatenate((eigs, eigs[1:(n + 1) // 2][::-1]))
-        p = CirculantPreconditioner(total)
-        ref = circulant(np.fft.irfft(1.0 / eigs, n))
-        assert np.max(np.abs(p.inv_dense - ref)) <= 4e-15 * np.abs(ref).max()
-        assert p.inv_dense.flags.c_contiguous
+        lam = np.concatenate((eigs, eigs[1:(n + 1) // 2][::-1]))
+        p = build_preconditioner(lam, 1.0, 1.0)
+        ref = circulant(np.fft.irfft(1.0 / (1.0 + eigs), n))
+        assert np.max(np.abs(p.dense - ref)) <= 4e-15 * np.abs(ref).max()
+        assert p.dense.flags.c_contiguous
 
-    def test_strang_spectrum_is_computed_once_per_operator(self, monkeypatch):
+    @pytest.mark.parametrize("n", [DENSE_CROSSOVER, DENSE_CROSSOVER + 1])
+    def test_inverse_is_the_operator_of_its_first_column(self, n):
+        # a circulant is its own embedding; below the crossover P^{-1} is
+        # exactly the Toeplitz operator of its even first column
+        lam = strang_eigenvalues(build_ifl(1.5, 1.75, 1.0, n + 1).first_col)
+        p = build_preconditioner(lam, 0.3, 1.7)
+        if n <= DENSE_CROSSOVER:
+            op = build_toeplitz(p.dense[:, 0])
+            assert (p.n, p.embed_len, p.half_spectrum) == (n, op.embed_len, None)
+            np.testing.assert_array_equal(p.dense, op.dense)
+        else:
+            assert p.embed_len == n and p.half_spectrum.shape == (n // 2 + 1,)
+
+    @pytest.mark.parametrize("N,fft_calls", [(32, 0), (DENSE_CROSSOVER + 1, 0),
+                                             (DENSE_CROSSOVER + 2, 1)])
+    @pytest.mark.parametrize("solver,strang_calls", [("krylov", 0), ("pkrylov", 1)])
+    def test_strang_spectrum_is_computed_once_per_run(self, monkeypatch, N,
+                                                      fft_calls, solver,
+                                                      strang_calls):
+        # fft_calls: A's embedding above the crossover, once per run
         import tsfrac.fourier
 
-        col = build_ifl(1.5, 1.75, 1.0, 32).first_col
-        fresh = build_toeplitz(col).strang_eigs
-        op = build_toeplitz(col)
         calls = []
         fft = tsfrac.fourier.fft
         monkeypatch.setattr(tsfrac.fourier, "fft",
                             lambda x: calls.append(x.size) or fft(x))
-        p1 = build_preconditioner(op, 1.0, 1.0)
-        p2 = build_preconditioner(op, 2.0, 0.5)
-        assert calls == [op.n]
-        assert op.strang_eigs is op.strang_eigs
-        np.testing.assert_array_equal(op.strang_eigs, fresh)
-        np.testing.assert_array_equal(p1.total_eigs, 1.0 + 1.0 * fresh)
-        np.testing.assert_array_equal(p2.total_eigs, 2.0 + 0.5 * fresh)
+        run_fids(make_case("example2", 1.5, 0.5).spec, 16, 2, N,
+                 options=SolverOptions(solver=solver))
+        assert len(calls) == fft_calls + strang_calls
 
     def test_inverse_norm_bound(self):
         d = build_ifl(1.5, 1.75, 1.0, 16)
         shift = _example_shift()
-        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.0)
+        p = build_preconditioner(strang_eigenvalues(d.first_col), shift, 1.0)
         P = shift * np.eye(p.n) + circulant(strang_first_column(d.first_col))
         inv_norm = np.linalg.norm(np.linalg.inv(P), 2)
-        assert inv_norm <= (1.0 + 1e-12) / p.total_eigs.min()
+        total_eigs = shift + 1.0 * strang_eigenvalues(d.first_col)
+        assert inv_norm <= (1.0 + 1e-12) / total_eigs.min()
 
     def test_dimension_mismatch(self):
         col = np.zeros(4)
         col[0] = 1.0
-        p = build_preconditioner(build_toeplitz(col), 1.0, 1.0)
+        p = build_preconditioner(strang_eigenvalues(col), 1.0, 1.0)
         with pytest.raises(ValueError):
             precond_solve(p, np.zeros(5))
 
@@ -308,7 +327,7 @@ class TestRandomOrderOracles:
 
         d = build_ifl(alpha, 1.0 + alpha / 2.0, 1.0, n + 1)
         shift = shift_ratio * d.first_col[0]
-        p = build_preconditioner(build_toeplitz(d.first_col), shift, 1.5)
+        p = build_preconditioner(strang_eigenvalues(d.first_col), shift, 1.5)
         P = shift * np.eye(n) + 1.5 * circulant(strang_first_column(d.first_col))
         ref = np.linalg.solve(P, v)
         out = precond_solve(p, v)

@@ -137,3 +137,38 @@ def test_one_function_lays_out_every_dense_toeplitz_matrix():
     # A, s(A) and P^{-1} are all T[i, j] = c[|i - j|]; one strided view forms them
     assert dense_layout_sites({p.name: p.read_text() for p in PACKAGE}) == [
         ("toeplitz.py", "symmetric_toeplitz", "ndarray(strides)")]
+
+
+# the fields a kernel reads to apply an operator, and the parent's names for
+# them on the preconditioner record
+KERNEL_FIELDS = {"dense", "half_spectrum", "inv_dense", "inv_half"}
+
+
+def kernel_field_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that reads a kernel field of an
+    operator as an attribute; a method call such as ``disc.dense()`` is not
+    a read."""
+    sites = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        sites.update((module, function) for node, function in _walk_in_functions(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in KERNEL_FIELDS
+                     and isinstance(node.ctx, ast.Load) and id(node) not in called)
+    return sorted(sites)
+
+
+def test_the_check_finds_a_second_kernel():
+    source = ("def _apply(op, v):\n"
+              "    return op.dense @ v if op.dense is not None else op.half_spectrum\n"
+              "def solve(p, v):\n"
+              "    return p.inv_dense @ v\n"
+              "def matrix(disc):\n"
+              "    return disc.dense()\n")
+    assert kernel_field_sites({"m.py": source}) == [("m.py", "_apply"), ("m.py", "solve")]
+
+
+def test_one_kernel_applies_every_operator():
+    # A and P^{-1} are one record, applied by one function
+    assert kernel_field_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("toeplitz.py", "_apply")]
