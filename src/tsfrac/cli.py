@@ -17,9 +17,12 @@ ifl-column          CSV dump of the Toeplitz first column; --alpha --mu --N
 
 Output is CSV on stdout by default (``--format json`` wraps rows plus the
 config); every table is preceded by ``#`` comment lines echoing the full
-configuration so each row is reproducible from the file alone.  Errors are
-printed with 4 significant digits, rates with 3 decimals.  Exit code 0 on
-success, 1 on a run failure, 2 on a flag the subcommand does not take.
+configuration so each row is reproducible from the file alone.  CSV rows
+are written as they finish; a row that fails ends the table, the rows
+before it standing (JSON adds an ``error`` field), and the error goes to
+stderr.  Errors are printed with 4 significant digits, rates with 3
+decimals.  Exit code 0 on success, 1 on a run failure, 2 on a flag the
+subcommand does not take.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -58,25 +62,47 @@ def _fmt_rate(v) -> str:
 
 
 class Table:
-    def __init__(self, columns: list[str]):
+    """Columns, meta lines and rows; ``rows`` may be a generator that solves
+    each row as it is read, so the table is written as its rows finish."""
+
+    def __init__(self, columns: list[str], rows: Iterable = ()):
         self.columns = columns
-        self.rows: list[list[str]] = []
+        self.rows = rows
         self.meta: dict[str, str] = {}
 
-    def add(self, *values):
-        self.rows.append([str(v) for v in values])
 
-
-def _emit(config: argparse.Namespace, table: Table) -> str:
+def _emit(config: argparse.Namespace, table: Table, write) -> Optional[Exception]:
+    """Write ``table`` through ``write`` and return the error of a row that
+    failed, if one did.  CSV goes out row by row, the ``#`` echo with the
+    first row; JSON goes out at the end, with an ``error`` field after a
+    failure.  When the first row fails, nothing is written."""
     cfg = {k: v for k, v in vars(config).items() if v not in (None, [])}
-    if config.format == "json":
-        payload = {"config": cfg, "meta": table.meta, "columns": table.columns,
-                   "rows": [dict(zip(table.columns, row)) for row in table.rows]}
-        return json.dumps(payload, indent=2) + "\n"
+    rows, error = [], None
+    try:
+        for values in table.rows:
+            rows.append([str(v) for v in values])
+            if config.format == "csv":
+                if len(rows) == 1:
+                    write(_csv_header(cfg, table))
+                write(",".join(rows[-1]) + "\n")
+    except Exception as exc:  # a row failed: the rows before it stand
+        error = exc
+    if rows or error is None:
+        if config.format == "json":
+            payload = {"config": cfg, "meta": table.meta, "columns": table.columns,
+                       "rows": [dict(zip(table.columns, row)) for row in rows]}
+            if error is not None:
+                payload["error"] = str(error)
+            write(json.dumps(payload, indent=2) + "\n")
+        elif not rows:
+            write(_csv_header(cfg, table))
+    return error
+
+
+def _csv_header(cfg: dict, table: Table) -> str:
     lines = [f"# {k} = {v}" for k, v in sorted(cfg.items())]
     lines.extend(f"# {k} = {v}" for k, v in table.meta.items())
     lines.append(",".join(table.columns))
-    lines.extend(",".join(row) for row in table.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -120,17 +146,19 @@ def cmd_convergence(config: argparse.Namespace) -> Table:
     grids = [(size, couplings.n_from_m(size, config.r, config.gamma, q)) if in_time
              else (couplings.m_from_n(size, config.r, config.gamma, q), size)
              for size in sizes]
-    table = Table(_CONV_COLUMNS)
-    prev = (None, None)
-    for M, N in grids:
-        report = _run_scheme(config, config.scheme, M, N, config.solver)
-        rate_inf = couplings.rate(prev[0], report.err_inf) if prev[0] else None
-        rate_2 = couplings.rate(prev[1], report.err_2) if prev[1] else None
-        table.add(M, N, _fmt_err(report.err_inf), _fmt_rate(rate_inf),
-                  _fmt_err(report.err_2), _fmt_rate(rate_2),
-                  f"{report.avg_iterations:.1f}", f"{report.wall_time:.3f}")
-        prev = (report.err_inf, report.err_2)
-    return table
+
+    def rows():
+        prev = (None, None)
+        for M, N in grids:
+            report = _run_scheme(config, config.scheme, M, N, config.solver)
+            rate_inf = couplings.rate(prev[0], report.err_inf) if prev[0] else None
+            rate_2 = couplings.rate(prev[1], report.err_2) if prev[1] else None
+            yield (M, N, _fmt_err(report.err_inf), _fmt_rate(rate_inf),
+                   _fmt_err(report.err_2), _fmt_rate(rate_2),
+                   f"{report.avg_iterations:.1f}", f"{report.wall_time:.3f}")
+            prev = (report.err_inf, report.err_2)
+
+    return Table(_CONV_COLUMNS, rows())
 
 
 def _one_grid(config: argparse.Namespace) -> tuple[int, int]:
@@ -145,15 +173,17 @@ def _one_grid(config: argparse.Namespace) -> tuple[int, int]:
 
 def cmd_solver_compare(config: argparse.Namespace) -> Table:
     N, M = _one_grid(config)
-    table = Table(["scheme", "solver", "M", "N", "err_inf", "err_2",
-                   "avg_its", "wall_s"])
-    for scheme in ("dids", "fids"):
-        for solver in ("direct", "krylov", "pkrylov"):
-            report = _run_scheme(config, scheme, M, N, solver)
-            table.add(scheme, solver, M, N, _fmt_err(report.err_inf),
-                      _fmt_err(report.err_2), f"{report.avg_iterations:.1f}",
-                      f"{report.wall_time:.3f}")
-    return table
+
+    def rows():
+        for scheme in ("dids", "fids"):
+            for solver in ("direct", "krylov", "pkrylov"):
+                report = _run_scheme(config, scheme, M, N, solver)
+                yield (scheme, solver, M, N, _fmt_err(report.err_inf),
+                       _fmt_err(report.err_2), f"{report.avg_iterations:.1f}",
+                       f"{report.wall_time:.3f}")
+
+    return Table(["scheme", "solver", "M", "N", "err_inf", "err_2", "avg_its",
+                  "wall_s"], rows())
 
 
 def cmd_spectrum(config: argparse.Namespace) -> Table:
@@ -171,22 +201,21 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
     if config.kappa_const is not None:
         orig = spectrum.system_eigenvalues(col, shift, config.kappa_const)
         prec = spectrum.preconditioned_eigenvalues(col, shift, config.kappa_const)
-        table = Table(["index", "eig_original", "eig_preconditioned"])
+        table = Table(["index", "eig_original", "eig_preconditioned"],
+                      [(i, f"{a:.12e}", f"{b:.12e}")
+                       for i, (a, b) in enumerate(zip(orig, prec))])
         table.meta["shift"] = f"{shift:.6e}"
-        for i, (a, b) in enumerate(zip(orig, prec)):
-            table.add(i, f"{a:.12e}", f"{b:.12e}")
         return table
 
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
     kappa = np.asarray(case.spec.kappa(x, mesh.t[level]), dtype=float)
     sv = spectrum.preconditioned_singular_values(col, shift, kappa)
     summary = spectrum.gershgorin_summary(spectrum.dense_system(col, shift, kappa))
-    table = Table(["index", "sv_preconditioned"])
+    table = Table(["index", "sv_preconditioned"],
+                  [(i, f"{v:.12e}") for i, v in enumerate(sv)])
     table.meta["shift"] = f"{shift:.6e}"
     for k, v in summary.items():
         table.meta[f"gershgorin_{k}"] = f"{v:.6e}"
-    for i, v in enumerate(sv):
-        table.add(i, f"{v:.12e}")
     return table
 
 
@@ -202,30 +231,25 @@ def cmd_soe_check(config: argparse.Namespace) -> Table:
     soe, delta = _soe_of(config)
     t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
     err = np.abs(t ** (-config.gamma) - soe.evaluate(t))
-    table = Table(["t", "abs_error"])
+    table = Table(["t", "abs_error"],
+                  [(f"{ti:.6e}", f"{ei:.3e}") for ti, ei in zip(t, err)])
     table.meta["n_exp"] = str(soe.n_exp)
     table.meta["sup_error"] = f"{err.max():.3e}"
-    for ti, ei in zip(t, err):
-        table.add(f"{ti:.6e}", f"{ei:.3e}")
     return table
 
 
 def cmd_soe_nodes(config: argparse.Namespace) -> Table:
     soe, _ = _soe_of(config)
-    table = Table(["node", "weight"])
-    for s, w in zip(soe.nodes, soe.weights):
-        table.add(f"{s:.16e}", f"{w:.16e}")
-    return table
+    return Table(["node", "weight"], [(f"{s:.16e}", f"{w:.16e}")
+                                      for s, w in zip(soe.nodes, soe.weights)])
 
 
 def cmd_ifl_column(config: argparse.Namespace) -> Table:
     if config.N is None:
         raise ValueError("ifl-column needs --N")
     disc = build_ifl(config.alpha, resolved_mu(config), 1.0, config.N)
-    table = Table(["k", "first_col"])
-    for k, v in enumerate(disc.first_col, start=1):
-        table.add(k, f"{v:.16e}")
-    return table
+    return Table(["k", "first_col"], [(k, f"{v:.16e}")
+                                      for k, v in enumerate(disc.first_col, start=1)])
 
 
 def _int_list(text: str) -> list[int]:
@@ -289,16 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     config = build_parser().parse_args(argv)
+    out = []  # the output stream, opened by the first write
+
+    def write(text: str):
+        if not out:
+            out.append(open(config.out, "w") if config.out else sys.stdout)
+        out[0].write(text)
+        out[0].flush()
+
     try:
-        text = _emit(config, _COMMANDS[config.subcommand][0](config))
+        error = _emit(config, _COMMANDS[config.subcommand][0](config), write)
     except Exception as exc:  # any run failure -> nonzero exit
-        print(f"error: {exc}", file=sys.stderr)
+        error = exc
+    finally:
+        if out and out[0] is not sys.stdout:
+            out[0].close()
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 1
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -2,7 +2,9 @@
 
 The temporal grid is t_m = (m/M)^r T, which concentrates points near t = 0
 where solutions of sub-diffusion problems are weakly singular.  The L1 weights
-are the exact per-interval averages of the kernel (t_m - s)^{-gamma}.
+are the exact per-interval averages of the kernel (t_m - s)^{-gamma}: one
+level's row, or a panel of several levels' rows over a range of intervals,
+the weights past a level being zero as in the lower-triangular L1 matrix.
 """
 
 from __future__ import annotations
@@ -49,11 +51,17 @@ def _last_weight(tau_m: float, gamma: float) -> float:
     return tau_m ** (-gamma) / (1.0 - gamma)
 
 
-def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
-    """L1 weights at level m: a[k-1] = a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)).
+def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
+               stop: int | None = None) -> np.ndarray:
+    """L1 weights a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)), k = start+1..stop.
 
     This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds.
-    The weights are strictly positive and strictly increasing in k.
+    For one level m the result is 1-D, a[k-1-start] = a_k, with stop
+    defaulting to m: ``l1_weights(mesh, gamma, m)`` holds all m weights of
+    the level, strictly positive and strictly increasing in k.  For a 1-D
+    array of levels it is the (levels x columns) panel of those rows, stop
+    defaulting to the smallest level.  A weight past its level, k > m, is 0,
+    as in the lower-triangular L1 matrix.
 
     The power difference is evaluated as R^{1-g} expm1((1-g) log1p((L-R)/R))
     with L = t_m - t_{k-1}, R = t_m - t_k: for gamma near 1 the naive form
@@ -63,18 +71,29 @@ def l1_weights(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not 1 <= m <= mesh.M:
+    levels = np.atleast_1d(m)
+    low, high = int(levels.min()), int(levels.max())
+    if not 1 <= low <= high <= mesh.M:
         raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
+    stop = low if stop is None else stop
+    if not 0 <= start < stop <= high:
+        raise ValueError(f"weights k = {start + 1}..{stop} must form a nonempty "
+                         f"range in 1..{high}")
     t = mesh.t
-    tm = t[m]
+    tm = t[levels][:, None]
+    L = tm - t[start:stop]
+    R = tm - t[start + 1:stop + 1]
     one_mg = 1.0 - gamma
-    a = np.empty(m)
-    if m > 1:
-        L = tm - t[:m - 1]
-        R = tm - t[1:m]
-        a[:-1] = (np.exp(one_mg * np.log(R))
-                  * np.expm1(one_mg * np.log1p((L - R) / R))
-                  / (mesh.tau[:m - 1] * one_mg))
-    a[-1] = _last_weight(mesh.tau[m - 1], gamma)
-    return a
-
+    # from k = m on (R <= 0), L = R = 1 takes the log path to 0; the newest
+    # interval k = m then gets its closed form, in the rows that reach it
+    newest = ()
+    if stop >= low:
+        past = np.arange(start + 1, stop + 1) >= levels[:, None]
+        L[past] = R[past] = 1.0
+        newest = np.flatnonzero((start < levels) & (levels <= stop))
+    a = (np.exp(one_mg * np.log(R))
+         * np.expm1(one_mg * np.log1p((L - R) / R))
+         / (mesh.tau[start:stop] * one_mg))
+    for i in newest:
+        a[i, levels[i] - 1 - start] = _last_weight(mesh.tau[levels[i] - 1], gamma)
+    return a if np.ndim(m) else a[0]

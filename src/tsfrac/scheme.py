@@ -13,15 +13,30 @@ the Caputo history term from the full solution history with the L1 weights
 recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
 /(1-gamma) is shared by both schemes and never goes through the SOE.
 
+DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
+starts, the part of its levels' sums over the rows older than the block is
+one gemm, its L1 weights formed in panels of WEIGHT_PANEL rows; each level
+adds its row of the product and a short gemv over the block's own rows
+(the far/near split of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985).  On a graded mesh the weights are not Toeplitz, so the
+far part is a gemm and not an FFT.
+
 Solver dispatch: the level solve is a per-run strategy too, built once from
 ``select_solver``'s tag (auto is direct when the order N-1 is at most the
-direct threshold, else pkrylov).  ``_CholeskyLevels`` solves the scaled system
+direct threshold, else pkrylov).  ``_DirectLevels`` solves the scaled system
 
     (A + diag(shift_m / kappa)) u^m = rhs_m / kappa,
 
 symmetric positive definite because A is a symmetric M-matrix, by Cholesky
 in ``solve_dense``, holding A as a read-only view of its 2N-3 values and one
-work matrix that each level refills and factors in place.  ``_KrylovLevels``
+work matrix, allocated by the first Cholesky level, that each level refills
+and factors in place.  When kappa_2 / kappa_1 is constant on the grid and
+at least EIGEN_MIN_LEVELS levels remain, it builds once B = K^{1/2} A K^{1/2}
+= Q Lambda Q^T, K = diag(kappa_1), and each later level with kappa_m =
+c_m kappa_1 solves u^m = K^{1/2} Q (shift_m + c_m Lambda)^{-1} Q^T K^{-1/2}
+rhs_m by two gemvs (fast diagonalization, Lynch, Rice & Thomas, Numer. Math.
+6, 1964), then one refinement step with the residual from the direct
+Toeplitz sum; a level that fails the test takes Cholesky.  ``_KrylovLevels``
 holds the Toeplitz operator of A, and for pkrylov the Strang eigenvalues,
 and runs BiCGSTAB, circulant-preconditioned for pkrylov, or CG at a level
 whose kappa is constant on the grid, where shift_m I + kappa A is symmetric
@@ -37,6 +52,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.linalg.blas import daxpy
 from scipy.special import gammaln
 
@@ -67,6 +83,33 @@ DENSE_SOLVE_CAP = 2048
 # Most values a full (M+1) x (N-1) history may hold: 2^26 values, 512 MiB,
 # about 20x the largest in the test suite (M = 12854, N = 256: 3.3 M values).
 HISTORY_CAP = 2 ** 26
+# Levels per block of the DIDS history sum (B), and history rows per weight
+# panel of its gemm (P).  Measured on DIDS, example1 (alpha 1.5, gamma 0.5),
+# M = 4096, r 2, N 128, one BLAS thread, min and median of 3 interleaved
+# runs in s, with the run's tracemalloc peak in MB (4.60 before blocking):
+#   B = 16: P = 64 0.777 / 0.816, 4.487   128 0.716 / 0.725, 4.508
+#           P = 256 0.702 / 0.729, 4.590
+#   B = 32: P = 64 0.669 / 0.722, 4.530   128 0.654 / 0.700, 4.613
+#           P = 256 0.639 / 0.653, 4.776
+#   B = 64: P = 64 0.659 / 0.705, 4.673   128 0.618 / 0.624, 4.834
+#           P = 256 0.577 / 0.623, 5.161
+# A weight panel takes 8 B P bytes, times the few temporaries of its closed
+# form, and the far part 8 B n, so larger B and P buy a few percent of time
+# with several percent of memory.
+HISTORY_BLOCK = 32
+WEIGHT_PANEL = 128
+# Fewest levels, counting level 2, for which a separable kappa builds the
+# eigenbasis.  Its one eigh by LAPACK's syev, which writes Q over its input,
+# costs about 110 Cholesky levels for n from 440 to 2047 (n = 1023: 2.21 s
+# against 20.3 ms; n = 2047: 13.2 s against 113 ms).  Whole DIDS runs on
+# example1 (alpha 1.5, gamma 0.5, r 2), one BLAS thread, min of 3
+# interleaved runs, Cholesky / eigenbasis in ms:
+#   n = 127: M = 96 18.9 / 20.1   128 24.8 / 24.9   192 44.2 / 39.0   256 55.4 / 41.3
+#   n = 255: M = 64 35.2 / 48.8   128 54.0 / 45.2   256 149 / 92.3
+#   n = 440: M = 96 199 / 251     128 189 / 183     256 481 / 280
+# At n = 15 a level costs its dozen numpy calls either way, and the
+# eigenbasis runs about 25% slower (M = 256: 28.2 / 35.1 ms).
+EIGEN_MIN_LEVELS = 128
 _SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
@@ -123,10 +166,19 @@ def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
     return _last_weight(mesh.tau[m - 1], gamma) / math.exp(gammaln(1.0 - gamma))
 
 
-class _CholeskyLevels:
-    """Direct levels: one work matrix per run, refilled and factored in place."""
+def _uniform(v: np.ndarray) -> bool:
+    """Whether a positive vector is constant on the grid: a relative spread
+    of at most 1e-12."""
+    hi = float(v.max())
+    return hi - float(v.min()) <= 1e-12 * hi
 
-    def __init__(self, disc: IflDiscretization):
+
+class _DirectLevels:
+    """Direct levels: Cholesky on a work matrix refilled in place, or, once
+    the diffusivity shows the form kappa_m = c_m kappa_1, one eigenbasis of
+    K^{1/2} A K^{1/2} (K = diag(kappa_1)) that each such level solves in."""
+
+    def __init__(self, disc: IflDiscretization, M: int):
         n = disc.N - 1
         if n > DENSE_SOLVE_CAP:
             raise ValueError(
@@ -134,18 +186,80 @@ class _CholeskyLevels:
                 f"got N-1 = {n}: its {n}x{n} matrix would take "
                 f"{8 * n * n} bytes")
         self.A = symmetric_toeplitz(disc.first_col)  # read-only, 2n-1 values
-        self._work = np.empty((n, n), order="F")
-        self._diag = self._work.reshape(-1, order="F")[:: n + 1]  # a view
+        # A u = the middle n values of kernel * u, a direct sum
+        self.kernel = np.concatenate((disc.first_col[:0:-1], disc.first_col))
+        self.M = M
+        self._work = None     # n x n, allocated by the first Cholesky level
+        self.kappa1 = None
+        self.basis = None     # (sqrt(kappa_1), Lambda, Q) once built
 
     def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
               m: int, t: float) -> tuple[np.ndarray, int]:
         """u with (shift*I + diag(kappa) A) u = rhs, and 0 iterations."""
-        # K^{-1}(shift*I + K A) = A + diag(shift/kappa) is SPD: A is a symmetric
-        # M-matrix and shift/kappa > 0.  A fills the work matrix through the
-        # C-ordered transpose, the faster way to copy the symmetric view
+        if self.kappa1 is None:
+            self.kappa1 = kappa
+        else:
+            c = kappa / self.kappa1
+            if _uniform(c):
+                # decided once, at level 2: a non-separable kappa never pays
+                # for eigh, and a short run never makes up for it
+                if m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS:
+                    self._build_basis()
+                if self.basis is not None:
+                    return self._eigen_solve(shift, float(c.mean()), kappa, rhs), 0
+        return self._cholesky_solve(shift, kappa, rhs), 0
+
+    def _work_matrix(self) -> np.ndarray:
+        if self._work is None:
+            n = self.A.shape[0]
+            self._work = np.empty((n, n), order="F")
+        # A fills the work matrix through the C-ordered transpose, the
+        # faster way to copy the symmetric view
         np.copyto(self._work.T, self.A)
-        self._diag += shift / kappa
-        return solve_dense(self._work, rhs / kappa), 0
+        return self._work
+
+    def _cholesky_solve(self, shift, kappa, rhs):
+        # K^{-1}(shift*I + K A) = A + diag(shift/kappa) is SPD: A is a symmetric
+        # M-matrix and shift/kappa > 0
+        work = self._work_matrix()
+        work.reshape(-1, order="F")[:: work.shape[0] + 1] += shift / kappa
+        return solve_dense(work, rhs / kappa)
+
+    def _build_basis(self):
+        # B = K^{1/2} A K^{1/2} = Q Lambda Q^T, scaled in the work matrix;
+        # syev writes Q over B, so Q takes the work matrix's memory and a
+        # later Cholesky level allocates a fresh one
+        s = np.sqrt(self.kappa1)
+        work = self._work_matrix()
+        work *= s
+        work *= s[:, None]
+        lam, Q = eigh(work, overwrite_a=True, check_finite=False, driver="ev")
+        self._work = None
+        self.basis = (s, lam, Q)
+
+    def _eigen_solve(self, shift, c, kappa, rhs):
+        # shift*I + c K A = K^{1/2} (shift*I + c B) K^{-1/2}, so
+        # u = K^{1/2} Q (shift + c Lambda)^{-1} Q^T K^{-1/2} rhs.  That solve
+        # is only normwise stable, its error growing with the level matrix's
+        # condition (2e-11 relative at n = 440, alpha 1.9, gamma 0.2, where
+        # Cholesky on the diagonally dominant M-matrix keeps 1e-13); one step
+        # of refinement, its residual from the direct Toeplitz sum, brings
+        # it under 1e-12 of Cholesky
+        s, lam, Q = self.basis
+        d = shift + c * lam
+
+        def inverse(b):
+            v = Q.T @ (b / s)
+            v /= d
+            u = Q @ v
+            u *= s
+            return u
+
+        u = inverse(rhs)
+        residual = rhs - shift * u
+        residual -= kappa * np.convolve(self.kernel, u, "valid")
+        u += inverse(residual)
+        return u
 
 
 class _KrylovLevels:
@@ -161,9 +275,8 @@ class _KrylovLevels:
               m: int, t: float) -> tuple[np.ndarray, int]:
         """u with (shift*I + diag(kappa) A) u = rhs, and the iteration count."""
         # a kappa constant on the grid leaves shift*I + kappa*A symmetric
-        hi = float(kappa.max())
-        cg = hi - float(kappa.min()) <= 1e-12 * hi
-        method, solver = ("CG", solve_cg) if cg else ("BiCGSTAB", solve_bicgstab)
+        method, solver = (("CG", solve_cg) if _uniform(kappa)
+                          else ("BiCGSTAB", solve_bicgstab))
         # both applies are looked up on the module once per level, so a
         # wrapper set there sees every call
         matvec, op = toeplitz.toeplitz_matvec, self.op
@@ -246,7 +359,12 @@ class _ErrorTracker:
 
 
 class _L1Sum:
-    """DIDS history: the L1 sum over ``hist`` = u^0 .. u^M, O(m) per level."""
+    """DIDS history: the L1 sum over ``hist`` = u^0 .. u^M, O(m) per level.
+
+    The levels run in blocks of HISTORY_BLOCK.  When a block starts at level
+    m0, the part of its levels' sums over rows 0..m0-1 is one gemm, formed
+    WEIGHT_PANEL rows at a time; each level then adds its row of that product
+    and a gemv over the block's rows before it."""
 
     def __init__(self, gamma: float, mesh: GradedMesh, n: int):
         self.gamma = gamma
@@ -254,15 +372,36 @@ class _L1Sum:
         self.g1mg = math.exp(gammaln(1.0 - gamma))
         self.hist = np.empty((mesh.M + 1, n))
         self.memory_values = self.hist.size
+        self.m0 = 0
+        self.far = self.near = None
+
+    def _coefficients(self, levels: np.ndarray, j0: int, j1: int) -> np.ndarray:
+        """Each level's history coefficients of rows j0..j1-1, over
+        Gamma(1-gamma): a_1 for u^0, a_{j+1} - a_j for u^j, j >= 1."""
+        a = l1_weights(self.mesh, self.gamma, levels, max(j0 - 1, 0), j1)
+        c = np.diff(a, prepend=0.0) if j0 == 0 else np.diff(a)
+        c /= self.g1mg
+        return c
+
+    def _start_block(self, m0: int):
+        levels = np.arange(m0, min(m0 + HISTORY_BLOCK, self.mesh.M + 1))
+        self.m0 = m0
+        self.far = np.zeros((levels.size, self.hist.shape[1]))
+        for j0 in range(0, m0, WEIGHT_PANEL):
+            j1 = min(j0 + WEIGHT_PANEL, m0)
+            self.far += self._coefficients(levels, j0, j1) @ self.hist[j0:j1]
+        # level m0 + i reads the first i columns: rows m0 .. m0+i-1
+        self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
 
     def add_known(self, rhs: np.ndarray, m: int) -> int:
         """rhs += the known history part of level m; returns the op count."""
-        a = l1_weights(self.mesh, self.gamma, m)
-        hist = self.hist
-        rhs += (a[0] / self.g1mg) * hist[0]
-        if m > 1:
-            rhs += (np.diff(a) @ hist[1:m]) / self.g1mg
-        return m * hist.shape[1]
+        if (m - 1) % HISTORY_BLOCK == 0:
+            self._start_block(m)
+        i = m - self.m0
+        rhs += self.far[i]
+        if i:
+            rhs += self.near[i, :i] @ self.hist[self.m0:m]
+        return m * self.hist.shape[1]
 
     def record(self, m: int, u: np.ndarray):
         self.hist[m] = u
@@ -299,7 +438,7 @@ def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
            t0: float) -> SolveReport:
     """Step levels 1..M with ``history`` supplying the Caputo history term."""
     tag = select_solver(disc.N, options)
-    levels = (_CholeskyLevels(disc) if tag == "direct"
+    levels = (_DirectLevels(disc, mesh.M) if tag == "direct"
               else _KrylovLevels(disc, tag, options.tol))
 
     u = np.asarray(spec.initial(x), dtype=float)
@@ -342,8 +481,9 @@ def run_dids(
     """Direct implicit scheme; returns (history of shape (M+1, N-1), report).
 
     The history term at level m is the weighted sum of all previous levels
-    with freshly computed L1 weights (O(m) work and storage per level); the
-    history it returns is capped at HISTORY_CAP values.
+    with the L1 weights (O(m) work and storage per level), summed in blocks
+    of HISTORY_BLOCK levels; the history it returns is capped at HISTORY_CAP
+    values.
     """
     t0 = time.perf_counter()
     _check_history(M, N)

@@ -16,6 +16,10 @@
   term formed as an ``np.outer`` temporary.
 - ``caputo_l1_apply``: the discrete Caputo derivative from the full
   solution history, the O(m) L1 sum.
+- ``l1_weight_by_quadrature``: one L1 weight from its defining integral by
+  adaptive quadrature.
+- ``dids_all_at_once``: the DIDS history from one dense solve of the block
+  lower-triangular system of all M levels.
 - ``fast_coefficients``: the SOE history coefficients b_k in direct form.
 - ``diagonal_dominance_gap``/``dominance_gap_dense``: the strict diagonal
   dominance margin of a symmetric Toeplitz column and of a dense matrix.
@@ -36,9 +40,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammaln
 
-from tsfrac.ifl import build_ifl
+from tsfrac.ifl import build_ifl, splitting_parameter
 from tsfrac.krylov import KrylovReport
 from tsfrac.mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from tsfrac.problems import _ifl_prefactor, hypergeom_terminating
@@ -339,6 +344,54 @@ def caputo_l1_apply(history: np.ndarray, current: np.ndarray, a: np.ndarray,
     if m > 1:
         acc -= np.diff(a) @ hist[1:]
     return acc / math.exp(gammaln(1.0 - gamma))
+
+
+def l1_weight_by_quadrature(mesh: GradedMesh, gamma: float, m: int, k: int) -> float:
+    """a_k at level m, (1/tau_k) int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds, by
+    adaptive quadrature; for k = m the algebraic-endpoint weight takes the
+    singularity at s = t_m."""
+    t = mesh.t
+    if k < m:
+        val, _ = quad(lambda s: (t[m] - s) ** -gamma, t[k - 1], t[k],
+                      epsabs=1e-14, epsrel=1e-14)
+    else:
+        val, _ = quad(lambda s: 1.0, t[k - 1], t[k], weight="alg",
+                      wvar=(0.0, -gamma))
+    return val / mesh.tau[k - 1]
+
+
+def dids_all_at_once(spec: ProblemSpec, M: int, r: float, N: int,
+                     mu: Optional[float] = None) -> np.ndarray:
+    """The DIDS history u^0 .. u^M, shape (M+1, N-1), from one dense solve.
+
+    Level m reads, from the L1 definition,
+
+        (1/Gamma(1-gamma)) sum_{k=1}^m a_k (u^k - u^{k-1}) + K^m A u^m = f^m,
+
+    with each weight a_k of level m by ``l1_weight_by_quadrature``.  The M
+    levels form one block lower-triangular system in the M (N-1) unknowns,
+    solved by LU with no time stepping, so no sum is ordered as the scheme
+    orders it.
+    """
+    mesh = build_mesh(M, r, spec.T)
+    disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
+    x, A = disc.interior_points(), disc.dense()
+    n = x.size
+    g1mg = math.exp(gammaln(1.0 - spec.gamma))
+    u0 = np.asarray(spec.initial(x), dtype=float)
+    system = np.zeros((M * n, M * n))
+    rhs = np.empty(M * n)
+    idx = np.arange(n)
+    for m in range(1, M + 1):
+        a = np.array([l1_weight_by_quadrature(mesh, spec.gamma, m, k)
+                      for k in range(1, m + 1)]) / g1mg
+        rows = slice((m - 1) * n, m * n)
+        system[rows, rows] = spec.kappa(x, mesh.t[m])[:, None] * A
+        system[(m - 1) * n + idx, (m - 1) * n + idx] += a[m - 1]
+        for k in range(1, m):  # u^k enters as a_k u^k - a_{k+1} u^k
+            system[(m - 1) * n + idx, (k - 1) * n + idx] = a[k - 1] - a[k]
+        rhs[rows] = spec.source(x, mesh.t[m]) + a[0] * u0
+    return np.vstack([u0, np.linalg.solve(system, rhs).reshape(M, n)])
 
 
 def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.ndarray:

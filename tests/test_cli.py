@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import tsfrac.scheme
 from tsfrac.cli import _COMMANDS, build_parser, main
 
 
@@ -272,6 +273,35 @@ class TestBadParameters:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    # M = 200000 couples to N = 894, over the full-history cap
+    _CAPPED = ["convergence-time", "--M", "16,200000", "--scheme", "dids"]
+    _CAP_ERROR = "the full history is capped at 67108864 values, got M = 200000"
+
+    def test_csv_rows_are_written_as_they_finish(self, capsys, monkeypatch):
+        import tsfrac.cli
+        seen = []
+
+        def run_dids(*args, **kwargs):
+            seen.append(capsys.readouterr().out)  # written before this row
+            return tsfrac.scheme.run_dids(*args, **kwargs)
+
+        monkeypatch.setattr(tsfrac.cli, "run_dids", run_dids)
+        assert main(self._CAPPED) == 1
+        captured = capsys.readouterr()
+        assert seen[0] == "" and captured.out == ""
+        comments, header, rows = parse_csv(seen[1])
+        assert "# M = [16, 200000]" in comments and header[0] == "M"
+        assert [(row["M"], row["N"]) for row in rows] == [("16", "8")]
+        assert self._CAP_ERROR in captured.err
+
+    def test_json_keeps_the_finished_rows_and_the_error(self, capsys):
+        assert main(self._CAPPED + ["--format", "json"]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert [(row["M"], row["N"]) for row in payload["rows"]] == [("16", "8")]
+        assert payload["error"].startswith(self._CAP_ERROR)
+        assert self._CAP_ERROR in captured.err
+
     @pytest.mark.parametrize("kappa", ["-1", "0", "nan", "inf"])
     def test_kappa_const(self, capsys, kappa):
         # spectrum.dense_system
@@ -304,7 +334,7 @@ def _unread_dests(parser, argvs):
         config = parser.parse_args(argv, namespace=_ReadLog())
         _ReadLog.log = read[argv[0]]
         try:
-            _COMMANDS[argv[0]][0](config)
+            list(_COMMANDS[argv[0]][0](config).rows)
         finally:
             _ReadLog.log = None
     unread = {name: {a.dest for a in sub._actions if a.dest != "help"} - read[name]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply
+from oracles import caputo_l1_apply, l1_weight_by_quadrature
 from tsfrac.mesh import build_mesh, l1_weights
 
 
@@ -66,15 +65,9 @@ class TestL1Weights:
         mesh = build_mesh(4, 2, 1.0)
         gamma, m = 0.8, 4
         w = l1_weights(mesh, gamma, m)
-        t = mesh.t
         for k in range(1, m + 1):
-            if k < m:
-                val, err = quad(lambda s: (t[m] - s) ** -gamma, t[k - 1], t[k],
-                                epsabs=1e-14, epsrel=1e-14)
-            else:
-                val, err = quad(lambda s: 1.0, t[k - 1], t[k],
-                                weight="alg", wvar=(0.0, -gamma))
-            assert w[k - 1] == pytest.approx(val / mesh.tau[k - 1], abs=1e-12)
+            assert w[k - 1] == pytest.approx(
+                l1_weight_by_quadrature(mesh, gamma, m, k), abs=1e-12)
         assert np.all(np.diff(w) > 0)
 
     @pytest.mark.parametrize("gamma,m", [(1.0, 1), (0.0, 1), (0.5, 0), (0.5, 5)])
@@ -109,6 +102,28 @@ class TestL1Weights:
         a = l1_weights(mesh, gamma, M)
         resid = a[-1] - np.sum(np.diff(a)) - a[0]
         assert abs(resid) <= 1e-13 * a[-1]
+
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
+    def test_panel_rows_are_the_levels_rows(self, gamma):
+        # bit for bit: a panel row is its level's weights over the columns,
+        # with the newest weight k = m in its closed form and 0 past it
+        mesh = build_mesh(40, 2.5, 1.0)
+        levels = np.arange(20, 40)
+        panel = l1_weights(mesh, gamma, levels, 5, 30)
+        assert panel.shape == (20, 25)
+        for row, m in zip(panel, levels):
+            k = min(m, 30)
+            np.testing.assert_array_equal(row[:k - 5], l1_weights(mesh, gamma, m)[5:k])
+            assert np.all(row[k - 5:] == 0.0)
+        np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, 5),
+                                      panel[:, :15])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 3), (3, 3), (0, 9)])
+    def test_invalid_column_range(self, start, stop):
+        mesh = build_mesh(8, 2, 1.0)
+        with pytest.raises(ValueError, match="weights k"):
+            l1_weights(mesh, 0.5, np.arange(4, 9), start, stop)
 
 
 class TestCaputoL1Apply:

@@ -11,16 +11,21 @@ from hypothesis import strategies as st
 import tsfrac.krylov
 import tsfrac.scheme
 import tsfrac.toeplitz
-from oracles import dominance_gap_dense, level_solve_unscaled, stability_probe
+from oracles import (dids_all_at_once, dominance_gap_dense, level_solve_unscaled,
+                     stability_probe)
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.problems import make_case
+from tsfrac.krylov import solve_dense
 from tsfrac.scheme import (
     DIRECT_THRESHOLD,
+    EIGEN_MIN_LEVELS,
+    HISTORY_BLOCK,
+    WEIGHT_PANEL,
     ProblemSpec,
     SolverOptions,
-    _CholeskyLevels,
+    _DirectLevels,
     _KrylovLevels,
     _level_shift,
     run_dids,
@@ -339,7 +344,7 @@ class TestKrylovLevel:
 
         # the level operator goes through the module attribute on every apply
         monkeypatch.setattr(tsfrac.toeplitz, "toeplitz_matvec", counted)
-        direct = _CholeskyLevels(disc)
+        direct = _DirectLevels(disc, mesh.M)
         krylov = _KrylovLevels(disc, solver, SolverOptions().tol)
         k, rhs = kappa(x), np.cos(x) + x
         for m in (1, 64):
@@ -356,7 +361,7 @@ class TestKrylovLevel:
 def seam_calls(monkeypatch):
     """Calls through tsfrac.scheme's solver names, counted by name."""
     calls = collections.Counter()
-    for name in ("solve_dense", "solve_cg", "solve_bicgstab",
+    for name in ("solve_dense", "eigh", "solve_cg", "solve_bicgstab",
                  "build_preconditioner", "build_toeplitz"):
         def counted(*args, _name=name, _call=getattr(tsfrac.scheme, name), **kwargs):
             calls[_name] += 1
@@ -410,7 +415,7 @@ class TestDirectLevelSolve:
         def unscaled(self, shift, kappa, rhs, m, t):
             return level_solve_unscaled(self.A, shift, kappa, rhs), 0
 
-        monkeypatch.setattr(tsfrac.scheme._CholeskyLevels, "solve", unscaled)
+        monkeypatch.setattr(tsfrac.scheme._DirectLevels, "solve", unscaled)
         for run, hist in runs:
             ref, _ = run(spec, 16, 2, 32, options=options)
             assert np.max(np.abs(hist - ref)) <= 1e-10 * np.abs(ref).max()
@@ -420,8 +425,8 @@ class TestDirectLevelSolve:
         # in place, so its transient memory is a few vectors of length n
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
-        solver = _CholeskyLevels(disc)
         mesh = build_mesh(16, 2, 1.0)
+        solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)
         solver.solve(_level_shift(mesh, 0.5, 1), kappa, rhs, 1, mesh.t[1])
@@ -447,6 +452,116 @@ class TestDirectLevelSolve:
         monkeypatch.setattr(tsfrac.krylov, "dposv", spy)
         run_dids(make_case("example2", 1.9, 0.5).spec, 16, 2, 32)
         assert infos == [0] * 16
+
+
+class TestEigenbasisLevels:
+    """Direct levels of a separable kappa solve in one eigenbasis per run."""
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.5, 1.9])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.95])
+    @pytest.mark.parametrize("N", [16, 128, 441])
+    def test_every_level_matches_cholesky(self, monkeypatch, seam_calls,
+                                          alpha, gamma, N):
+        errors = []
+        solve = tsfrac.scheme._DirectLevels.solve
+
+        def checked(self, shift, kappa, rhs, m, t):
+            u, its = solve(self, shift, kappa, rhs, m, t)
+            work = np.array(self.A, order="F")
+            work.reshape(-1, order="F")[:: N] += shift / kappa  # stride n + 1
+            ref = solve_dense(work, rhs / kappa)
+            errors.append(np.max(np.abs(u - ref)) / np.max(np.abs(ref)))
+            return u, its
+
+        monkeypatch.setattr(tsfrac.scheme._DirectLevels, "solve", checked)
+        M = EIGEN_MIN_LEVELS + 1  # the fewest levels that build the basis
+        run_dids(make_case("example1", alpha, gamma).spec, M, 2, N,
+                 options=SolverOptions(solver="direct"))
+        # level 1 by Cholesky, every later one in the eigenbasis
+        assert dict(seam_calls) == {"solve_dense": 1, "eigh": 1}
+        assert len(errors) == M and max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("failing", [{5, 6, 40, "M"}, {2, 40}],
+                             ids=["later-levels", "level-2"])
+    def test_cholesky_on_exactly_the_failing_levels(self, monkeypatch,
+                                                    seam_calls, failing):
+        # the path is chosen at level 2: failing there, no level builds it
+        M = EIGEN_MIN_LEVELS + 8
+        mesh = build_mesh(M, 2, 1.0)
+        failing = {M if m == "M" else m for m in failing}
+        level = {}
+
+        def kappa(x, t):
+            # c(t) k(x), but not separable at the failing levels' times
+            level["m"] = int(np.searchsorted(mesh.t, t))
+            bend = 0.1 * x if level["m"] in failing else 0.0
+            return (1.0 + t) * np.exp(0.8 * x + 1.0 + bend)
+
+        cholesky_levels = []
+        solve = tsfrac.scheme.solve_dense
+
+        def spy(*args):
+            cholesky_levels.append(level["m"])
+            return solve(*args)
+
+        monkeypatch.setattr(tsfrac.scheme, "solve_dense", spy)
+        spec = dataclasses.replace(make_case("example1", 1.5, 0.5).spec, kappa=kappa)
+        hist, _ = run_dids(spec, M, 2, 32)
+        built = 2 not in failing
+        assert cholesky_levels == ([1] + sorted(failing) if built
+                                   else list(range(1, M + 1)))
+        assert seam_calls["eigh"] == built
+        monkeypatch.setattr(tsfrac.scheme, "EIGEN_MIN_LEVELS", M)
+        ref, _ = run_dids(spec, M, 2, 32)
+        assert np.max(np.abs(hist - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name,M", [("example2", EIGEN_MIN_LEVELS + 1),
+                                        ("example1", EIGEN_MIN_LEVELS)])
+    def test_no_eigh_for_a_varying_kappa_or_a_short_run(self, seam_calls, name, M):
+        run_dids(make_case(name, 1.5, 0.5).spec, M, 2, 16)
+        assert dict(seam_calls) == {"solve_dense": M}
+
+    def test_an_eigen_level_allocates_no_matrix(self):
+        # Q takes the work matrix's place: a level after the basis is built
+        # holds a few vectors of length n
+        disc = build_ifl(1.9, 1.95, 1.0, 128)
+        n = disc.N - 1
+        mesh = build_mesh(EIGEN_MIN_LEVELS + 1, 2, 1.0)
+        solver = _DirectLevels(disc, mesh.M)
+        x = disc.interior_points()
+        kappa, rhs = np.exp(x), np.cos(x)
+        for m in (1, 2):
+            solver.solve(_level_shift(mesh, 0.5, m), (1 + mesh.t[m]) * kappa, rhs,
+                         m, mesh.t[m])
+        tracemalloc.start()
+        try:
+            u, _ = solver.solve(_level_shift(mesh, 0.5, 3), (1 + mesh.t[3]) * kappa,
+                                rhs, 3, mesh.t[3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver.basis is not None and peak < n * n * 8 / 2
+        ref = level_solve_unscaled(disc.dense(), _level_shift(mesh, 0.5, 3),
+                                   (1 + mesh.t[3]) * kappa, rhs)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+class TestDidsOracle:
+    """run_dids against the all-at-once space-time solve of all its levels."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("M,N", [
+        (5, 16), (HISTORY_BLOCK - 1, 16), (HISTORY_BLOCK, 16),
+        (HISTORY_BLOCK + 1, 16),
+        # blocks start at 1, 1 + B, ...: a block past WEIGHT_PANEL forms
+        # its far part from two weight panels
+        (WEIGHT_PANEL + HISTORY_BLOCK // 2, 8)])
+    def test_matches_the_all_at_once_solve(self, name, gamma, M, N):
+        spec = make_case(name, 1.5, gamma).spec
+        hist, _ = run_dids(spec, M, 2, N)
+        ref = dids_all_at_once(spec, M, 2, N)
+        assert np.max(np.abs(hist - ref)) <= 1e-12 * np.abs(ref).max()
 
 
 class TestPaperValues:

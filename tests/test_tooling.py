@@ -172,3 +172,40 @@ def test_one_kernel_applies_every_operator():
     # A and P^{-1} are one record, applied by one function
     assert kernel_field_sites({p.name: p.read_text() for p in PACKAGE}) == [
         ("toeplitz.py", "_apply")]
+
+
+def _called(node) -> str:
+    """The name a call node calls: ``f`` for f(...) and np.f(...)."""
+    return getattr(node.func, "attr", getattr(node.func, "id", ""))
+
+
+def closed_form_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that calls ``expm1`` on an
+    argument holding a ``log1p`` call: the guarded L1 closed form."""
+    sites = set()
+    for module, source in sources.items():
+        for node, function in _walk_in_functions(ast.parse(source)):
+            if (isinstance(node, ast.Call) and _called(node) == "expm1"
+                    and any(isinstance(inner, ast.Call) and _called(inner) == "log1p"
+                            for arg in node.args for inner in ast.walk(arg))):
+                sites.add((module, function))
+    return sorted(sites)
+
+
+def test_the_check_finds_a_second_closed_form():
+    source = ("import numpy as np\n"
+              "from numpy import expm1, log1p\n"
+              "def weights(g, x):\n"
+              "    return np.expm1(g * np.log1p(x))\n"
+              "class Panel:\n"
+              "    def row(self, g, x):\n"
+              "        return expm1(g * log1p(x))\n"
+              "def other(x):\n"
+              "    return np.expm1(x) + np.log1p(x)\n")
+    assert closed_form_sites({"m.py": source}) == [("m.py", "row"), ("m.py", "weights")]
+
+
+def test_one_function_holds_the_l1_closed_form():
+    # one row and a panel of rows of L1 weights share one closed form
+    assert closed_form_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("mesh.py", "l1_weights")]
