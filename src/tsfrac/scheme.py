@@ -30,17 +30,18 @@ direct threshold, else pkrylov).  ``_DirectLevels`` solves the scaled system
 symmetric positive definite because A is a symmetric M-matrix, by Cholesky
 in ``solve_dense``, holding A as a read-only view of its 2N-3 values and one
 work matrix, allocated by the first Cholesky level, that each level refills
-and factors in place.  When kappa_2 / kappa_1 is constant on the grid and
-at least EIGEN_MIN_LEVELS levels remain, it builds once B = K^{1/2} A K^{1/2}
-= Q Lambda Q^T, K = diag(kappa_1), and each later level with kappa_m =
-c_m kappa_1 solves u^m = K^{1/2} Q (shift_m + c_m Lambda)^{-1} Q^T K^{-1/2}
-rhs_m by two gemvs (fast diagonalization, Lynch, Rice & Thomas, Numer. Math.
-6, 1964), then one refinement step with the residual from the direct
-Toeplitz sum; a level that fails the test takes Cholesky.  ``_KrylovLevels``
-holds the Toeplitz operator of A, and for pkrylov the Strang eigenvalues,
-and runs BiCGSTAB, circulant-preconditioned for pkrylov, or CG at a level
-whose kappa is constant on the grid, where shift_m I + kappa A is symmetric
-positive definite.
+and factors in place.  When kappa_2 / kappa_1 is constant on the grid, at
+least EIGEN_MIN_LEVELS levels remain and N-1 is at least EIGEN_MIN_ORDER,
+it builds once B = K^{1/2} A K^{1/2} = Q Lambda Q^T, K = diag(kappa_1),
+and each later level with kappa_m = c_m kappa_1 solves
+u^m = K^{1/2} Q (shift_m + c_m Lambda)^{-1} Q^T K^{-1/2} rhs_m by two gemvs
+(fast diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), then
+one refinement step with the residual from the direct Toeplitz sum; a level
+that fails the test takes Cholesky.  ``_KrylovLevels`` holds the Toeplitz
+operator of A, and for pkrylov the Strang eigenvalues, and runs BiCGSTAB,
+circulant-preconditioned for pkrylov, or CG at a level whose kappa is
+constant on the grid, where shift_m I + kappa A is symmetric positive
+definite.
 """
 
 from __future__ import annotations
@@ -107,9 +108,22 @@ WEIGHT_PANEL = 128
 #   n = 127: M = 96 18.9 / 20.1   128 24.8 / 24.9   192 44.2 / 39.0   256 55.4 / 41.3
 #   n = 255: M = 64 35.2 / 48.8   128 54.0 / 45.2   256 149 / 92.3
 #   n = 440: M = 96 199 / 251     128 189 / 183     256 481 / 280
-# At n = 15 a level costs its dozen numpy calls either way, and the
-# eigenbasis runs about 25% slower (M = 256: 28.2 / 35.1 ms).
+# Fewest unknowns N-1 for which it builds the eigenbasis.  Below it a level
+# costs its dozen numpy calls either way, and the refined eigen level makes
+# more of them.  Whole runs as above, in another session, min of 5 (of 9
+# for n = 63, 71, 79):
+#   n = 15: M = 256 11.1 / 13.4   1024 51.2 / 63.3
+#   n = 31: M = 256 12.1 / 14.2   1024 54.9 / 63.6
+#   n = 47: M = 256 13.9 / 14.9   1024 65.0 / 66.5
+#   n = 63: M = 256 15.1 / 18.6   1024 69.7 / 64.2
+#   n = 71: M = 256 15.5 / 15.6   1024 77.5 / 70.6
+#   n = 79: M = 256 19.3 / 17.6   1024 78.4 / 69.2
+#   n = 95: M = 256 19.4 / 17.9   1024 89.3 / 77.3
+#   n = 127: M = 256 26.2 / 21.2  1024 114 / 82.6
+# 79 is the smallest order at which the eigenbasis won at both M in every
+# repeat of the scan.
 EIGEN_MIN_LEVELS = 128
+EIGEN_MIN_ORDER = 79
 _SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
@@ -202,8 +216,10 @@ class _DirectLevels:
             c = kappa / self.kappa1
             if _uniform(c):
                 # decided once, at level 2: a non-separable kappa never pays
-                # for eigh, and a short run never makes up for it
-                if m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS:
+                # for eigh, and a short run or a small system never makes up
+                # for it
+                if (m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS
+                        and kappa.size >= EIGEN_MIN_ORDER):
                     self._build_basis()
                 if self.basis is not None:
                     return self._eigen_solve(shift, float(c.mean()), kappa, rhs), 0
@@ -323,14 +339,18 @@ def _check_history(M: int, N: int):
 def _check_grid(name: str, what: str, values: np.ndarray, ok: np.ndarray,
                 x: np.ndarray, m: int, t: float):
     """Raise naming the level and the first grid point where ``ok`` fails."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"{name} must be {what} on the grid: at level m={m}, "
-                         f"t={t}, {name}(x={x[bad[0]]}) = {values[bad[0]]}")
+    if ok.all():
+        return
+    bad = np.flatnonzero(~ok)[0]
+    raise ValueError(f"{name} must be {what} on the grid: at level m={m}, "
+                     f"t={t}, {name}(x={x[bad]}) = {values[bad]}")
 
 
 def _kappa_at(spec: ProblemSpec, x: np.ndarray, m: int, t: float) -> np.ndarray:
-    k = np.broadcast_to(np.asarray(spec.kappa(x, t), dtype=float), x.shape).copy()
+    # a fresh array: _DirectLevels keeps level 1's
+    k = np.array(spec.kappa(x, t), dtype=float)
+    if k.shape != x.shape:
+        k = np.broadcast_to(k, x.shape).copy()
     # NaN fails both tests
     _check_grid("kappa", "positive and finite", k, (k > 0.0) & (k < math.inf), x, m, t)
     return k

@@ -22,6 +22,26 @@ the ~4-ulp evaluation floor of t^{-gamma} itself, which only matters for
 delta far below the benchmark regimes); the step is refined automatically
 until the bound holds or the node cap is exceeded.
 
+Before that one validation, the lattice's low-frequency block, the nodes
+below REDUCE_BELOW / T, is compressed by time-limited balanced truncation
+(Moore, IEEE TAC 26, 1981; Gawronski & Juang, Int. J. Systems Sci. 21,
+1990).  The block is the symmetric system x' = -diag(s) x + sqrt(w) v,
+y = sqrt(w)^T x, whose two Gramians on [delta, T] coincide:
+
+    G_ij = sqrt(w_i w_j) (e^{-(s_i+s_j) delta} - e^{-(s_i+s_j) T}) / (s_i+s_j).
+
+With G = U diag(lambda) U^T (lambda descending), the block keeps the
+fewest k leading directions whose L2 tail on [delta, T],
+sqrt(sum_{i>=k} lambda_i (u_i^T sqrt(w))^2), is at most TAIL_FRACTION *
+epsilon; the reduced operator U_k^T diag(s) U_k = Z diag(sigma) Z^T gives
+the new nodes sigma, positive and below REDUCE_BELOW / T by interlacing, and
+the new weights (Z^T U_k^T sqrt(w))^2.  The reduced set replaces the lattice
+when it passes the validation; otherwise the lattice itself is validated.
+The nodes above the block stay: near t = delta the kernel reaches
+delta^{-gamma}, epsilon is then within a few ulp of it, and truncating the
+whole lattice the same way passed the validation at no k below the lattice
+count on six configurations tried.
+
 History evaluation: with Delta u^k = u^k - u^{k-1}, the per-exponential
 accumulators
 
@@ -35,7 +55,7 @@ O(N_exp * N_spatial) independent of the step index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -43,8 +63,31 @@ from scipy.special import gammaln
 
 from .mesh import _last_weight
 
-# most exponentials an SOE may take; a tolerance that needs more fails
+# most exponentials an SOE may take, counted after the reduction; a
+# tolerance that needs more fails
 NODE_CAP = 256
+# The reduced block is the lattice's nodes below REDUCE_BELOW / T, and its
+# truncation's L2 tail on [delta, T] is held to TAIL_FRACTION * epsilon.
+# Returned nodes by (s_c T, fraction), T = 1 and delta = M^-r; a "+" marks
+# a reduced set that failed the validation, so the lattice was validated
+# too and returned.  Columns (gamma, eps, M, r): a (0.5, 1e-9, 3326, 2),
+# b (0.8, 1e-9, 512, 3), c1-c3 (0.5, 1e-10, 256, r), d1-d3 (0.8, 1e-9,
+# 256, r), f (0.9, 1e-10, 4096, 3), g (0.5, 1e-10, 64, 1), h (0.95, 1e-10,
+# 2^16, 3):
+#                 a    b   c1   c2   c3   d1   d2   d3    f    g    h
+#   lattice      96  128   58   82  109   53   82  114  196   53  283
+#   10, 0.1      65   91   28   48   72   28   52   80  147   23  225
+#   10, 0.01     65   92   28   49   72   28   52   80  147   24  225
+#   100, 1       96+  87   58+  46   69   26   82+ 114+ 196+  53+ cap
+#   100, 0.1     63   87   27   46   69   26   49   76  141   53+ 217
+#   100, 0.01    63   88   27   47   70   27   50   77  141   23  217
+#   100, 0.001   64   89   28   47   70   27   50   78  142   23  218
+#   1000, 0.01   62   85   58+  46   68   53+  48   75  137   53+ 211
+#   1000, 0.001  63   87   58+  47   70   28   49   76  138   53+ 212
+# Of the rows that never fall back, (100, 0.01) has the fewest nodes on a
+# and b.
+REDUCE_BELOW = 100.0
+TAIL_FRACTION = 0.01
 # rows of exp(-t s) formed at once by SoeApproximation.evaluate: a 4096-point
 # validation grid at 100-200 nodes would otherwise take 3-7 MB in one piece
 _EVAL_ROWS = 256
@@ -144,6 +187,34 @@ def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
     return np.array(nodes), np.array(weights)
 
 
+def _reduce(soe: SoeApproximation) -> SoeApproximation | None:
+    """The lattice with its nodes below REDUCE_BELOW / T compressed by
+    time-limited balanced truncation, or None when no truncation of the
+    block meets the tail rule."""
+    low = soe.nodes < REDUCE_BELOW / soe.T
+    n = int(np.count_nonzero(low))
+    if n < 2:
+        return None
+    s, sqrt_w = soe.nodes[low], np.sqrt(soe.weights[low])
+    sigma = s[:, None] + s
+    gram = (np.exp(-sigma * soe.delta) * -np.expm1(-sigma * (soe.T - soe.delta))
+            / sigma * sqrt_w[:, None] * sqrt_w)
+    lam, U = np.linalg.eigh(gram)  # ascending
+    c = U.T @ sqrt_w
+    # tail[j]: the squared L2 tail when the n-1-j leading directions stay;
+    # round-off leaves lambda near -1e-16 * lambda_max, so tail is not monotone
+    tail = np.cumsum(lam * c * c)[:-1]
+    fits = np.flatnonzero(tail <= (TAIL_FRACTION * soe.epsilon) ** 2)
+    if fits.size == 0:
+        return None
+    k = n - 1 - int(fits[-1])
+    keep = U[:, n - k:]
+    nodes, Z = np.linalg.eigh(keep.T @ (s[:, None] * keep))
+    weights = (Z.T @ c[n - k:]) ** 2
+    return replace(soe, nodes=np.concatenate((nodes, soe.nodes[~low])),
+                   weights=np.concatenate((weights, soe.weights[~low])))
+
+
 def _validate(soe: SoeApproximation, n_grid: int = 4096) -> bool:
     t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
     kernel = t ** (-soe.gamma)
@@ -160,8 +231,9 @@ def build_soe(
 ) -> SoeApproximation:
     """Compress t^{-gamma} on [delta, T] to absolute tolerance epsilon.
 
-    Raises SoeConstructionError if the validated bound cannot be met within
-    ``NODE_CAP`` nodes.
+    Returns the reduced lattice when it passes the validation, else the
+    lattice.  Raises SoeConstructionError if the validated bound cannot be
+    met within ``NODE_CAP`` nodes.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -180,15 +252,18 @@ def build_soe(
     h = _lattice_step(gamma, epsilon * delta ** gamma / 4.0)
     for _ in range(6):
         s, w = _build_lattice(gamma, epsilon, delta, T, h)
+        lattice = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
+                                   delta=float(delta), T=float(T), nodes=s, weights=w)
+        reduced = _reduce(lattice)
+        if reduced is not None and reduced.n_exp <= NODE_CAP and _validate(reduced):
+            return reduced
         if s.size > NODE_CAP:
             raise SoeConstructionError(
                 f"tolerance {epsilon:g} on [{delta:g}, {T:g}] at gamma={gamma:g} "
                 f"needs {s.size} exponentials, cap is {NODE_CAP}"
             )
-        soe = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
-                               delta=float(delta), T=float(T), nodes=s, weights=w)
-        if _validate(soe):
-            return soe
+        if _validate(lattice):
+            return lattice
         h *= 0.85
     raise SoeConstructionError(
         f"validation failed to reach {epsilon:g} on [{delta:g}, {T:g}]"

@@ -466,8 +466,8 @@ _ECHO = [
 # points = 5
 # r = 2.0
 # subcommand = soe-check
-# n_exp = 29
-# sup_error = 5.303e-08"""),
+# n_exp = 16
+# sup_error = 1.361e-07"""),
     (["soe-nodes", "--eps", "1e-6", "--delta", "1e-2", "--T", "2.0"],
      {"subcommand": "soe-nodes", "case": "example1", "gamma": 0.5, "r": 2.0,
       "epsilon": 1e-06, "format": "csv", "delta": 0.01, "T": 2.0},

@@ -21,6 +21,7 @@ from tsfrac.krylov import solve_dense
 from tsfrac.scheme import (
     DIRECT_THRESHOLD,
     EIGEN_MIN_LEVELS,
+    EIGEN_MIN_ORDER,
     HISTORY_BLOCK,
     WEIGHT_PANEL,
     ProblemSpec,
@@ -459,7 +460,7 @@ class TestEigenbasisLevels:
 
     @pytest.mark.parametrize("alpha", [0.4, 1.5, 1.9])
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.95])
-    @pytest.mark.parametrize("N", [16, 128, 441])
+    @pytest.mark.parametrize("N", [16, EIGEN_MIN_ORDER + 1, 128, 441])
     def test_every_level_matches_cholesky(self, monkeypatch, seam_calls,
                                           alpha, gamma, N):
         errors = []
@@ -477,8 +478,12 @@ class TestEigenbasisLevels:
         M = EIGEN_MIN_LEVELS + 1  # the fewest levels that build the basis
         run_dids(make_case("example1", alpha, gamma).spec, M, 2, N,
                  options=SolverOptions(solver="direct"))
-        # level 1 by Cholesky, every later one in the eigenbasis
-        assert dict(seam_calls) == {"solve_dense": 1, "eigh": 1}
+        # level 1 by Cholesky, every later one in the eigenbasis; below
+        # EIGEN_MIN_ORDER unknowns every level by Cholesky
+        if N - 1 >= EIGEN_MIN_ORDER:
+            assert dict(seam_calls) == {"solve_dense": 1, "eigh": 1}
+        else:
+            assert dict(seam_calls) == {"solve_dense": M}
         assert len(errors) == M and max(errors) <= 1e-12
 
     @pytest.mark.parametrize("failing", [{5, 6, 40, "M"}, {2, 40}],
@@ -506,19 +511,26 @@ class TestEigenbasisLevels:
 
         monkeypatch.setattr(tsfrac.scheme, "solve_dense", spy)
         spec = dataclasses.replace(make_case("example1", 1.5, 0.5).spec, kappa=kappa)
-        hist, _ = run_dids(spec, M, 2, 32)
+        N = EIGEN_MIN_ORDER + 1
+        hist, _ = run_dids(spec, M, 2, N)
         built = 2 not in failing
         assert cholesky_levels == ([1] + sorted(failing) if built
                                    else list(range(1, M + 1)))
         assert seam_calls["eigh"] == built
         monkeypatch.setattr(tsfrac.scheme, "EIGEN_MIN_LEVELS", M)
-        ref, _ = run_dids(spec, M, 2, 32)
+        ref, _ = run_dids(spec, M, 2, N)
         assert np.max(np.abs(hist - ref)) <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name,M", [("example2", EIGEN_MIN_LEVELS + 1),
                                         ("example1", EIGEN_MIN_LEVELS)])
     def test_no_eigh_for_a_varying_kappa_or_a_short_run(self, seam_calls, name, M):
-        run_dids(make_case(name, 1.5, 0.5).spec, M, 2, 16)
+        run_dids(make_case(name, 1.5, 0.5).spec, M, 2, EIGEN_MIN_ORDER + 1)
+        assert dict(seam_calls) == {"solve_dense": M}
+
+    def test_no_eigh_for_a_small_system(self, seam_calls):
+        # a separable kappa and enough levels, one unknown short of the order
+        M = EIGEN_MIN_LEVELS + 1
+        run_dids(make_case("example1", 1.5, 0.5).spec, M, 2, EIGEN_MIN_ORDER)
         assert dict(seam_calls) == {"solve_dense": M}
 
     def test_an_eigen_level_allocates_no_matrix(self):

@@ -7,7 +7,9 @@ from scipy.special import gammaln
 
 from oracles import caputo_l1_apply, fast_coefficients, history_push_outer
 from tsfrac.mesh import build_mesh, l1_weights
+import tsfrac.soe as soe_module
 from tsfrac.soe import (
+    NODE_CAP,
     FastHistory,
     SoeApproximation,
     SoeConstructionError,
@@ -20,6 +22,95 @@ from tsfrac.soe import (
 def sup_error(soe, n_grid=10_000):
     t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
     return np.max(np.abs(t ** (-soe.gamma) - soe.evaluate(t)))
+
+
+# Where delta^-gamma is large, a few ulp of t^-gamma exceed epsilon (at
+# gamma 0.5, epsilon 1e-12, delta 2^-36 four ulp are 2.3e-10), and summing
+# the exponentials rounds to about that: on a 20 000-point grid the worst
+# error was 4.4 ulp of t^-gamma before the reduction (gamma 0.8, epsilon
+# 1e-12, M 4096, r 3) and 4.7 ulp after it (gamma 0.95, epsilon 1e-9, M
+# 4096, r 3).  _validate allows 4 ulp on its 4096 points.
+FLOOR_ULPS = 8.0
+
+
+def floor_free(soe):
+    """Whether epsilon is above the rounding floor on all of [delta, T]."""
+    return soe.epsilon >= FLOOR_ULPS * np.finfo(float).eps * soe.delta ** -soe.gamma
+
+
+def within_contract(soe, n_grid):
+    """|t^-gamma - SOE(t)| <= max(epsilon, FLOOR_ULPS ulp of t^-gamma) on a
+    log grid of [delta, T]: the sup error is at most epsilon when
+    ``floor_free(soe)``."""
+    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
+    kernel = t ** (-soe.gamma)
+    err = np.abs(kernel - soe.evaluate(t))
+    return bool(np.all(err <= np.maximum(
+        soe.epsilon, FLOOR_ULPS * np.finfo(float).eps * kernel)))
+
+
+# the FIDS workloads' SOEs, pk-n128 and pk-n2048-deep: (gamma, epsilon, delta)
+WORKLOAD_SOES = {"pk-n128": (0.5, 1e-9, (1.0 / 3326) ** 2),
+                 "pk-n2048-deep": (0.8, 1e-9, (1.0 / 512) ** 3)}
+
+
+class TestReduction:
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("gamma", [1e-8, 0.05, 0.5, 0.8, 0.95, 0.99])
+    def test_sweep(self, monkeypatch, gamma, epsilon):
+        lattice_sizes = []
+        build_lattice = soe_module._build_lattice
+
+        def recorded(*args):
+            s, w = build_lattice(*args)
+            lattice_sizes.append(s.size)
+            return s, w
+
+        monkeypatch.setattr(soe_module, "_build_lattice", recorded)
+        built = 0
+        for M in (2, 64, 4096, 2 ** 16):
+            for r in (1, 2, 3):
+                lattice_sizes.clear()
+                try:
+                    soe = build_soe(gamma, epsilon, (1.0 / M) ** r, 1.0)
+                except SoeConstructionError as exc:
+                    # the lattice's own right tail (gamma 1e-8 at epsilon
+                    # 1e-6) fails before a reduction is tried
+                    if "right tail of the lattice" in str(exc):
+                        continue
+                    assert "cap is 256" in str(exc), (M, r)
+                    assert lattice_sizes[-1] > NODE_CAP, (M, r)
+                    continue
+                built += 1
+                if floor_free(soe):
+                    assert sup_error(soe, 20_000) <= epsilon, (M, r)
+                else:
+                    assert within_contract(soe, 20_000), (M, r)
+                assert np.all(soe.nodes > 0) and np.all(np.diff(soe.nodes) > 0), (M, r)
+                assert np.all(soe.weights > 0), (M, r)
+                assert soe.n_exp <= min(lattice_sizes[-1], NODE_CAP), (M, r)
+        # every input raises at gamma 1e-8, epsilon 1e-6
+        assert built or (gamma, epsilon) == (1e-8, 1e-6)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_SOES))
+    def test_workload_soe_is_validated_once(self, monkeypatch, name):
+        calls = []
+        validate = soe_module._validate
+
+        def counted(soe, *args):
+            calls.append(soe.n_exp)
+            return validate(soe, *args)
+
+        monkeypatch.setattr(soe_module, "_validate", counted)
+        build_soe(*WORKLOAD_SOES[name], 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,most", [("pk-n128", 63), ("pk-n2048-deep", 88)])
+    def test_workload_soe_sizes(self, name, most):
+        # lattices of 96 and 128 nodes
+        soe = build_soe(*WORKLOAD_SOES[name], 1.0)
+        assert soe.n_exp <= most
+        assert sup_error(soe, 20_000) <= soe.epsilon
 
 
 class TestBuildSoe:
@@ -58,10 +149,17 @@ class TestBuildSoe:
             build_soe(*args)
 
     def test_cap_failure_names_gamma(self):
-        # gamma near 1 with deep grading (r = 3, M = 2^16) needs about 286 nodes
+        # gamma near 1 with grading r = 4 at M = 2^16: a 418-node lattice,
+        # 338 nodes after the reduction, 323 of them above the reduced block
         with pytest.raises(SoeConstructionError,
                            match=r"at gamma=0\.97 needs \d+ exponentials, cap is 256"):
-            build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 3, 1.0)
+            build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 4, 1.0)
+
+    def test_reduction_brings_the_cap_edge_under_the_cap(self):
+        # r = 3, M = 2^16: the 286-node lattice was over the cap
+        soe = build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 3, 1.0)
+        assert soe.n_exp <= NODE_CAP
+        assert within_contract(soe, 20_000)
 
     @pytest.mark.parametrize("gamma", [1e-8, 1e-10])
     def test_small_gamma_builds(self, gamma):
