@@ -6,12 +6,14 @@ Each time level m solves the dense-but-structured linear system
     shift_m = a^{(m)}_m / Gamma(1-gamma),
     K^m     = diag(kappa(x_i, t_m)),
 
-where A is the fractional-Laplacian Toeplitz matrix.  Both schemes run the
-same level loop and differ only in its history strategy: DIDS accumulates
-the Caputo history term from the full solution history with the L1 weights
-(O(m) per level); FIDS evaluates it through the sum-of-exponentials
-recurrence (O(N_exp) per level).  The last weight a^{(m)}_m = tau_m^{-gamma}
-/(1-gamma) is shared by both schemes and never goes through the SOE.
+where A is the fractional-Laplacian Toeplitz matrix.  One driver runs both
+schemes, with one grid evaluator for kappa, source and the initial value,
+one history array and one pair of error norms; they differ only in its
+history strategy: DIDS sums the Caputo history term over the full solution
+history with the L1 weights (O(m) per level); FIDS evaluates it through the
+sum-of-exponentials recurrence (O(N_exp) per level).  The last weight
+a^{(m)}_m = tau_m^{-gamma}/(1-gamma) is shared by both schemes and never
+goes through the SOE.
 
 DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
 starts, the part of its levels' sums over the rows older than the block is
@@ -135,6 +137,7 @@ class ProblemSpec:
     alpha: float
     l: float
     T: float
+    # each returns one value per grid point, or a scalar broadcast to the grid
     kappa: Callable          # (x, t) -> diffusivity > 0
     source: Callable         # (x, t) -> f
     initial: Callable        # x -> u(x, 0)
@@ -319,79 +322,51 @@ class _KrylovLevels:
         return u, report.iterations
 
 
-def _setup(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float]):
-    mesh = build_mesh(M, r, spec.T)
-    disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
-    x = disc.interior_points()
-    return mesh, disc, x
-
-
-def _check_history(M: int, N: int):
-    """Raise, naming M, N and the bytes, before a full history above
-    HISTORY_CAP values is allocated."""
-    size = (M + 1) * (N - 1)
-    if size > HISTORY_CAP:
-        raise ValueError(
-            f"the full history is capped at {HISTORY_CAP} values, got M = {M}, "
-            f"N = {N}: its {M + 1}x{N - 1} array would take {8 * size} bytes")
-
-
-def _check_grid(name: str, what: str, values: np.ndarray, ok: np.ndarray,
-                x: np.ndarray, m: int, t: float):
-    """Raise naming the level and the first grid point where ``ok`` fails."""
-    if ok.all():
-        return
-    bad = np.flatnonzero(~ok)[0]
-    raise ValueError(f"{name} must be {what} on the grid: at level m={m}, "
-                     f"t={t}, {name}(x={x[bad]}) = {values[bad]}")
-
-
-def _kappa_at(spec: ProblemSpec, x: np.ndarray, m: int, t: float) -> np.ndarray:
-    # a fresh array: _DirectLevels keeps level 1's
-    k = np.array(spec.kappa(x, t), dtype=float)
-    if k.shape != x.shape:
-        k = np.broadcast_to(k, x.shape).copy()
+def _on_grid(name: str, value, x: np.ndarray, m: int, t: float,
+             positive: bool = False) -> np.ndarray:
+    """What ``name`` returned at level m as a fresh float array on the grid
+    (the run adds to it in place and may keep it): a scalar is broadcast, and
+    another shape, a non-finite value or, with ``positive``, one that is not
+    > 0 fails, naming the level and the point."""
+    v = np.array(value, dtype=float)
+    if v.shape != x.shape:
+        if v.ndim:
+            raise ValueError(
+                f"{name} must return a scalar or one value per grid point: at "
+                f"level m={m}, t={t}, it returned shape {v.shape} on a grid of "
+                f"shape {x.shape}")
+        v = np.full(x.shape, v)
     # NaN fails both tests
-    _check_grid("kappa", "positive and finite", k, (k > 0.0) & (k < math.inf), x, m, t)
-    return k
+    ok = (v > 0.0) & (v < math.inf) if positive else np.isfinite(v)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        raise ValueError(
+            f"{name} must be {'positive and finite' if positive else 'finite'} "
+            f"on the grid: at level m={m}, t={t}, {name}(x={x[bad]}) = {v[bad]}")
+    return v
 
 
-class _ErrorTracker:
-    def __init__(self, spec: ProblemSpec, x: np.ndarray, h: float):
-        self.exact = spec.exact
-        self.x = x
-        self.sqrt_h = math.sqrt(h)
-        self.err_inf = 0.0
-        self.err_2 = 0.0
-
-    def update(self, u: np.ndarray, t: float):
-        if self.exact is None:
-            return
-        e = u - self.exact(self.x, t)
-        # np.maximum keeps a NaN error, where max() would drop it
-        self.err_inf = float(np.maximum(self.err_inf, np.max(np.abs(e))))
-        self.err_2 = float(np.maximum(self.err_2, self.sqrt_h * np.linalg.norm(e)))
-
-    def report_fields(self):
-        if self.exact is None:
-            return None, None
-        return self.err_inf, self.err_2
+def _error_norms(exact: Callable, x: np.ndarray, h: float, u: np.ndarray,
+                 t: float) -> tuple[float, float]:
+    """(max norm, discrete L2 norm) of u - exact(x, t), on grid spacing h."""
+    e = u - exact(x, t)
+    return np.max(np.abs(e)), math.sqrt(h) * np.linalg.norm(e)
 
 
 class _L1Sum:
-    """DIDS history: the L1 sum over ``hist`` = u^0 .. u^M, O(m) per level.
+    """DIDS history: the L1 sum over the run's history u^0..u^M, O(m) per level.
 
     The levels run in blocks of HISTORY_BLOCK.  When a block starts at level
     m0, the part of its levels' sums over rows 0..m0-1 is one gemm, formed
     WEIGHT_PANEL rows at a time; each level then adds its row of that product
     and a gemv over the block's rows before it."""
 
-    def __init__(self, gamma: float, mesh: GradedMesh, n: int):
+    def __init__(self, gamma: float, mesh: GradedMesh, hist: np.ndarray):
         self.gamma = gamma
         self.mesh = mesh
         self.g1mg = math.exp(gammaln(1.0 - gamma))
-        self.hist = np.empty((mesh.M + 1, n))
-        self.memory_values = self.hist.size
+        self.hist = hist
+        self.memory_values = hist.size
         self.m0 = 0
         self.far = self.near = None
 
@@ -424,21 +399,18 @@ class _L1Sum:
         return m * self.hist.shape[1]
 
     def record(self, m: int, u: np.ndarray):
-        self.hist[m] = u
+        """Nothing to do: the run's history already holds u^m."""
 
 
 class _SoeRecurrence:
-    """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1},
-    and the (M+1, N-1) history only when ``keep_history`` is set."""
+    """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1}."""
 
-    def __init__(self, soe: SoeApproximation, mesh: GradedMesh, n: int,
-                 keep_history: bool):
+    def __init__(self, soe: SoeApproximation, mesh: GradedMesh, u0: np.ndarray):
         self.mesh = mesh
-        self.fast = FastHistory.fresh(soe, n)
-        self.ops = soe.n_exp * n
+        self.fast = FastHistory.fresh(soe, u0.size)
+        self.ops = soe.n_exp * u0.size
         self.memory_values = self.fast.W.size
-        self.hist = np.empty((mesh.M + 1, n)) if keep_history else None
-        self.u_prev = None
+        self.u_prev = u0
 
     def add_known(self, rhs: np.ndarray, m: int) -> int:
         """rhs += the known history part of level m; returns the op count."""
@@ -446,46 +418,59 @@ class _SoeRecurrence:
         return self.ops
 
     def record(self, m: int, u: np.ndarray):
-        if m > 0:
-            history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
+        history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
         self.u_prev = u
-        if self.hist is not None:
-            self.hist[m] = u
 
 
-def _march(spec: ProblemSpec, mesh: GradedMesh, disc: IflDiscretization,
-           x: np.ndarray, options: SolverOptions, history,
-           t0: float) -> SolveReport:
-    """Step levels 1..M with ``history`` supplying the Caputo history term."""
-    tag = select_solver(disc.N, options)
-    levels = (_DirectLevels(disc, mesh.M) if tag == "direct"
+def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
+         options: SolverOptions, keep_history: bool,
+         epsilon: Optional[float] = None) -> tuple[np.ndarray, SolveReport]:
+    """Step levels 0..M: FIDS with an SOE to ``epsilon`` when it is given,
+    else DIDS.  Returns the (M+1, N-1) history when ``keep_history`` is set
+    (always for DIDS, whose sum reads it), else the final level."""
+    t0 = time.perf_counter()
+    if epsilon is not None and M < 2:
+        raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
+                         f"[(1/M)^r T, T] is empty")
+    if keep_history and (M + 1) * (N - 1) > HISTORY_CAP:
+        raise ValueError(
+            f"the full history is capped at {HISTORY_CAP} values, got M = {M}, "
+            f"N = {N}: its {M + 1}x{N - 1} array would take "
+            f"{8 * (M + 1) * (N - 1)} bytes")
+    mesh = build_mesh(M, r, spec.T)
+    disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
+    x = disc.interior_points()
+    if epsilon is not None:
+        soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
+    tag = select_solver(N, options)
+    levels = (_DirectLevels(disc, M) if tag == "direct"
               else _KrylovLevels(disc, tag, options.tol))
+    u = _on_grid("initial", spec.initial(x), x, 0, 0.0)
 
-    u = np.asarray(spec.initial(x), dtype=float)
-    _check_grid("initial", "finite", u, np.isfinite(u), x, 0, 0.0)
-    history.record(0, u)
-    tracker = _ErrorTracker(spec, x, disc.h)
-    tracker.update(u, 0.0)
+    hist = np.empty((M + 1, x.size)) if keep_history else None
+    history = (_L1Sum(spec.gamma, mesh, hist) if epsilon is None
+               else _SoeRecurrence(soe, mesh, u))
+    err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     its_total = 0
-    ops = np.empty(mesh.M, dtype=np.int64)
-
-    for m in range(1, mesh.M + 1):
+    ops = np.empty(M, dtype=np.int64)
+    for m in range(M + 1):
         tm = mesh.t[m]
-        kappa = _kappa_at(spec, x, m, tm)
-        # a fresh array: the history is added in place, and source may
-        # return an array it shares
-        rhs = np.array(spec.source(x, tm), dtype=float)
-        _check_grid("source", "finite", rhs, np.isfinite(rhs), x, m, tm)
-        ops[m - 1] = history.add_known(rhs, m)
-        u, its = levels.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
-        its_total += its
-        history.record(m, u)
-        tracker.update(u, tm)
+        if m:
+            kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
+            rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
+            ops[m - 1] = history.add_known(rhs, m)
+            u, its = levels.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
+            its_total += its
+            history.record(m, u)
+        if hist is not None:
+            hist[m] = u
+        if spec.exact is not None:
+            err = np.maximum(err, _error_norms(spec.exact, x, disc.h, u, tm))
 
-    err_inf, err_2 = tracker.report_fields()
-    return SolveReport(
+    err_inf, err_2 = (None, None) if spec.exact is None else map(float, err)
+    return (u if hist is None else hist), SolveReport(
         err_inf=err_inf, err_2=err_2,
-        avg_iterations=its_total / mesh.M, wall_time=time.perf_counter() - t0,
+        avg_iterations=its_total / M, wall_time=time.perf_counter() - t0,
         history_ops=ops, history_memory_values=history.memory_values,
     )
 
@@ -505,12 +490,7 @@ def run_dids(
     of HISTORY_BLOCK levels; the history it returns is capped at HISTORY_CAP
     values.
     """
-    t0 = time.perf_counter()
-    _check_history(M, N)
-    mesh, disc, x = _setup(spec, M, r, N, mu)
-    history = _L1Sum(spec.gamma, mesh, N - 1)
-    report = _march(spec, mesh, disc, x, options, history, t0)
-    return history.hist, report
+    return _run(spec, M, r, N, mu, options, keep_history=True)
 
 
 def run_fids(
@@ -533,15 +513,4 @@ def run_fids(
     level, the scheme itself consuming just u^{m-1} and the exponential
     accumulators.
     """
-    t0 = time.perf_counter()
-    if M < 2:
-        raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
-                         f"[(1/M)^r T, T] is empty")
-    if keep_history:
-        _check_history(M, N)
-    mesh, disc, x = _setup(spec, M, r, N, mu)
-    soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
-    history = _SoeRecurrence(soe, mesh, N - 1, keep_history)
-    report = _march(spec, mesh, disc, x, options, history, t0)
-    return (history.hist if keep_history else history.u_prev), report
-
+    return _run(spec, M, r, N, mu, options, keep_history, epsilon)

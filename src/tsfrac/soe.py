@@ -12,15 +12,19 @@ moment have closed geometric-series forms, and replacing the tail by
 (sum w_j) e^{-s_bar t} with s_bar the weighted mean node costs at most
 (T^2/2) * tail_mass * s_max^2, which is budgeted inside epsilon.  On the
 right the lattice stops once e^{-s delta} has killed the integrand.  The
-resulting nodes/weights are strictly positive and the approximation
-satisfies
+resulting nodes/weights are strictly positive, and the construction
+accepts a set only when
 
-    |t^{-gamma} - sum_j w_j e^{-s_j t}| <= epsilon   for all t in [delta, T],
+    |t^{-gamma} - sum_j w_j e^{-s_j t}| <= max(epsilon, 4 ulp of t^{-gamma})
 
-which is validated on a dense log-spaced grid at construction time (up to
-the ~4-ulp evaluation floor of t^{-gamma} itself, which only matters for
-delta far below the benchmark regimes); the step is refined automatically
-until the bound holds or the node cap is exceeded.
+at 4096 log-spaced points of [delta, T], refining the step until a set
+passes or the smallest candidate exceeds the node cap.  That is a check at
+points, not a bound on the interval.  Where epsilon is at least 8 ulp of
+delta^{-gamma}, as in the benchmark regimes, the tests find the error under
+epsilon on 20 000 points as well.  Below that the error is the rounding of
+the sum, which between the 4096 points has reached 4.7 ulp of t^{-gamma}
+(gamma 0.95, epsilon 1e-9, delta 4096^-3, on 20 000 points); the tests hold
+such sets to 8 ulp.
 
 Before that one validation, the lattice's low-frequency block, the nodes
 below REDUCE_BELOW / T, is compressed by time-limited balanced truncation
@@ -232,8 +236,9 @@ def build_soe(
     """Compress t^{-gamma} on [delta, T] to absolute tolerance epsilon.
 
     Returns the reduced lattice when it passes the validation, else the
-    lattice.  Raises SoeConstructionError if the validated bound cannot be
-    met within ``NODE_CAP`` nodes.
+    lattice when it fits under the cap and passes, else tries a finer
+    lattice.  Raises SoeConstructionError, naming its count, once the
+    smaller of the two candidates has more than ``NODE_CAP`` nodes.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -255,14 +260,16 @@ def build_soe(
         lattice = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
                                    delta=float(delta), T=float(T), nodes=s, weights=w)
         reduced = _reduce(lattice)
-        if reduced is not None and reduced.n_exp <= NODE_CAP and _validate(reduced):
-            return reduced
-        if s.size > NODE_CAP:
+        # the reduction only removes nodes, so it is the smaller candidate
+        smallest = lattice if reduced is None else reduced
+        if smallest.n_exp > NODE_CAP:
             raise SoeConstructionError(
                 f"tolerance {epsilon:g} on [{delta:g}, {T:g}] at gamma={gamma:g} "
-                f"needs {s.size} exponentials, cap is {NODE_CAP}"
+                f"needs {smallest.n_exp} exponentials, cap is {NODE_CAP}"
             )
-        if _validate(lattice):
+        if reduced is not None and _validate(reduced):
+            return reduced
+        if s.size <= NODE_CAP and _validate(lattice):
             return lattice
         h *= 0.85
     raise SoeConstructionError(

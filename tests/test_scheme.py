@@ -165,6 +165,37 @@ class TestInputChecks:
                 run(spec, 4, 2, 16)
 
     @pytest.mark.parametrize("run", [run_dids, run_fids])
+    def test_scalar_data_is_broadcast_to_the_grid(self, run):
+        # before the evaluator: a scalar source failed in the in-place history
+        # add under both schemes, and a scalar initial value under FIDS
+        arrays = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
+                             kappa=lambda x, t: np.full_like(x, 2.0),
+                             source=lambda x, t: np.full_like(x, 1.0 + t),
+                             initial=lambda x: np.full_like(x, 0.5),
+                             exact=lambda x, t: np.zeros_like(x))
+        scalars = dataclasses.replace(arrays, kappa=lambda x, t: 2.0,
+                                      source=lambda x, t: 1.0 + t,
+                                      initial=lambda x: 0.5)
+        ref, ref_report = run(arrays, 8, 2, 16)
+        hist, report = run(scalars, 8, 2, 16)
+        np.testing.assert_array_equal(hist, ref)
+        assert (report.err_inf, report.err_2) == (ref_report.err_inf,
+                                                  ref_report.err_2)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("name,level", [("kappa", r"m=1, t=0\.015625"),
+                                            ("source", r"m=1, t=0\.015625"),
+                                            ("initial", r"m=0, t=0\.0")])
+    def test_a_wrong_shape_names_the_callable(self, run, name, level):
+        # before the evaluator: numpy's broadcast error, naming nothing
+        spec = dataclasses.replace(zero_problem(), **{name: lambda *args: np.ones(3)})
+        with pytest.raises(ValueError, match=(
+                rf"^{name} must return a scalar or one value per grid point: "
+                rf"at level {level}, it returned shape \(3,\) on a grid of "
+                rf"shape \(15,\)$")):
+            run(spec, 8, 2, 16)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
     def test_direct_cap_fails_before_allocating(self, run):
         calls = []
         spec = make_case("example1", 1.5, 0.5).spec

@@ -155,6 +155,13 @@ class TestBuildSoe:
                            match=r"at gamma=0\.97 needs \d+ exponentials, cap is 256"):
             build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 4, 1.0)
 
+    def test_a_reduced_set_under_the_cap_earns_a_finer_lattice(self):
+        # M = 2^16, r = 3: the first 273-node lattice is over the cap and its
+        # 213-node reduction fails the validation; the next step's 248 pass
+        soe = build_soe(0.99, 1e-9, (1.0 / 2 ** 16) ** 3, 1.0)
+        assert soe.n_exp <= NODE_CAP
+        assert within_contract(soe, 20_000)
+
     def test_reduction_brings_the_cap_edge_under_the_cap(self):
         # r = 3, M = 2^16: the 286-node lattice was over the cap
         soe = build_soe(0.97, 1e-10, (1.0 / 2 ** 16) ** 3, 1.0)

@@ -209,3 +209,35 @@ def test_one_function_holds_the_l1_closed_form():
     # one row and a panel of rows of L1 weights share one closed form
     assert closed_form_sites({p.name: p.read_text() for p in PACKAGE}) == [
         ("mesh.py", "l1_weights")]
+
+
+# the problem callables every level evaluates on the grid
+PROBLEM_DATA = {"kappa", "source", "initial"}
+
+
+def problem_data_sites(source: str) -> list[tuple[str, str]]:
+    """(function, field) of every call of a problem callable, ``spec.kappa``,
+    ``spec.source`` or ``spec.initial``."""
+    return sorted({(function, node.func.attr)
+                   for node, function in _walk_in_functions(ast.parse(source))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and getattr(node.func.value, "id", None) == "spec"
+                   and node.func.attr in PROBLEM_DATA})
+
+
+def test_the_check_finds_a_second_problem_data_site():
+    source = ("def run(spec, x, t):\n"
+              "    k = spec.kappa(x, t)\n"
+              "    return spec.source(x, t), spec.initial(x), spec.exact(x, t)\n"
+              "class Level:\n"
+              "    def rhs(self, spec, x, t):\n"
+              "        return spec.source(x, t) + self.source(x)\n")
+    assert problem_data_sites(source) == [
+        ("rhs", "source"), ("run", "initial"), ("run", "kappa"), ("run", "source")]
+
+
+def test_one_function_evaluates_the_problem_data():
+    # the run driver passes each value through one grid evaluator, so a
+    # second call site would be an unchecked one
+    assert problem_data_sites((SRC / "scheme.py").read_text()) == [
+        ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
