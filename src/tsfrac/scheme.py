@@ -176,11 +176,31 @@ def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
     return "direct" if N - 1 <= DIRECT_THRESHOLD else "pkrylov"
 
 
-def _level_shift(mesh: GradedMesh, gamma: float, m: int) -> float:
-    """shift_m = a^{(m)}_m / Gamma(1-gamma) of the level-m system."""
+def _gamma_factor(gamma: float) -> float:
+    """Gamma(1-gamma), for a gamma checked to lie in (0, 1)."""
+    # NaN fails the test
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    return _last_weight(mesh.tau[m - 1], gamma) / math.exp(gammaln(1.0 - gamma))
+    return math.exp(gammaln(1.0 - gamma))
+
+
+def _level_shift(mesh: GradedMesh, gamma: float, m: int,
+                 g1mg: Optional[float] = None) -> float:
+    """shift_m = a^{(m)}_m / Gamma(1-gamma) of the level-m system; a run
+    passes its Gamma(1-gamma) as ``g1mg``, computed once."""
+    if g1mg is None:
+        g1mg = _gamma_factor(gamma)
+    return _last_weight(mesh.tau[m - 1], gamma) / g1mg
+
+
+def soe_interval(mesh: GradedMesh) -> tuple[float, float]:
+    """[delta, T], the interval the FIDS SOE must cover on ``mesh``.
+
+    Level m applies e^{-s tau_m} to W^{m-1}, which holds the kernel at
+    arguments in [tau_m, t_m]; W^0 = 0, so level 1 evaluates none.  delta is
+    the shortest step after the first, tau_2 on a graded mesh (r >= 1, whose
+    steps never shrink): (2^r - 1) times the first step tau_1."""
+    return float(mesh.tau[1:].min()), float(mesh.t[-1])
 
 
 def _uniform(v: np.ndarray) -> bool:
@@ -361,10 +381,11 @@ class _L1Sum:
     WEIGHT_PANEL rows at a time; each level then adds its row of that product
     and a gemv over the block's rows before it."""
 
-    def __init__(self, gamma: float, mesh: GradedMesh, hist: np.ndarray):
+    def __init__(self, gamma: float, g1mg: float, mesh: GradedMesh,
+                 hist: np.ndarray):
         self.gamma = gamma
         self.mesh = mesh
-        self.g1mg = math.exp(gammaln(1.0 - gamma))
+        self.g1mg = g1mg
         self.hist = hist
         self.memory_values = hist.size
         self.m0 = 0
@@ -418,8 +439,10 @@ class _SoeRecurrence:
         return self.ops
 
     def record(self, m: int, u: np.ndarray):
-        history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
-        self.u_prev = u
+        # no level reads W^M
+        if m < self.mesh.M:
+            history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
+            self.u_prev = u
 
 
 def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
@@ -429,9 +452,11 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     else DIDS.  Returns the (M+1, N-1) history when ``keep_history`` is set
     (always for DIDS, whose sum reads it), else the final level."""
     t0 = time.perf_counter()
+    g1mg = _gamma_factor(spec.gamma)
     if epsilon is not None and M < 2:
         raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
-                         f"[(1/M)^r T, T] is empty")
+                         f"[tau_2, T] is empty, as the SOE first evaluates the "
+                         f"history at level 2")
     if keep_history and (M + 1) * (N - 1) > HISTORY_CAP:
         raise ValueError(
             f"the full history is capped at {HISTORY_CAP} values, got M = {M}, "
@@ -441,14 +466,14 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
     x = disc.interior_points()
     if epsilon is not None:
-        soe = build_soe(spec.gamma, epsilon, (1.0 / M) ** r * spec.T, spec.T)
+        soe = build_soe(spec.gamma, epsilon, *soe_interval(mesh))
     tag = select_solver(N, options)
     levels = (_DirectLevels(disc, M) if tag == "direct"
               else _KrylovLevels(disc, tag, options.tol))
     u = _on_grid("initial", spec.initial(x), x, 0, 0.0)
 
     hist = np.empty((M + 1, x.size)) if keep_history else None
-    history = (_L1Sum(spec.gamma, mesh, hist) if epsilon is None
+    history = (_L1Sum(spec.gamma, g1mg, mesh, hist) if epsilon is None
                else _SoeRecurrence(soe, mesh, u))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     its_total = 0
@@ -459,7 +484,8 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
             ops[m - 1] = history.add_known(rhs, m)
-            u, its = levels.solve(_level_shift(mesh, spec.gamma, m), kappa, rhs, m, tm)
+            u, its = levels.solve(_level_shift(mesh, spec.gamma, m, g1mg),
+                                  kappa, rhs, m, tm)
             its_total += its
             history.record(m, u)
         if hist is not None:
@@ -505,8 +531,11 @@ def run_fids(
 ) -> tuple[np.ndarray, SolveReport]:
     """Fast implicit scheme with the SOE history recurrence.
 
-    The SOE compresses t^{-gamma} to ``epsilon`` on [tau_1, T], tau_1 =
-    (1/M)^r T being the shortest step, so M must be at least 2.  With
+    The SOE compresses t^{-gamma} to ``epsilon`` on [tau_2, T]
+    (``soe_interval``): level m reads the history at arguments in
+    [tau_m, t_m], and no level reads it before level 2, so M must be at
+    least 2 and the SOE need not cover the first step tau_1 =
+    (1/M)^r T < tau_2.  With
     ``keep_history`` the full (M+1, N-1) history, capped at HISTORY_CAP
     values, is returned (the report's errors are tracked level by level
     either way); the memory-lean mode, not capped, returns only the final

@@ -54,6 +54,11 @@ accumulators
 obey the one-step recurrence W_j^m = e^{-s_j tau_m} W_j^{m-1}
 + (Delta u^m / tau_m) (1 - e^{-s_j tau_m}) / s_j, so each time step costs
 O(N_exp * N_spatial) independent of the step index.
+
+Level m reads e^{-s_j tau_m} W_j^{m-1}, the kernel at arguments in
+[tau_m, t_m], and W^0 = 0; so the FIDS scheme builds its SOE on
+[tau_2, T] (``scheme.soe_interval``), tau_2 = (2^r - 1) tau_1 on the graded
+mesh, and not on [tau_1, T].
 """
 
 from __future__ import annotations

@@ -89,14 +89,20 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
 def _apply(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
     """op @ v: one BLAS product, or O(n log n) through the circulant embedding,
     which zero-pads v to the embedding order, multiplies by the half-spectrum,
-    inverse-transforms and keeps the leading n entries."""
+    inverse-transforms and keeps the leading n entries.  The result is a
+    fresh array of its own n values."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"vector has shape {v.shape}, operator order is {op.n}")
     if op.dense is not None:
         return op.dense @ v
     L = op.embed_len
-    return np.fft.irfft(op.half_spectrum * np.fft.rfft(v, L), L)[: op.n]
+    X = np.fft.rfft(v, L)
+    X *= op.half_spectrum
+    out = np.fft.irfft(X, L)
+    # the Krylov loops keep what this returns: a view of A's leading n
+    # values would pin all L >= 2n-1 of its embedding
+    return out if L == op.n else out[: op.n].copy()
 
 
 def toeplitz_matvec(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.problems import make_case
-from tsfrac.scheme import SolverOptions, run_dids, run_fids
+from tsfrac.scheme import SolverOptions, run_dids, run_fids, soe_interval
 from tsfrac.soe import FastHistory, build_soe, history_push
 from tsfrac.toeplitz import (
     build_preconditioner,
@@ -280,7 +280,7 @@ def test_criterion_11_stability_inequality():
 def test_criterion_12_complexity_counters():
     case = make_case("example1", 1.5, 0.5)
     M, N = 256, 17
-    soe = build_soe(0.5, 1e-10, (1.0 / M) ** 2, 1.0)
+    soe = build_soe(0.5, 1e-10, *soe_interval(build_mesh(M, 2, 1.0)))
     _, rep_d = run_dids(case.spec, M, 2, N)
     _, rep_f = run_fids(case.spec, M, 2, N, epsilon=1e-10, keep_history=False)
     # DIDS history work grows linearly in the level index

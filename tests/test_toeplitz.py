@@ -101,6 +101,18 @@ class TestToeplitzMatvec:
         assert op.half_spectrum is None
         assert op.embed_len == 1024
 
+    @pytest.mark.parametrize("n", [DENSE_CROSSOVER + 1, DENSE_CROSSOVER + 2,
+                                   1023, 2047])
+    def test_fft_side_results_own_their_n_values(self, rng, n):
+        # the Krylov loops keep these vectors: a view of the leading n values
+        # of A's inverse transform would keep its 2n-1 or more alive
+        col = rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        lam = strang_eigenvalues(build_ifl(1.5, 1.75, 1.0, n + 1).first_col)
+        for out in (toeplitz_matvec(build_toeplitz(col), v),
+                    precond_solve(build_preconditioner(lam, 0.3, 1.7), v)):
+            assert out.base is None and out.size == n
+
     def test_dimension_mismatch(self):
         op = build_toeplitz(np.ones(4))
         with pytest.raises(ValueError):

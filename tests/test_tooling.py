@@ -241,3 +241,45 @@ def test_one_function_evaluates_the_problem_data():
     # second call site would be an unchecked one
     assert problem_data_sites((SRC / "scheme.py").read_text()) == [
         ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
+
+
+def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that derives the left end of
+    the FIDS SOE interval from the mesh: the first step written out as
+    ``(1 / M) ** r`` with M not a literal, or the steps from the second on,
+    ``tau[1:]``."""
+    sites = set()
+    for module, source in sources.items():
+        for node, function in _walk_in_functions(ast.parse(source)):
+            first_step = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                          and isinstance(node.left, ast.BinOp)
+                          and isinstance(node.left.op, ast.Div)
+                          and getattr(node.left.left, "value", None) == 1
+                          and not isinstance(node.left.right, ast.Constant))
+            later_steps = (isinstance(node, ast.Subscript)
+                           and getattr(node.value, "attr", getattr(node.value, "id", None))
+                           == "tau"
+                           and isinstance(node.slice, ast.Slice)
+                           and getattr(node.slice.lower, "value", None) == 1)
+            if first_step or later_steps:
+                sites.add((module, function))
+    return sorted(sites)
+
+
+def test_the_check_finds_a_second_soe_interval_site():
+    source = ("import numpy as np\n"
+              "def run(spec, M, r):\n"
+              "    return build_soe(spec.gamma, 1e-9, (1.0 / M) ** r * spec.T, spec.T)\n"
+              "class Mesh:\n"
+              "    def delta(self):\n"
+              "        return self.tau[1:].min()\n"
+              "def others(mesh, tau, M, m, r):\n"
+              "    t = (np.arange(M + 1) / M) ** r\n"
+              "    return t, mesh.tau[m - 1], tau[:1], (1.0 / 256.0) ** r, (2 / M) ** r\n")
+    assert soe_interval_sites({"m.py": source}) == [("m.py", "delta"), ("m.py", "run")]
+
+
+def test_one_function_derives_the_soe_interval():
+    # the run and the tests that rebuild the run's SOE all ask soe_interval
+    assert soe_interval_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("scheme.py", "soe_interval")]
