@@ -21,7 +21,7 @@ from .krylov import (
     solve_cg,
     solve_dense,
 )
-from .mesh import GradedMesh, build_mesh, l1_weights
+from .mesh import GradedMesh, build_mesh, gamma_factor, l1_weights, level_shift
 from .problems import (
     ManufacturedCase,
     hypergeom_terminating,
@@ -40,8 +40,8 @@ from .soe import (
     SoeApproximation,
     SoeConstructionError,
     build_soe,
-    fast_caputo_rhs,
     history_push,
+    history_sum,
 )
 from .toeplitz import (
     PreconditionerError,

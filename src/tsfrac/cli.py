@@ -37,9 +37,9 @@ import numpy as np
 
 from . import couplings, spectrum
 from .ifl import build_ifl, splitting_parameter
-from .mesh import build_mesh
+from .mesh import build_mesh, gamma_factor, level_shift
 from .problems import make_case
-from .scheme import SolverOptions, _level_shift, run_dids, run_fids
+from .scheme import SolverOptions, run_dids, run_fids
 from .soe import build_soe
 
 DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
@@ -194,7 +194,7 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
     if not 1 <= level <= M:
         raise ValueError(f"--level must lie in [1, {M}], got {level}")
     mesh = build_mesh(M, config.r, config.T)
-    shift = _level_shift(mesh, config.gamma, level)
+    shift = level_shift(mesh, config.gamma, level, gamma_factor(config.gamma))
     disc = build_ifl(config.alpha, resolved_mu(config), 1.0, N)
     x, col = disc.interior_points(), disc.first_col
 

@@ -1,10 +1,17 @@
-"""Graded temporal meshes and L1 quadrature weights for the Caputo derivative.
+"""Graded temporal meshes, L1 quadrature weights for the Caputo derivative
+and the L1 formula's level constants.
 
 The temporal grid is t_m = (m/M)^r T, which concentrates points near t = 0
 where solutions of sub-diffusion problems are weakly singular.  The L1 weights
 are the exact per-interval averages of the kernel (t_m - s)^{-gamma}: one
 level's row, or a panel of several levels' rows over a range of intervals,
 the weights past a level being zero as in the lower-triangular L1 matrix.
+
+The discrete Caputo derivative at level m is
+(1/Gamma(1-gamma)) sum_{k=1}^m a_k (u^k - u^{k-1}), the same in DIDS and
+FIDS; this module owns its constants: ``gamma_factor``, Gamma(1-gamma),
+which a run computes once, and ``level_shift``, the weight
+a_m / Gamma(1-gamma) of u^m in the level-m system.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -46,9 +54,23 @@ def build_mesh(M: int, r: float, T: float) -> GradedMesh:
     return GradedMesh(M=M, t=t, tau=tau)
 
 
+def gamma_factor(gamma: float) -> float:
+    """Gamma(1-gamma), for a gamma checked to lie in (0, 1)."""
+    # NaN fails the test
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    return math.exp(gammaln(1.0 - gamma))
+
+
 def _last_weight(tau_m: float, gamma: float) -> float:
     """a_m = tau_m^{-gamma} / (1-gamma), the weight of the newest interval."""
     return tau_m ** (-gamma) / (1.0 - gamma)
+
+
+def level_shift(mesh: GradedMesh, gamma: float, m: int, g1mg: float) -> float:
+    """shift_m = a_m / Gamma(1-gamma), the weight of u^m in the level-m
+    system, with g1mg = ``gamma_factor(gamma)`` from the caller."""
+    return _last_weight(mesh.tau[m - 1], gamma) / g1mg
 
 
 def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,

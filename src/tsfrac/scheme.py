@@ -11,9 +11,13 @@ schemes, with one grid evaluator for kappa, source and the initial value,
 one history array and one pair of error norms; they differ only in its
 history strategy: DIDS sums the Caputo history term over the full solution
 history with the L1 weights (O(m) per level); FIDS evaluates it through the
-sum-of-exponentials recurrence (O(N_exp) per level).  The last weight
-a^{(m)}_m = tau_m^{-gamma}/(1-gamma) is shared by both schemes and never
-goes through the SOE.
+sum-of-exponentials recurrence (O(N_exp) per level).  The L1 constants are
+``mesh``'s: the run takes Gamma(1-gamma) from ``gamma_factor`` once, and
+each level's shift_m from ``level_shift``, which both the level solve and
+the FIDS history read; the last weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma)
+never goes through the SOE, whose history sum S_m covers the levels before
+m, so FIDS adds shift_m u^{m-1} - S_m / Gamma(1-gamma) to the right-hand
+side.
 
 DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
 starts, the part of its levels' sums over the rows older than the block is
@@ -57,14 +61,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import daxpy
-from scipy.special import gammaln
 
 from . import toeplitz
 from .ifl import IflDiscretization, build_ifl, splitting_parameter
 from .krylov import solve_bicgstab, solve_cg, solve_dense
-from .mesh import GradedMesh, _last_weight, build_mesh, l1_weights
-from .soe import (FastHistory, SoeApproximation, build_soe, fast_caputo_rhs,
-                  history_push)
+from .mesh import GradedMesh, build_mesh, gamma_factor, l1_weights, level_shift
+from .soe import FastHistory, SoeApproximation, build_soe, history_push, history_sum
 from .toeplitz import (build_preconditioner, build_toeplitz, strang_eigenvalues,
                        symmetric_toeplitz)
 
@@ -176,23 +178,6 @@ def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
     return "direct" if N - 1 <= DIRECT_THRESHOLD else "pkrylov"
 
 
-def _gamma_factor(gamma: float) -> float:
-    """Gamma(1-gamma), for a gamma checked to lie in (0, 1)."""
-    # NaN fails the test
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    return math.exp(gammaln(1.0 - gamma))
-
-
-def _level_shift(mesh: GradedMesh, gamma: float, m: int,
-                 g1mg: Optional[float] = None) -> float:
-    """shift_m = a^{(m)}_m / Gamma(1-gamma) of the level-m system; a run
-    passes its Gamma(1-gamma) as ``g1mg``, computed once."""
-    if g1mg is None:
-        g1mg = _gamma_factor(gamma)
-    return _last_weight(mesh.tau[m - 1], gamma) / g1mg
-
-
 def soe_interval(mesh: GradedMesh) -> tuple[float, float]:
     """[delta, T], the interval the FIDS SOE must cover on ``mesh``.
 
@@ -235,17 +220,17 @@ class _DirectLevels:
         """u with (shift*I + diag(kappa) A) u = rhs, and 0 iterations."""
         if self.kappa1 is None:
             self.kappa1 = kappa
-        else:
+        # the basis is decided once, at level 2, and a short run or a small
+        # system never makes up for eigh: the ratio is read only where a
+        # basis exists or may be built
+        elif self.basis is not None or (m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS
+                                        and kappa.size >= EIGEN_MIN_ORDER):
             c = kappa / self.kappa1
+            # a non-separable kappa never pays for eigh
             if _uniform(c):
-                # decided once, at level 2: a non-separable kappa never pays
-                # for eigh, and a short run or a small system never makes up
-                # for it
-                if (m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS
-                        and kappa.size >= EIGEN_MIN_ORDER):
+                if self.basis is None:
                     self._build_basis()
-                if self.basis is not None:
-                    return self._eigen_solve(shift, float(c.mean()), kappa, rhs), 0
+                return self._eigen_solve(shift, float(c.mean()), kappa, rhs), 0
         return self._cholesky_solve(shift, kappa, rhs), 0
 
     def _work_matrix(self) -> np.ndarray:
@@ -409,8 +394,10 @@ class _L1Sum:
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
         self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
 
-    def add_known(self, rhs: np.ndarray, m: int) -> int:
-        """rhs += the known history part of level m; returns the op count."""
+    def add_known(self, rhs: np.ndarray, m: int, shift: float) -> int:
+        """rhs += the known history part of level m; returns the op count.
+        The shift is not read: the coefficient of u^{m-1}, a_m - a_{m-1}
+        (a_1 at m = 1), holds a_m."""
         if (m - 1) % HISTORY_BLOCK == 0:
             self._start_block(m)
         i = m - self.m0
@@ -426,16 +413,22 @@ class _L1Sum:
 class _SoeRecurrence:
     """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1}."""
 
-    def __init__(self, soe: SoeApproximation, mesh: GradedMesh, u0: np.ndarray):
+    def __init__(self, soe: SoeApproximation, g1mg: float, mesh: GradedMesh,
+                 u0: np.ndarray):
         self.mesh = mesh
+        self.g1mg = g1mg
         self.fast = FastHistory.fresh(soe, u0.size)
         self.ops = soe.n_exp * u0.size
         self.memory_values = self.fast.W.size
         self.u_prev = u0
 
-    def add_known(self, rhs: np.ndarray, m: int) -> int:
-        """rhs += the known history part of level m; returns the op count."""
-        rhs += fast_caputo_rhs(self.fast, self.u_prev, self.mesh.tau[m - 1])
+    def add_known(self, rhs: np.ndarray, m: int, shift: float) -> int:
+        """rhs += shift_m u^{m-1} - S_m / Gamma(1-gamma), the known part of
+        level m; returns the op count."""
+        hist = history_sum(self.fast, self.mesh.tau[m - 1])
+        hist /= self.g1mg
+        rhs -= hist
+        rhs += shift * self.u_prev
         return self.ops
 
     def record(self, m: int, u: np.ndarray):
@@ -452,7 +445,7 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     else DIDS.  Returns the (M+1, N-1) history when ``keep_history`` is set
     (always for DIDS, whose sum reads it), else the final level."""
     t0 = time.perf_counter()
-    g1mg = _gamma_factor(spec.gamma)
+    g1mg = gamma_factor(spec.gamma)
     if epsilon is not None and M < 2:
         raise ValueError(f"FIDS needs M >= 2, got M = {M}: the SOE interval "
                          f"[tau_2, T] is empty, as the SOE first evaluates the "
@@ -474,7 +467,7 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
 
     hist = np.empty((M + 1, x.size)) if keep_history else None
     history = (_L1Sum(spec.gamma, g1mg, mesh, hist) if epsilon is None
-               else _SoeRecurrence(soe, mesh, u))
+               else _SoeRecurrence(soe, g1mg, mesh, u))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     its_total = 0
     ops = np.empty(M, dtype=np.int64)
@@ -483,9 +476,9 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
         if m:
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
-            ops[m - 1] = history.add_known(rhs, m)
-            u, its = levels.solve(_level_shift(mesh, spec.gamma, m, g1mg),
-                                  kappa, rhs, m, tm)
+            shift = level_shift(mesh, spec.gamma, m, g1mg)
+            ops[m - 1] = history.add_known(rhs, m, shift)
+            u, its = levels.solve(shift, kappa, rhs, m, tm)
             its_total += its
             history.record(m, u)
         if hist is not None:

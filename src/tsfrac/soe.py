@@ -53,7 +53,12 @@ accumulators
 
 obey the one-step recurrence W_j^m = e^{-s_j tau_m} W_j^{m-1}
 + (Delta u^m / tau_m) (1 - e^{-s_j tau_m}) / s_j, so each time step costs
-O(N_exp * N_spatial) independent of the step index.
+O(N_exp * N_spatial) independent of the step index.  At level m,
+``history_sum`` reads S_m = sum_j w_j e^{-s_j tau_m} W_j^{m-1}, the SOE's
+estimate of the L1 history sum_{k<m} a_k Delta u^k; the newest weight a_m
+and Gamma(1-gamma) are the L1 formula's, owned by ``mesh``, and the FIDS
+scheme adds shift_m u^{m-1} - S_m / Gamma(1-gamma) to the level's
+right-hand side.
 
 Level m reads e^{-s_j tau_m} W_j^{m-1}, the kernel at arguments in
 [tau_m, t_m], and W^0 = 0; so the FIDS scheme builds its SOE on
@@ -69,8 +74,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.blas import dger
 from scipy.special import gammaln
-
-from .mesh import _last_weight
 
 # most exponentials an SOE may take, counted after the reduction; a
 # tolerance that needs more fails
@@ -305,18 +308,9 @@ def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHisto
     return h
 
 
-def fast_caputo_rhs(h: FastHistory, u_prev: np.ndarray, tau_m: float) -> np.ndarray:
-    """Known part of the fast Caputo derivative at the next level.
-
-    Returns r = (a_mm u^{m-1} - sum_j w_j e^{-s_j tau_m} W_j^{m-1}) / Gamma(1-gamma),
-    with gamma that of the SOE and a_mm = tau_m^{-gamma} / (1-gamma) the last
-    L1 weight, so that the discrete fast Caputo of the unknown u^m is
-    a_mm u^m / Gamma(1-gamma) - r, and scheme assembly only adds the a_mm term.
-    """
-    u_prev = np.asarray(u_prev, dtype=float)
-    if u_prev.shape[0] != h.W.shape[1]:
-        raise ValueError("u_prev length does not match the history width")
-    gamma, s, w = h.soe.gamma, h.soe.nodes, h.soe.weights
-    hist_term = (w * np.exp(-s * tau_m)) @ h.W
-    return ((_last_weight(tau_m, gamma) * u_prev - hist_term)
-            / math.exp(gammaln(1.0 - gamma)))
+def history_sum(h: FastHistory, tau_m: float) -> np.ndarray:
+    """S_m = sum_j w_j e^{-s_j tau_m} W_j^{m-1}, with h holding W^{m-1}:
+    the SOE's estimate of the L1 history sum_{k<m} a_k Delta u^k at a level
+    of step tau_m.  Cost O(N_exp * N_spatial)."""
+    s, w = h.soe.nodes, h.soe.weights
+    return (w * np.exp(-s * tau_m)) @ h.W

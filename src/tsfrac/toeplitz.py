@@ -155,8 +155,10 @@ def _cosine_synthesis(n: int) -> np.ndarray:
 
 def strang_eigenvalues(first_col: np.ndarray) -> np.ndarray:
     """Eigenvalues lam of the Strang circulant s(A) of A, given A's first
-    column: the real part of DFT(c_S), s(A) being a real symmetric circulant."""
-    return fourier.fft(strang_first_column(first_col)).real
+    column: the real part of DFT(c_S), s(A) being a real symmetric circulant.
+    A run keeps lam, so it owns its n values and not a strided view that
+    would keep the complex spectrum alive."""
+    return fourier.fft(strang_first_column(first_col)).real.copy()
 
 
 def build_preconditioner(lam: np.ndarray, shift: float,

@@ -240,7 +240,7 @@ class TestBadParameters:
 
     @pytest.mark.parametrize("gamma", ["0", "-0.3", "1", "1.5"])
     def test_gamma_of_the_level_shift(self, capsys, gamma):
-        # scheme._level_shift: with --M given, no coupling is computed
+        # mesh.gamma_factor: with --M given, no coupling is computed
         assert main(["spectrum", "--N", "8", "--M", "4", "--kappa-const", "1",
                      "--gamma", gamma]) == 1
         assert (f"gamma must lie in (0, 1), got {float(gamma)}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from oracles import caputo_l1_apply, l1_weight_by_quadrature
-from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.mesh import build_mesh, gamma_factor, l1_weights, level_shift
 
 
 class TestBuildMesh:
@@ -124,6 +124,20 @@ class TestL1Weights:
         mesh = build_mesh(8, 2, 1.0)
         with pytest.raises(ValueError, match="weights k"):
             l1_weights(mesh, 0.5, np.arange(4, 9), start, stop)
+
+
+class TestLevelConstants:
+    @pytest.mark.parametrize("gamma", [1e-6, 0.5, 0.95])
+    def test_gamma_factor(self, gamma):
+        assert gamma_factor(gamma) == pytest.approx(math.gamma(1.0 - gamma), rel=1e-14)
+
+    def test_level_shift_is_the_newest_weight_over_the_gamma_factor(self):
+        # bit for bit: the shift and the weight row share the closed form
+        mesh = build_mesh(50, 2.5, 2.0)
+        for gamma in (0.1, 0.5, 0.9):
+            g = gamma_factor(gamma)
+            for m in range(1, mesh.M + 1):
+                assert level_shift(mesh, gamma, m, g) == l1_weights(mesh, gamma, m)[-1] / g
 
 
 class TestCaputoL1Apply:

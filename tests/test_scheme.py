@@ -15,7 +15,7 @@ from oracles import (dids_all_at_once, dominance_gap_dense, level_solve_unscaled
                      stability_probe)
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
-from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.mesh import build_mesh, gamma_factor, l1_weights, level_shift
 from tsfrac.problems import make_case
 from tsfrac.krylov import solve_dense
 from tsfrac.scheme import (
@@ -28,7 +28,6 @@ from tsfrac.scheme import (
     SolverOptions,
     _DirectLevels,
     _KrylovLevels,
-    _level_shift,
     run_dids,
     run_fids,
     select_solver,
@@ -36,6 +35,9 @@ from tsfrac.scheme import (
 )
 from tsfrac.soe import build_soe
 from tsfrac.spectrum import dense_system
+
+# Gamma(1 - 0.5), for the level shifts of the gamma = 0.5 tests
+G_HALF = gamma_factor(0.5)
 
 
 def zero_problem(gamma=0.5, alpha=1.5):
@@ -279,7 +281,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("gamma", [0.0, -0.3, 1.0, 1.5])
     def test_gamma_outside_the_unit_interval_fails_by_name(self, gamma):
         with pytest.raises(ValueError, match=rf"gamma must lie in \(0, 1\), got {gamma}"):
-            _level_shift(build_mesh(4, 2.0, 1.0), gamma, 1)
+            gamma_factor(gamma)
         with pytest.raises(ValueError, match=rf"gamma must lie in \(0, 1\), got {gamma}"):
             n_from_m(16, 2.0, gamma, 2.0)
 
@@ -422,7 +424,7 @@ class TestKrylovLevel:
         krylov = _KrylovLevels(disc, solver, SolverOptions().tol)
         k, rhs = kappa(x), np.cos(x) + x
         for m in (1, 64):
-            shift = _level_shift(mesh, 0.5, m)
+            shift = level_shift(mesh, 0.5, m, G_HALF)
             ref, _ = direct.solve(shift, k, rhs, m, mesh.t[m])
             del matvecs[:]
             u, its = krylov.solve(shift, k, rhs, m, mesh.t[m])
@@ -474,6 +476,27 @@ class TestLevelStrategies:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
 
+    @pytest.mark.parametrize("name,M,N,ratios", [
+        ("example2", EIGEN_MIN_LEVELS + 1, EIGEN_MIN_ORDER + 1, 1),
+        ("example1", EIGEN_MIN_LEVELS, EIGEN_MIN_ORDER + 1, 0),
+        ("example1", EIGEN_MIN_LEVELS + 1, EIGEN_MIN_ORDER, 0),
+        ("example1", EIGEN_MIN_LEVELS + 1, EIGEN_MIN_ORDER + 1, EIGEN_MIN_LEVELS)])
+    def test_direct_levels_read_the_ratio_only_for_a_basis(self, monkeypatch, name,
+                                                           M, N, ratios):
+        # kappa_m / kappa_1 is tested at level 2 when a basis may be built,
+        # and at later levels only once one exists
+        tested = []
+        uniform = tsfrac.scheme._uniform
+
+        def counted(v):
+            tested.append(1)
+            return uniform(v)
+
+        monkeypatch.setattr(tsfrac.scheme, "_uniform", counted)
+        run_dids(make_case(name, 1.5, 0.5).spec, M, 2, N,
+                 options=SolverOptions(solver="direct"))
+        assert len(tested) == ratios
+
 
 class TestDirectLevelSolve:
     @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -503,15 +526,17 @@ class TestDirectLevelSolve:
         solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)
-        solver.solve(_level_shift(mesh, 0.5, 1), kappa, rhs, 1, mesh.t[1])
+        solver.solve(level_shift(mesh, 0.5, 1, G_HALF), kappa, rhs, 1, mesh.t[1])
         tracemalloc.start()
         try:
-            u, _ = solver.solve(_level_shift(mesh, 0.5, 2), kappa, rhs, 2, mesh.t[2])
+            u, _ = solver.solve(level_shift(mesh, 0.5, 2, G_HALF), kappa, rhs, 2,
+                                mesh.t[2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
-        ref = level_solve_unscaled(disc.dense(), _level_shift(mesh, 0.5, 2), kappa, rhs)
+        ref = level_solve_unscaled(disc.dense(), level_shift(mesh, 0.5, 2, G_HALF),
+                                   kappa, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 
     def test_every_level_factors_by_cholesky(self, monkeypatch):
@@ -616,17 +641,17 @@ class TestEigenbasisLevels:
         x = disc.interior_points()
         kappa, rhs = np.exp(x), np.cos(x)
         for m in (1, 2):
-            solver.solve(_level_shift(mesh, 0.5, m), (1 + mesh.t[m]) * kappa, rhs,
-                         m, mesh.t[m])
+            solver.solve(level_shift(mesh, 0.5, m, G_HALF), (1 + mesh.t[m]) * kappa,
+                         rhs, m, mesh.t[m])
         tracemalloc.start()
         try:
-            u, _ = solver.solve(_level_shift(mesh, 0.5, 3), (1 + mesh.t[3]) * kappa,
-                                rhs, 3, mesh.t[3])
+            u, _ = solver.solve(level_shift(mesh, 0.5, 3, G_HALF),
+                                (1 + mesh.t[3]) * kappa, rhs, 3, mesh.t[3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert solver.basis is not None and peak < n * n * 8 / 2
-        ref = level_solve_unscaled(disc.dense(), _level_shift(mesh, 0.5, 3),
+        ref = level_solve_unscaled(disc.dense(), level_shift(mesh, 0.5, 3, G_HALF),
                                    (1 + mesh.t[3]) * kappa, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 

@@ -14,8 +14,8 @@ from tsfrac.soe import (
     SoeApproximation,
     SoeConstructionError,
     build_soe,
-    fast_caputo_rhs,
     history_push,
+    history_sum,
 )
 
 
@@ -322,6 +322,14 @@ class TestHistoryPush:
             history_push(h, np.ones(3), 0.5)
 
 
+def fast_caputo(h, u_prev, u, tau, gamma):
+    """(a_m (u - u_prev) + S_m) / Gamma(1-gamma), the fast Caputo of u at a
+    level of step tau, with a_m = tau^{-gamma} / (1-gamma) and S_m from
+    ``history_sum``."""
+    a_m = tau ** -gamma / (1.0 - gamma)
+    return (a_m * (u - u_prev) + history_sum(h, tau)) / math.exp(gammaln(1.0 - gamma))
+
+
 class TestFastCaputoRhs:
     def test_first_level_reduces_to_l1(self):
         soe = build_soe(0.5, 1e-10, 1e-2, 1.0)
@@ -330,10 +338,11 @@ class TestFastCaputoRhs:
         u1 = np.array([0.5, -1.0])
         tau = 0.3
         a11 = tau ** -0.5 / 0.5
-        r = fast_caputo_rhs(h, u0, tau)
         g = math.exp(gammaln(0.5))
-        # fast Caputo of u1 = a11 u1 / Gamma - r = (a11/Gamma)(u1 - u0)
-        np.testing.assert_allclose(a11 * u1 / g - r, a11 / g * (u1 - u0), rtol=1e-14)
+        # W^0 = 0, so the fast Caputo of u1 is (a11/Gamma)(u1 - u0)
+        assert not history_sum(h, tau).any()
+        np.testing.assert_allclose(fast_caputo(h, u0, u1, tau, 0.5),
+                                   a11 / g * (u1 - u0), rtol=1e-14)
 
     def test_constant_solution_caputo_below_epsilon(self):
         eps = 1e-10
@@ -342,12 +351,9 @@ class TestFastCaputoRhs:
         c = 4.0
         u = np.full(3, c)
         h = FastHistory.fresh(soe, 3)
-        g = math.exp(gammaln(0.5))
         for m in range(1, 17):
             tau = mesh.tau[m - 1]
-            a_mm = tau ** -0.5 / 0.5
-            r = fast_caputo_rhs(h, u, tau)
-            caputo = a_mm * u / g - r
+            caputo = fast_caputo(h, u, u, tau, 0.5)
             assert np.max(np.abs(caputo)) <= 10 * eps * c
             history_push(h, np.zeros(3), tau)
 
@@ -359,20 +365,12 @@ class TestFastCaputoRhs:
         soe = build_soe(gamma, eps, mesh.tau[0], 1.0)
         u = (mesh.t ** gamma + 1.0)[:, None]
         h = FastHistory.fresh(soe, 1)
-        g = math.exp(gammaln(1.0 - gamma))
         worst = 0.0
         for m in range(1, M + 1):
             tau = mesh.tau[m - 1]
-            a_mm = tau ** -gamma / (1.0 - gamma)
-            r = fast_caputo_rhs(h, u[m - 1], tau)
-            fast = a_mm * u[m] / g - r
+            fast = fast_caputo(h, u[m - 1], u[m], tau, gamma)
             w = l1_weights(mesh, gamma, m)
             direct = caputo_l1_apply(u[:m], u[m], w, gamma)
             worst = max(worst, abs(float(fast[0] - direct[0])))
             history_push(h, u[m] - u[m - 1], tau)
         assert worst <= 100 * eps
-
-    def test_dimension_mismatch(self):
-        h = FastHistory.fresh(_single_exponential(), 3)
-        with pytest.raises(ValueError):
-            fast_caputo_rhs(h, np.zeros(4), 0.5)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from scipy.linalg import circulant, toeplitz
 
 from oracles import jacobi_eigenvalues
 from tsfrac.ifl import build_ifl
-from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.mesh import build_mesh, gamma_factor, level_shift
 from tsfrac.problems import make_case
 from tsfrac.scheme import SolverOptions, run_fids
 from tsfrac.toeplitz import (
@@ -173,9 +171,7 @@ class TestSymmetricToeplitz:
 
 
 def _example_shift(M=16, r=2.0, gamma=0.5, m=1):
-    mesh = build_mesh(M, r, 1.0)
-    from scipy.special import gammaln
-    return l1_weights(mesh, gamma, m)[-1] / math.exp(gammaln(1.0 - gamma))
+    return level_shift(build_mesh(M, r, 1.0), gamma, m, gamma_factor(gamma))
 
 
 class TestBuildPreconditioner:
@@ -194,6 +190,13 @@ class TestBuildPreconditioner:
         a11 = d.first_col[0]
         assert lam.min() > 0
         assert np.max(np.abs(lam - a11)) < a11
+
+    @pytest.mark.parametrize("n", [127, 2047])
+    def test_strang_eigenvalues_own_their_n_values(self, n):
+        # a run keeps lam: a strided view of the complex spectrum would keep
+        # twice its bytes alive and make every level read it with a stride
+        lam = strang_eigenvalues(build_ifl(1.5, 1.75, 1.0, n + 1).first_col)
+        assert lam.base is None and lam.strides == (8,) and lam.size == n
 
     @pytest.mark.parametrize("alpha,mu,N", [(0.4, 1.2, 8), (1.1, 2.0, 16),
                                             (1.9, 1.95, 64)])

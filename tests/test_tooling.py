@@ -283,3 +283,83 @@ def test_one_function_derives_the_soe_interval():
     # the run and the tests that rebuild the run's SOE all ask soe_interval
     assert soe_interval_sites({p.name: p.read_text() for p in PACKAGE}) == [
         ("scheme.py", "soe_interval")]
+
+
+def private_imports(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every private name (``_x``, not a dunder)
+    that a module takes from another module of the package: by a relative
+    or ``tsfrac`` import, or as an attribute of a package module it
+    imports by ``from . import``."""
+    sites = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "tsfrac"):
+                sites += [(module, node.lineno, alias.name) for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.startswith("__")]
+                if node.level and node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+        sites += [(module, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) in modules
+                  and node.attr.startswith("_") and not node.attr.startswith("__")]
+    return sorted(sites)
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from .mesh import _last_weight, build_mesh\n"
+              "from . import toeplitz, fourier as f\n"
+              "from tsfrac.scheme import _level_shift\n"
+              "import numpy as np\n"
+              "from numpy import _private\n"
+              "from .soe import __doc__\n"
+              "def g(v, _local):\n"
+              "    return toeplitz._apply(v) + f._plan + toeplitz.toeplitz_matvec(v) + np._x\n")
+    assert private_imports({"m.py": source}) == [
+        ("m.py", 1, "_last_weight"), ("m.py", 3, "_level_shift"),
+        ("m.py", 8, "_apply"), ("m.py", 8, "_plan")]
+
+
+def test_no_module_imports_a_private_name():
+    # what modules share is public; a private name is its module's own
+    assert private_imports({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def gamma_factor_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that forms Gamma(1-gamma): a
+    call of ``gammaln`` on ``1 - gamma``, gamma a name or an attribute."""
+    sites = set()
+    for module, source in sources.items():
+        for node, function in _walk_in_functions(ast.parse(source)):
+            if isinstance(node, ast.Call) and _called(node) == "gammaln" and node.args:
+                arg = node.args[0]
+                if (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+                        and getattr(arg.left, "value", None) == 1
+                        and getattr(arg.right, "id", getattr(arg.right, "attr", None))
+                        == "gamma"):
+                    sites.add((module, function))
+    return sorted(sites)
+
+
+def test_the_check_finds_a_second_gamma_factor():
+    source = ("import math\n"
+              "import scipy.special as sp\n"
+              "from scipy.special import gammaln\n"
+              "def factor(gamma):\n"
+              "    return math.exp(gammaln(1.0 - gamma))\n"
+              "class History:\n"
+              "    def rhs(self, h):\n"
+              "        return sp.gammaln(1 - h.soe.gamma)\n"
+              "def others(gamma, alpha):\n"
+              "    return (gammaln(gamma) + gammaln(1.0 + gamma)\n"
+              "            + gammaln(1.0 - alpha / 2.0) + gammaln(2.0 - gamma))\n")
+    assert gamma_factor_sites({"m.py": source}) == [("m.py", "factor"), ("m.py", "rhs")]
+
+
+def test_one_function_forms_the_gamma_factor():
+    # the run, the CLI and the tests take Gamma(1-gamma) from mesh.gamma_factor
+    assert gamma_factor_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("mesh.py", "gamma_factor")]
