@@ -39,7 +39,7 @@ from . import couplings, spectrum
 from .ifl import build_ifl, splitting_parameter
 from .mesh import build_mesh, gamma_factor, level_shift
 from .problems import make_case
-from .scheme import SolverOptions, run_dids, run_fids
+from .scheme import SOLVERS, SolverOptions, run_dids, run_fids
 from .soe import build_soe
 
 DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
@@ -176,7 +176,8 @@ def cmd_solver_compare(config: argparse.Namespace) -> Table:
 
     def rows():
         for scheme in ("dids", "fids"):
-            for solver in ("direct", "krylov", "pkrylov"):
+            # auto picks one of the others
+            for solver in (tag for tag in SOLVERS if tag != "auto"):
                 report = _run_scheme(config, scheme, M, N, solver)
                 yield (scheme, solver, M, N, _fmt_err(report.err_inf),
                        _fmt_err(report.err_2), f"{report.avg_iterations:.1f}",
@@ -269,7 +270,7 @@ _FLAGS = {
     "N": dict(type=int, default=None, help="spatial interval count"),
     "coupling": dict(choices=("2", "mu"), default="2", help="q of the coupled grid"),
     "scheme": dict(choices=("dids", "fids"), default="fids"),
-    "solver": dict(choices=("auto", "direct", "krylov", "pkrylov"), default="auto"),
+    "solver": dict(choices=SOLVERS, default="auto"),
     "eps": dict(dest="epsilon", type=float, default=None,
                 help="SOE tolerance; default 1e-10 (example1) / 1e-9 (example2)"),
     "tol": dict(type=float, default=1e-10),

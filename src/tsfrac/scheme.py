@@ -11,7 +11,10 @@ schemes, with one grid evaluator for kappa, source and the initial value,
 one history array and one pair of error norms; they differ only in its
 history strategy: DIDS sums the Caputo history term over the full solution
 history with the L1 weights (O(m) per level); FIDS evaluates it through the
-sum-of-exponentials recurrence (O(N_exp) per level).  The L1 constants are
+sum-of-exponentials recurrence (O(N_exp) per level).  A level's
+``add_known`` only adds the known history part to the right-hand side;
+each strategy states its per-level cost model once, when it is built, as
+``level_ops``, which the report carries.  The L1 constants are
 ``mesh``'s: the run takes Gamma(1-gamma) from ``gamma_factor`` once, and
 each level's shift_m from ``level_shift``, which both the level solve and
 the FIDS history read; the last weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma)
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -128,7 +131,7 @@ WEIGHT_PANEL = 128
 # repeat of the scan.
 EIGEN_MIN_LEVELS = 128
 EIGEN_MIN_ORDER = 79
-_SOLVERS = ("auto", "direct", "krylov", "pkrylov")
+SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,8 @@ class SolverOptions:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"solver must be one of {', '.join(_SOLVERS)}, "
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, "
                              f"got {self.solver!r}")
         # a tol of 0, NaN or below is never met (BiCGSTAB runs to a
         # breakdown); one of 1 or more accepts the zero initial guess
@@ -165,10 +168,15 @@ class SolverOptions:
 class SolveReport:
     err_inf: Optional[float]
     err_2: Optional[float]
-    avg_iterations: float = 0.0
-    wall_time: float = 0.0
-    history_ops: np.ndarray = field(default=None)  # per-level history-term flops
-    history_memory_values: int = 0                 # floats held for the history term
+    avg_iterations: float
+    wall_time: float
+    # one nominal count per level, m = 1..M, of the history values the level's
+    # history term weighs, not measured flops: m (N-1) for DIDS's L1 sum;
+    # N_exp (N-1), the size of W, for FIDS, whose level reads W once in
+    # history_sum and updates it twice in history_push.  FIDS's array is a
+    # read-only view of one value
+    history_ops: np.ndarray
+    history_memory_values: int   # floats held for the history term
 
 
 def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
@@ -210,21 +218,20 @@ class _DirectLevels:
         self.A = symmetric_toeplitz(disc.first_col)  # read-only, 2n-1 values
         # A u = the middle n values of kernel * u, a direct sum
         self.kernel = np.concatenate((disc.first_col[:0:-1], disc.first_col))
-        self.M = M
+        # a short run or a small system never makes up for eigh
+        self.may_build = M - 1 >= EIGEN_MIN_LEVELS and n >= EIGEN_MIN_ORDER
         self._work = None     # n x n, allocated by the first Cholesky level
-        self.kappa1 = None
+        self.kappa1 = None    # kept at level 1 when a basis may be built
         self.basis = None     # (sqrt(kappa_1), Lambda, Q) once built
 
     def solve(self, shift: float, kappa: np.ndarray, rhs: np.ndarray,
               m: int, t: float) -> tuple[np.ndarray, int]:
         """u with (shift*I + diag(kappa) A) u = rhs, and 0 iterations."""
-        if self.kappa1 is None:
+        if m == 1 and self.may_build:
             self.kappa1 = kappa
-        # the basis is decided once, at level 2, and a short run or a small
-        # system never makes up for eigh: the ratio is read only where a
-        # basis exists or may be built
-        elif self.basis is not None or (m == 2 and self.M - 1 >= EIGEN_MIN_LEVELS
-                                        and kappa.size >= EIGEN_MIN_ORDER):
+        # the basis is decided once, at level 2: the ratio is read only where
+        # a basis exists or may be built
+        elif self.basis is not None or (m == 2 and self.may_build):
             c = kappa / self.kappa1
             # a non-separable kappa never pays for eigh
             if _uniform(c):
@@ -291,6 +298,7 @@ class _KrylovLevels:
 
     def __init__(self, disc: IflDiscretization, tag: str, tol: float):
         self.op = build_toeplitz(disc.first_col)
+        self.tag = tag
         self.tol = tol
         # the eigenvalues lam of s(A) depend on A alone: one transform per run
         self.lam = strang_eigenvalues(disc.first_col) if tag == "pkrylov" else None
@@ -318,7 +326,7 @@ class _KrylovLevels:
         u, report = solver(apply, precond, rhs, tol=self.tol)
         if not report.converged:
             raise RuntimeError(
-                f"{method} ({'pkrylov' if self.lam is not None else 'krylov'}) "
+                f"{method} ({self.tag}) "
                 f"did not converge at level m={m}, t_m={t:.6g}: "
                 f"{report.iterations} iterations, final relative residual "
                 f"{report.final_relative_residual:.3e} (tol {self.tol:g}), "
@@ -373,6 +381,7 @@ class _L1Sum:
         self.g1mg = g1mg
         self.hist = hist
         self.memory_values = hist.size
+        self.level_ops = np.arange(1, mesh.M + 1, dtype=np.int64) * hist.shape[1]
         self.m0 = 0
         self.far = self.near = None
 
@@ -394,17 +403,15 @@ class _L1Sum:
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
         self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float) -> int:
-        """rhs += the known history part of level m; returns the op count.
-        The shift is not read: the coefficient of u^{m-1}, a_m - a_{m-1}
-        (a_1 at m = 1), holds a_m."""
+    def add_known(self, rhs: np.ndarray, m: int, shift: float):
+        """rhs += the known history part of level m.  The shift is not read:
+        the coefficient of u^{m-1}, a_m - a_{m-1} (a_1 at m = 1), holds a_m."""
         if (m - 1) % HISTORY_BLOCK == 0:
             self._start_block(m)
         i = m - self.m0
         rhs += self.far[i]
         if i:
             rhs += self.near[i, :i] @ self.hist[self.m0:m]
-        return m * self.hist.shape[1]
 
     def record(self, m: int, u: np.ndarray):
         """Nothing to do: the run's history already holds u^m."""
@@ -418,18 +425,18 @@ class _SoeRecurrence:
         self.mesh = mesh
         self.g1mg = g1mg
         self.fast = FastHistory.fresh(soe, u0.size)
-        self.ops = soe.n_exp * u0.size
         self.memory_values = self.fast.W.size
+        # the same count at every level: one read-only value, not M
+        self.level_ops = np.broadcast_to(np.int64(self.memory_values), (mesh.M,))
         self.u_prev = u0
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float) -> int:
+    def add_known(self, rhs: np.ndarray, m: int, shift: float):
         """rhs += shift_m u^{m-1} - S_m / Gamma(1-gamma), the known part of
-        level m; returns the op count."""
+        level m."""
         hist = history_sum(self.fast, self.mesh.tau[m - 1])
         hist /= self.g1mg
         rhs -= hist
         rhs += shift * self.u_prev
-        return self.ops
 
     def record(self, m: int, u: np.ndarray):
         # no level reads W^M
@@ -470,14 +477,13 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
                else _SoeRecurrence(soe, g1mg, mesh, u))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     its_total = 0
-    ops = np.empty(M, dtype=np.int64)
     for m in range(M + 1):
         tm = mesh.t[m]
         if m:
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
             shift = level_shift(mesh, spec.gamma, m, g1mg)
-            ops[m - 1] = history.add_known(rhs, m, shift)
+            history.add_known(rhs, m, shift)
             u, its = levels.solve(shift, kappa, rhs, m, tm)
             its_total += its
             history.record(m, u)
@@ -490,7 +496,8 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     return (u if hist is None else hist), SolveReport(
         err_inf=err_inf, err_2=err_2,
         avg_iterations=its_total / M, wall_time=time.perf_counter() - t0,
-        history_ops=ops, history_memory_values=history.memory_values,
+        history_ops=history.level_ops,
+        history_memory_values=history.memory_values,
     )
 
 

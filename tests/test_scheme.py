@@ -799,6 +799,41 @@ class TestComplexityCounters:
         assert np.all(rep.history_ops == rep.history_ops[0])
         assert rep.history_memory_values <= 256 * 15
 
+    def test_lean_fids_memory_beside_the_mesh_does_not_grow_with_M(self, monkeypatch):
+        # the peak from the SOE's return on, less the mesh's t and tau
+        # (16 (M+1) bytes), holds W, u^{m-1} and a level's vectors, none of
+        # them of length M; the report's counters state their sums in closed
+        # form without a value per FIDS level.  Measured: 15.8 and 12.3 kB
+        # at M = 2^11 and 2^13, against 32.5 and 78.1 kB with an (M,) counter
+        build = tsfrac.scheme.build_soe
+
+        def reset_after(*args):
+            soe = build(*args)
+            tracemalloc.reset_peak()
+            return soe
+
+        monkeypatch.setattr(tsfrac.scheme, "build_soe", reset_after)
+        spec = make_case("example1", 1.5, 0.5).spec
+        options = SolverOptions(solver="direct")
+        N, n = 8, 7
+        beside = []
+        for M in (2 ** 11, 2 ** 13):
+            tracemalloc.start()
+            try:
+                _, rep = run_fids(spec, M, 1, N, options=options, keep_history=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beside.append(peak - 16 * (M + 1))
+            n_exp = rep.history_memory_values // n
+            assert len(rep.history_ops) == M
+            assert int(np.sum(rep.history_ops)) == M * n_exp * n
+        assert beside[1] - beside[0] < 8 * 1024
+        M = 2 ** 11
+        _, rep = run_dids(spec, M, 1, N, options=options)
+        assert len(rep.history_ops) == M
+        assert int(np.sum(rep.history_ops)) == n * M * (M + 1) // 2
+
     def test_memory_lean_fids_never_holds_the_history(self, monkeypatch):
         # the peak of the lean run stays below the (M+1) x (N-1) history it
         # does not build; the SOE is built before the measurement
