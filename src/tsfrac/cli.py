@@ -221,8 +221,10 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
 
 
 def _soe_of(config: argparse.Namespace):
-    """The SOE for --gamma/--eps on [delta, T]; delta defaults to (1/256)^r."""
-    delta = config.delta if config.delta is not None else (1.0 / 256.0) ** config.r
+    """The SOE for --gamma/--eps on [delta, T]; delta defaults to (1/256)^r T,
+    the first step of a 256-step mesh on [0, T]."""
+    delta = (config.delta if config.delta is not None
+             else (1.0 / 256.0) ** config.r * config.T)
     return build_soe(config.gamma, resolved_eps(config), delta, config.T), delta
 
 

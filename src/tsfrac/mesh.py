@@ -70,6 +70,8 @@ def _last_weight(tau_m: float, gamma: float) -> float:
 def level_shift(mesh: GradedMesh, gamma: float, m: int, g1mg: float) -> float:
     """shift_m = a_m / Gamma(1-gamma), the weight of u^m in the level-m
     system, with g1mg = ``gamma_factor(gamma)`` from the caller."""
+    if not 1 <= m <= mesh.M:
+        raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
     return _last_weight(mesh.tau[m - 1], gamma) / g1mg
 
 

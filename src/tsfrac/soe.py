@@ -103,6 +103,8 @@ TAIL_FRACTION = 0.01
 # rows of exp(-t s) formed at once by SoeApproximation.evaluate: a 4096-point
 # validation grid at 100-200 nodes would otherwise take 3-7 MB in one piece
 _EVAL_ROWS = 256
+# log-spaced points of [delta, T] at which _validate checks a candidate
+_VALIDATION_POINTS = 4096
 
 
 class SoeConstructionError(RuntimeError):
@@ -227,8 +229,8 @@ def _reduce(soe: SoeApproximation) -> SoeApproximation | None:
                    weights=np.concatenate((weights, soe.weights[~low])))
 
 
-def _validate(soe: SoeApproximation, n_grid: int = 4096) -> bool:
-    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
+def _validate(soe: SoeApproximation) -> bool:
+    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), _VALIDATION_POINTS)
     kernel = t ** (-soe.gamma)
     err = np.abs(kernel - soe.evaluate(t))
     # allow the evaluation's own round-off floor (a few ulp of t^{-gamma})
@@ -294,8 +296,9 @@ def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHisto
     delta_u = np.asarray(delta_u, dtype=float)
     if delta_u.shape[0] != h.W.shape[1]:
         raise ValueError("delta_u length does not match the history width")
-    if tau_m <= 0.0:
-        raise ValueError(f"tau_m must be > 0, got {tau_m}")
+    # NaN fails the test
+    if not 0.0 < tau_m < math.inf:
+        raise ValueError(f"tau_m must be finite and > 0, got {tau_m}")
     if not (h.W.flags.c_contiguous and h.W.dtype == np.float64):
         # dger would update a copy and leave W as it was
         raise ValueError("the accumulator W must be a C-contiguous float64 array")
@@ -312,5 +315,8 @@ def history_sum(h: FastHistory, tau_m: float) -> np.ndarray:
     """S_m = sum_j w_j e^{-s_j tau_m} W_j^{m-1}, with h holding W^{m-1}:
     the SOE's estimate of the L1 history sum_{k<m} a_k Delta u^k at a level
     of step tau_m.  Cost O(N_exp * N_spatial)."""
+    # NaN fails the test
+    if not 0.0 < tau_m < math.inf:
+        raise ValueError(f"tau_m must be finite and > 0, got {tau_m}")
     s, w = h.soe.nodes, h.soe.weights
     return (w * np.exp(-s * tau_m)) @ h.W

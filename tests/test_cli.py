@@ -6,6 +6,7 @@ import pytest
 
 import tsfrac.scheme
 from tsfrac.cli import _COMMANDS, build_parser, main
+from tsfrac.soe import build_soe
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,22 @@ class TestSoeCommands:
         code = main([command, "--points", points])
         assert code == 1
         assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
+
+    def test_default_delta_is_the_first_step_on_0_T(self, capsys):
+        # (1/256)^r T lies in (0, T) for a short final time too
+        code, out = run_cli(capsys, "soe-check", "--r", "1", "--T", "0.001",
+                            "--eps", "1e-6", "--points", "3")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [float(row["t"]) for row in rows] == [3.90625e-06, 6.25e-05, 1e-3]
+
+    def test_soe_nodes_default_delta_follows_T(self, capsys):
+        code, out = run_cli(capsys, "soe-nodes", "--r", "1", "--T", "0.001",
+                            "--eps", "1e-6")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        soe = build_soe(0.5, 1e-6, 0.001 / 256, 0.001)
+        assert [float(row["node"]) for row in rows] == soe.nodes.tolist()
 
     def test_degenerate_delta_fails(self, capsys):
         code, _ = run_cli(capsys, "soe-check", "--delta", "2.0")

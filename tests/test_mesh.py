@@ -139,6 +139,12 @@ class TestLevelConstants:
             for m in range(1, mesh.M + 1):
                 assert level_shift(mesh, gamma, m, g) == l1_weights(mesh, gamma, m)[-1] / g
 
+    @pytest.mark.parametrize("m", [0, -1, 5])
+    def test_level_shift_rejects_a_level_outside_the_mesh(self, m):
+        mesh = build_mesh(4, 2, 1.0)
+        with pytest.raises(ValueError, match=rf"level m must lie in \[1, 4\], got {m}"):
+            level_shift(mesh, 0.5, m, gamma_factor(0.5))
+
 
 class TestCaputoL1Apply:
     def test_constant_history_maps_to_zero(self):

@@ -316,6 +316,17 @@ class TestHistoryPush:
             tracemalloc.stop()
         assert peak < h.W.nbytes / 8
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("step", ["push", "sum"])
+    def test_step_that_is_not_finite_and_positive_is_rejected(self, step, tau):
+        h = FastHistory.fresh(_single_exponential(), 3)
+        with pytest.raises(ValueError, match=f"tau_m must be finite and > 0, got {tau}"):
+            if step == "push":
+                history_push(h, np.ones(3), tau)
+            else:
+                history_sum(h, tau)
+        assert not h.W.any()
+
     def test_accumulator_that_is_not_c_contiguous_is_rejected(self):
         h = FastHistory(soe=_single_exponential(), W=np.zeros((1, 6))[:, ::2])
         with pytest.raises(ValueError, match="C-contiguous float64"):

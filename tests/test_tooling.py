@@ -1,6 +1,8 @@
 """Static checks on the package source, by the standard library's ``ast``."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tsfrac"
 # __init__.py imports what the package exports
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
+REPO = SRC.parents[1]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -363,3 +366,46 @@ def test_one_function_forms_the_gamma_factor():
     # the run, the CLI and the tests take Gamma(1-gamma) from mesh.gamma_factor
     assert gamma_factor_sites({p.name: p.read_text() for p in PACKAGE}) == [
         ("mesh.py", "gamma_factor")]
+
+
+# the solver API the package root exports: the run drivers, their problem,
+# options and report types, the builders of a run's pieces, and their errors
+ROOT_API = {"make_case", "run_dids", "run_fids", "SolverOptions", "ProblemSpec",
+            "SolveReport", "build_ifl", "build_mesh", "build_soe", "build_toeplitz",
+            "SoeConstructionError", "PreconditionerError"}
+
+
+def root_imports(sources: list[str]) -> set[str]:
+    """Every name a source imports from the package root, ``from tsfrac``."""
+    return {alias.name for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "tsfrac"
+            and not node.level for alias in node.names}
+
+
+def python_blocks(markdown: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", markdown, re.S | re.M)
+
+
+def test_the_check_finds_a_root_import():
+    readme = ("```sh\nfrom tsfrac import shell\n```\n"
+              "```python\nfrom tsfrac import (make_case,\n    run_dids as run)\n```\n")
+    source = ("import tsfrac\n"
+              "from tsfrac.soe import build_soe\n"
+              "from tsfrac import build_mesh\n"
+              "from . import tsfrac\n")
+    assert root_imports([source, *python_blocks(readme)]) == {
+        "build_mesh", "make_case", "run_dids"}
+
+
+def test_the_root_exports_the_solver_api():
+    import tsfrac
+    assert {name for name, value in vars(tsfrac).items()
+            if not name.startswith("_") and not inspect.ismodule(value)} == ROOT_API
+
+
+def test_every_root_import_is_exported():
+    # perfbench and the README take their names from the root; the tests
+    # and the CLI import each name from its module
+    sources = [p.read_text() for p in sorted((REPO / "perfbench").glob("*.py"))]
+    sources += python_blocks((REPO / "README.md").read_text())
+    assert root_imports(sources) <= ROOT_API
