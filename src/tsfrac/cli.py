@@ -10,7 +10,9 @@ solver-compare      scheme x solver matrix at one grid --N [--M]; the flags
                     above but --scheme and --solver
 spectrum            dense spectra at one --level of one grid --N [--M]; --case
                     --gamma --alpha --r --mu --coupling --kappa-const --T
-soe-check           kernel-compression error profile over a log grid;
+soe-check           kernel-compression error profile over a log grid, absolute
+                    and relative, of the SOE to the relative --eps a FIDS run
+                    asks for;
                     --case --gamma --r --eps --delta --T --points
 soe-nodes           SOE nodes and weights; soe-check's flags but --points
 ifl-column          CSV dump of the Toeplitz first column; --alpha --mu --N
@@ -221,11 +223,13 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
 
 
 def _soe_of(config: argparse.Namespace):
-    """The SOE for --gamma/--eps on [delta, T]; delta defaults to (1/256)^r T,
-    the first step of a 256-step mesh on [0, T]."""
+    """The SOE for --gamma on [delta, T] to the relative tolerance --eps, the
+    target a FIDS run asks for; delta defaults to (1/256)^r T, the first step
+    of a 256-step mesh on [0, T]."""
     delta = (config.delta if config.delta is not None
              else (1.0 / 256.0) ** config.r * config.T)
-    return build_soe(config.gamma, resolved_eps(config), delta, config.T), delta
+    return build_soe(config.gamma, resolved_eps(config), delta, config.T,
+                     relative=True), delta
 
 
 def cmd_soe_check(config: argparse.Namespace) -> Table:
@@ -233,11 +237,15 @@ def cmd_soe_check(config: argparse.Namespace) -> Table:
         raise ValueError(f"--points must be >= 1, got {config.points}")
     soe, delta = _soe_of(config)
     t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
-    err = np.abs(t ** (-config.gamma) - soe.evaluate(t))
-    table = Table(["t", "abs_error"],
-                  [(f"{ti:.6e}", f"{ei:.3e}") for ti, ei in zip(t, err)])
+    kernel = t ** (-config.gamma)
+    err = np.abs(kernel - soe.evaluate(t))
+    rel = err / kernel
+    table = Table(["t", "abs_error", "rel_error"],
+                  [(f"{ti:.6e}", f"{ei:.3e}", f"{ri:.3e}")
+                   for ti, ei, ri in zip(t, err, rel)])
     table.meta["n_exp"] = str(soe.n_exp)
     table.meta["sup_error"] = f"{err.max():.3e}"
+    table.meta["sup_rel_error"] = f"{rel.max():.3e}"
     return table
 
 
@@ -274,7 +282,8 @@ _FLAGS = {
     "scheme": dict(choices=("dids", "fids"), default="fids"),
     "solver": dict(choices=SOLVERS, default="auto"),
     "eps": dict(dest="epsilon", type=float, default=None,
-                help="SOE tolerance; default 1e-10 (example1) / 1e-9 (example2)"),
+                help="relative SOE tolerance, |t^-gamma - SOE(t)| <= eps t^-gamma; "
+                     "default 1e-10 (example1) / 1e-9 (example2)"),
     "tol": dict(type=float, default=1e-10),
     "out": dict(default=None),
     "format": dict(choices=("csv", "json"), default="csv"),

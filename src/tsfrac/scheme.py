@@ -11,7 +11,8 @@ schemes, with one grid evaluator for kappa, source and the initial value,
 one history array and one pair of error norms; they differ only in its
 history strategy: DIDS sums the Caputo history term over the full solution
 history with the L1 weights (O(m) per level); FIDS evaluates it through the
-sum-of-exponentials recurrence (O(N_exp) per level).  A level's
+sum-of-exponentials recurrence (O(N_exp) per level), on the SOE that
+``run_soe`` builds to a relative tolerance.  A level's
 ``add_known`` only adds the known history part to the right-hand side;
 each strategy states its per-level cost model once, when it is built, as
 ``level_ops``, which the report carries.  The L1 constants are
@@ -194,6 +195,12 @@ def soe_interval(mesh: GradedMesh) -> tuple[float, float]:
     the shortest step after the first, tau_2 on a graded mesh (r >= 1, whose
     steps never shrink): (2^r - 1) times the first step tau_1."""
     return float(mesh.tau[1:].min()), float(mesh.t[-1])
+
+
+def run_soe(gamma: float, epsilon: float, mesh: GradedMesh) -> SoeApproximation:
+    """The SOE a FIDS run on ``mesh`` uses: t^{-gamma} to the relative
+    tolerance ``epsilon`` on ``soe_interval(mesh)``."""
+    return build_soe(gamma, epsilon, *soe_interval(mesh), relative=True)
 
 
 def _uniform(v: np.ndarray) -> bool:
@@ -448,9 +455,10 @@ class _SoeRecurrence:
 def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
          options: SolverOptions, keep_history: bool,
          epsilon: Optional[float] = None) -> tuple[np.ndarray, SolveReport]:
-    """Step levels 0..M: FIDS with an SOE to ``epsilon`` when it is given,
-    else DIDS.  Returns the (M+1, N-1) history when ``keep_history`` is set
-    (always for DIDS, whose sum reads it), else the final level."""
+    """Step levels 0..M: FIDS with an SOE to the relative tolerance
+    ``epsilon`` when it is given, else DIDS.  Returns the (M+1, N-1)
+    history when ``keep_history`` is set (always for DIDS, whose sum reads
+    it), else the final level."""
     t0 = time.perf_counter()
     g1mg = gamma_factor(spec.gamma)
     if epsilon is not None and M < 2:
@@ -466,7 +474,7 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
     x = disc.interior_points()
     if epsilon is not None:
-        soe = build_soe(spec.gamma, epsilon, *soe_interval(mesh))
+        soe = run_soe(spec.gamma, epsilon, mesh)
     tag = select_solver(N, options)
     levels = (_DirectLevels(disc, M) if tag == "direct"
               else _KrylovLevels(disc, tag, options.tol))
@@ -531,7 +539,8 @@ def run_fids(
 ) -> tuple[np.ndarray, SolveReport]:
     """Fast implicit scheme with the SOE history recurrence.
 
-    The SOE compresses t^{-gamma} to ``epsilon`` on [tau_2, T]
+    ``epsilon`` is a relative tolerance: the SOE (``run_soe``) keeps
+    |t^{-gamma} - SOE(t)| <= epsilon t^{-gamma} on [tau_2, T]
     (``soe_interval``): level m reads the history at arguments in
     [tau_m, t_m], and no level reads it before level 2, so M must be at
     least 2 and the SOE need not cover the first step tau_1 =

@@ -5,26 +5,35 @@ The kernel is written through the Gamma-function integral representation
     t^{-gamma} = (1/Gamma(gamma)) * int_0^inf e^{-t s} s^{gamma-1} ds
 
 and the integral is discretized on a uniform lattice in u = ln s (midpoint
-rule).  The infinite left tail of the lattice (s below a threshold where
-e^{-st} is indistinguishable from its first-order expansion on [0, T]) is
-collapsed into a single moment-matched node: the tail's weight and first
-moment have closed geometric-series forms, and replacing the tail by
-(sum w_j) e^{-s_bar t} with s_bar the weighted mean node costs at most
-(T^2/2) * tail_mass * s_max^2, which is budgeted inside epsilon.  On the
-right the lattice stops once e^{-s delta} has killed the integrand.  The
-resulting nodes/weights are strictly positive, and the construction
-accepts a set only when
+rule).  The SOE meets a tolerance epsilon that is either absolute, an
+allowed error tol(t) = epsilon on [delta, T], or relative, tol(t) =
+epsilon t^{-gamma}, which is what a FIDS run asks for (McLean, "Exponential
+sum approximations for t^{-beta}", 2018, bounds the lattice's relative
+error; Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21, 2017, give the
+absolute form).  That one target sets the lattice: its step comes from the
+relative aliasing error at tol(delta) delta^gamma / 4, the tightest relative
+target on [delta, T] (epsilon delta^gamma absolute, epsilon relative).  The
+infinite left tail of the lattice (s below a threshold where e^{-st} is
+indistinguishable from its first-order expansion on [0, T]) is collapsed
+into a single moment-matched node: the tail's weight and first moment have
+closed geometric-series forms, and replacing the tail by (sum w_j)
+e^{-s_bar t} with s_bar the weighted mean node costs at most
+(T^2/2) * tail_mass * s_max^2, which is budgeted inside tol(T), the smallest
+allowed error on [delta, T].  On the right the lattice stops once its terms
+at delta fall below tol(delta)/32.  The resulting nodes/weights are strictly
+positive, and the construction accepts a set only when
 
-    |t^{-gamma} - sum_j w_j e^{-s_j t}| <= max(epsilon, 4 ulp of t^{-gamma})
+    |t^{-gamma} - sum_j w_j e^{-s_j t}| <= max(tol(t), 4 ulp of t^{-gamma})
 
 at 4096 log-spaced points of [delta, T], refining the step until a set
 passes or the smallest candidate exceeds the node cap.  That is a check at
-points, not a bound on the interval.  Where epsilon is at least 8 ulp of
-delta^{-gamma}, as in the benchmark regimes, the tests find the error under
-epsilon on 20 000 points as well.  Below that the error is the rounding of
+points, not a bound on the interval.  Where tol(t) is at least 8 ulp of
+t^{-gamma}, as in the benchmark regimes, the tests find the error under
+tol(t) on 20 000 points as well.  Below that the error is the rounding of
 the sum, which between the 4096 points has reached 4.7 ulp of t^{-gamma}
-(gamma 0.95, epsilon 1e-9, delta 4096^-3, on 20 000 points); the tests hold
-such sets to 8 ulp.
+(gamma 0.95, absolute epsilon 1e-9, delta 4096^-3, on 20 000 points); the
+tests hold such sets to 8 ulp.  A relative epsilon below 4 ulp could only
+be met by that rounding, so the build refuses it.
 
 Before that one validation, the lattice's low-frequency block, the nodes
 below REDUCE_BELOW / T, is compressed by time-limited balanced truncation
@@ -37,14 +46,16 @@ y = sqrt(w)^T x, whose two Gramians on [delta, T] coincide:
 With G = U diag(lambda) U^T (lambda descending), the block keeps the
 fewest k leading directions whose L2 tail on [delta, T],
 sqrt(sum_{i>=k} lambda_i (u_i^T sqrt(w))^2), is at most TAIL_FRACTION *
-epsilon; the reduced operator U_k^T diag(s) U_k = Z diag(sigma) Z^T gives
+tol(T); the reduced operator U_k^T diag(s) U_k = Z diag(sigma) Z^T gives
 the new nodes sigma, positive and below REDUCE_BELOW / T by interlacing, and
 the new weights (Z^T U_k^T sqrt(w))^2.  The reduced set replaces the lattice
 when it passes the validation; otherwise the lattice itself is validated.
 The nodes above the block stay: near t = delta the kernel reaches
-delta^{-gamma}, epsilon is then within a few ulp of it, and truncating the
-whole lattice the same way passed the validation at no k below the lattice
-count on six configurations tried.
+delta^{-gamma}, an absolute epsilon is then within a few ulp of it, and
+truncating the whole lattice the same way passed the validation at no k
+below the lattice count on six configurations tried; for a relative epsilon
+a t^{2 gamma}-weighted Gramian of the whole lattice reached 1.4e-7 relative
+only at 74 of 75 nodes (gamma 0.8), too ill-conditioned to truncate.
 
 History evaluation: with Delta u^k = u^k - u^{k-1}, the per-exponential
 accumulators
@@ -63,7 +74,12 @@ right-hand side.
 Level m reads e^{-s_j tau_m} W_j^{m-1}, the kernel at arguments in
 [tau_m, t_m], and W^0 = 0; so the FIDS scheme builds its SOE on
 [tau_2, T] (``scheme.soe_interval``), tau_2 = (2^r - 1) tau_1 on the graded
-mesh, and not on [tau_1, T].
+mesh, and not on [tau_1, T].  It builds it to a relative epsilon
+(``scheme.run_soe``): near t = delta the history integrates the kernel over
+steps of length about delta, so a relative error epsilon t^{-gamma} there
+costs about epsilon delta^{1-gamma} |u'|, and an absolute epsilon would set
+the lattice step for a relative epsilon delta^gamma, 1.5e-15 at
+epsilon 1e-9 and delta 5.2e-8.
 """
 
 from __future__ import annotations
@@ -105,6 +121,10 @@ TAIL_FRACTION = 0.01
 _EVAL_ROWS = 256
 # log-spaced points of [delta, T] at which _validate checks a candidate
 _VALIDATION_POINTS = 4096
+# the rounding of the evaluated sum that _validate allows, in ulp of
+# t^{-gamma}; a relative epsilon below it cannot be met
+_ROUNDING_ULPS = 4.0
+_ULP = float(np.finfo(float).eps)
 
 
 class SoeConstructionError(RuntimeError):
@@ -121,6 +141,19 @@ class SoeApproximation:
     T: float
     nodes: np.ndarray    # s_j > 0, ascending
     weights: np.ndarray  # w_j > 0
+    relative: bool = False  # epsilon bounds the error over t^{-gamma}
+
+    def tolerance(self, t):
+        """The absolute error allowed at t: epsilon, or epsilon t^{-gamma}
+        when the tolerance is relative."""
+        return self.epsilon * t ** -self.gamma if self.relative else self.epsilon
+
+    def describe(self) -> str:
+        """The target, for error messages: an absolute one is the plain
+        tolerance."""
+        kind = "relative " if self.relative else ""
+        return (f"{kind}tolerance {self.epsilon:g} on [{self.delta:g}, {self.T:g}] "
+                f"at gamma={self.gamma:g}")
 
     @property
     def n_exp(self) -> int:
@@ -171,13 +204,16 @@ def _lattice_step(gamma: float, target: float) -> float:
     return 2.0 * math.pi / y
 
 
-def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
+def _build_lattice(target: SoeApproximation, h: float):
+    gamma, delta, T = target.gamma, target.delta, target.T
     lg = gammaln(gamma)
     inv_g = math.exp(-lg)
     # collapse the lattice below s = a into one moment-matched node; the
     # replacement error is <= (T^2/2) * mass(a) * a^2 with
-    # mass(a) = a^gamma/(gamma Gamma(gamma)), budgeted at eps/8
-    a = (eps * gamma * math.exp(lg) / (4.0 * T * T)) ** (1.0 / (gamma + 2.0))
+    # mass(a) = a^gamma/(gamma Gamma(gamma)), budgeted at an eighth of the
+    # tolerance at T, the smallest on [delta, T]
+    a = ((target.tolerance(T) * gamma * math.exp(lg) / (4.0 * T * T))
+         ** (1.0 / (gamma + 2.0)))
     j0 = math.floor(math.log(a) / h - 0.5)
     u0 = (j0 + 0.5) * h
     # geometric tail sums of weight and first moment over u_j <= u0
@@ -191,13 +227,13 @@ def _build_lattice(gamma: float, eps: float, delta: float, T: float, h: float):
         w = h * math.exp(gamma * u) * inv_g
         nodes.append(s)
         weights.append(w)
-        if s * delta > gamma + 1.0 and w * math.exp(-min(s * delta, 700.0)) < eps / 32.0:
+        if (s * delta > gamma + 1.0
+                and w * math.exp(-min(s * delta, 700.0)) < target.tolerance(delta) / 32.0):
             break
         j += 1
         if len(nodes) > 100_000:
             raise SoeConstructionError(
-                f"right tail of the lattice does not terminate: tolerance "
-                f"{eps:g} on [{delta:g}, {T:g}] at gamma={gamma:g}")
+                f"right tail of the lattice does not terminate: {target.describe()}")
     return np.array(nodes), np.array(weights)
 
 
@@ -218,7 +254,7 @@ def _reduce(soe: SoeApproximation) -> SoeApproximation | None:
     # tail[j]: the squared L2 tail when the n-1-j leading directions stay;
     # round-off leaves lambda near -1e-16 * lambda_max, so tail is not monotone
     tail = np.cumsum(lam * c * c)[:-1]
-    fits = np.flatnonzero(tail <= (TAIL_FRACTION * soe.epsilon) ** 2)
+    fits = np.flatnonzero(tail <= (TAIL_FRACTION * soe.tolerance(soe.T)) ** 2)
     if fits.size == 0:
         return None
     k = n - 1 - int(fits[-1])
@@ -234,7 +270,7 @@ def _validate(soe: SoeApproximation) -> bool:
     kernel = t ** (-soe.gamma)
     err = np.abs(kernel - soe.evaluate(t))
     # allow the evaluation's own round-off floor (a few ulp of t^{-gamma})
-    return bool(np.all(err <= np.maximum(soe.epsilon, 4.0 * np.finfo(float).eps * kernel)))
+    return bool(np.all(err <= np.maximum(soe.tolerance(t), _ROUNDING_ULPS * _ULP * kernel)))
 
 
 def build_soe(
@@ -242,13 +278,19 @@ def build_soe(
     epsilon: float,
     delta: float,
     T: float,
+    relative: bool = False,
 ) -> SoeApproximation:
-    """Compress t^{-gamma} on [delta, T] to absolute tolerance epsilon.
+    """Compress t^{-gamma} on [delta, T] to tolerance epsilon: absolute,
+    |t^{-gamma} - SOE(t)| <= epsilon, or with ``relative`` set
+    |t^{-gamma} - SOE(t)| <= epsilon t^{-gamma}, the target a FIDS run asks
+    for.
 
     Returns the reduced lattice when it passes the validation, else the
     lattice when it fits under the cap and passes, else tries a finer
-    lattice.  Raises SoeConstructionError, naming its count, once the
-    smaller of the two candidates has more than ``NODE_CAP`` nodes.
+    lattice.  Raises SoeConstructionError, naming the tolerance, its kind,
+    [delta, T] and gamma: for a relative epsilon below the sum's rounding,
+    4 ulp; once the smaller of the two candidates has more than
+    ``NODE_CAP`` nodes; or when no lattice passes.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -261,30 +303,34 @@ def build_soe(
         raise SoeConstructionError(
             f"cutoff must satisfy 0 < delta < T, got delta={delta}, T={T}"
         )
+    target = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
+                              delta=float(delta), T=float(T), nodes=np.empty(0),
+                              weights=np.empty(0), relative=bool(relative))
+    if relative and epsilon < _ROUNDING_ULPS * _ULP:
+        raise SoeConstructionError(
+            f"{target.describe()} cannot be met: summing the exponentials "
+            f"rounds to {_ROUNDING_ULPS:g} ulp, {_ROUNDING_ULPS * _ULP:.3g}")
 
-    # the absolute target at t = delta is the binding one: relative it is
-    # epsilon * delta^gamma
-    h = _lattice_step(gamma, epsilon * delta ** gamma / 4.0)
+    # the relative target is tightest at t = delta: epsilon delta^gamma
+    # for an absolute epsilon, epsilon itself for a relative one
+    h = _lattice_step(gamma, target.tolerance(delta) * delta ** gamma / 4.0)
     for _ in range(6):
-        s, w = _build_lattice(gamma, epsilon, delta, T, h)
-        lattice = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
-                                   delta=float(delta), T=float(T), nodes=s, weights=w)
+        s, w = _build_lattice(target, h)
+        lattice = replace(target, nodes=s, weights=w)
         reduced = _reduce(lattice)
         # the reduction only removes nodes, so it is the smaller candidate
         smallest = lattice if reduced is None else reduced
         if smallest.n_exp > NODE_CAP:
             raise SoeConstructionError(
-                f"tolerance {epsilon:g} on [{delta:g}, {T:g}] at gamma={gamma:g} "
-                f"needs {smallest.n_exp} exponentials, cap is {NODE_CAP}"
+                f"{target.describe()} needs {smallest.n_exp} exponentials, "
+                f"cap is {NODE_CAP}"
             )
         if reduced is not None and _validate(reduced):
             return reduced
         if s.size <= NODE_CAP and _validate(lattice):
             return lattice
         h *= 0.85
-    raise SoeConstructionError(
-        f"validation failed to reach {epsilon:g} on [{delta:g}, {T:g}]"
-    )
+    raise SoeConstructionError(f"validation failed to reach the {target.describe()}")
 
 
 def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHistory:

@@ -47,9 +47,8 @@ from tsfrac.ifl import build_ifl, splitting_parameter
 from tsfrac.krylov import KrylovReport
 from tsfrac.mesh import GradedMesh, _last_weight, build_mesh, l1_weights
 from tsfrac.problems import _ifl_prefactor, hypergeom_terminating
-from tsfrac.scheme import (ProblemSpec, SolverOptions, run_dids, run_fids,
-                           soe_interval)
-from tsfrac.soe import SoeApproximation, build_soe
+from tsfrac.scheme import ProblemSpec, SolverOptions, run_dids, run_fids, run_soe
+from tsfrac.soe import SoeApproximation
 
 
 def jacobi_eigenvalues(
@@ -485,7 +484,7 @@ def stability_probe(
         hist, _ = run_dids(spec, M, r, N, mu=mu, options=options)
         c1 = [l1_weights(mesh, spec.gamma, m)[0] for m in range(1, M + 1)]
     elif scheme == "fids":
-        soe = build_soe(spec.gamma, epsilon, *soe_interval(mesh))
+        soe = run_soe(spec.gamma, epsilon, mesh)
         hist, _ = run_fids(spec, M, r, N, epsilon=epsilon, mu=mu, options=options)
         c1 = [fast_coefficients(soe, mesh, m)[0] for m in range(1, M + 1)]
     else:

@@ -163,10 +163,12 @@ class TestSoeCommands:
                             "--eps", "1e-8", "--delta", "1e-3", "--points", "200")
         assert code == 0
         comments, header, rows = parse_csv(out)
-        assert header == ["t", "abs_error"]
+        assert header == ["t", "abs_error", "rel_error"]
         assert len(rows) == 200
-        sup = [c for c in comments if "sup_error" in c][0]
+        # --eps is the relative tolerance a FIDS run asks for
+        sup = [c for c in comments if "sup_rel_error" in c][0]
         assert float(sup.split("=")[1]) <= 1e-8
+        assert max(float(row["rel_error"]) for row in rows) <= 1e-8
         # profile only covers [delta, T]
         assert float(rows[0]["t"]) >= 1e-3
 
@@ -200,7 +202,7 @@ class TestSoeCommands:
                             "--eps", "1e-6")
         assert code == 0
         _, _, rows = parse_csv(out)
-        soe = build_soe(0.5, 1e-6, 0.001 / 256, 0.001)
+        soe = build_soe(0.5, 1e-6, 0.001 / 256, 0.001, relative=True)
         assert [float(row["node"]) for row in rows] == soe.nodes.tolist()
 
     def test_degenerate_delta_fails(self, capsys):
@@ -483,8 +485,9 @@ _ECHO = [
 # points = 5
 # r = 2.0
 # subcommand = soe-check
-# n_exp = 16
-# sup_error = 1.361e-07"""),
+# n_exp = 15
+# sup_error = 1.204e-07
+# sup_rel_error = 5.242e-08"""),
     (["soe-nodes", "--eps", "1e-6", "--delta", "1e-2", "--T", "2.0"],
      {"subcommand": "soe-nodes", "case": "example1", "gamma": 0.5, "r": 2.0,
       "epsilon": 1e-06, "format": "csv", "delta": 0.01, "T": 2.0},

@@ -30,10 +30,9 @@ from tsfrac.scheme import (
     _KrylovLevels,
     run_dids,
     run_fids,
+    run_soe,
     select_solver,
-    soe_interval,
 )
-from tsfrac.soe import build_soe
 from tsfrac.spectrum import dense_system
 
 # Gamma(1 - 0.5), for the level shifts of the gamma = 0.5 tests
@@ -57,7 +56,7 @@ class TestSchemeBasics:
 
     def test_memory_lean_fids_returns_final_level(self):
         case = make_case("example1", 1.5, 0.5)
-        soe = build_soe(0.5, 1e-10, *soe_interval(build_mesh(16, 2, 1.0)))
+        soe = run_soe(0.5, 1e-10, build_mesh(16, 2, 1.0))
         hist, _ = run_fids(case.spec, 16, 2, 16)
         final, rep = run_fids(case.spec, 16, 2, 16, keep_history=False)
         np.testing.assert_allclose(final, hist[-1], rtol=1e-14)
@@ -70,12 +69,14 @@ class TestSchemeBasics:
         built = []
         build = tsfrac.scheme.build_soe
         monkeypatch.setattr(tsfrac.scheme, "build_soe",
-                            lambda *args: built.append(args) or build(*args))
+                            lambda *args, **kwargs: built.append((args, kwargs))
+                            or build(*args, **kwargs))
         run_fids(make_case("example1", 1.5, 0.5).spec, M, r, 16,
                  keep_history=False)
         mesh = build_mesh(M, r, 1.0)
-        [(gamma, epsilon, delta, T)] = built
+        [((gamma, epsilon, delta, T), kwargs)] = built
         assert (gamma, epsilon, T) == (0.5, 1e-10, 1.0)
+        assert kwargs == {"relative": True}
         assert delta == mesh.tau[1:].min() == mesh.tau[1]
         assert delta == pytest.approx((2 ** r - 1) * (1.0 / M) ** r, rel=1e-12)
 
@@ -807,8 +808,8 @@ class TestComplexityCounters:
         # at M = 2^11 and 2^13, against 32.5 and 78.1 kB with an (M,) counter
         build = tsfrac.scheme.build_soe
 
-        def reset_after(*args):
-            soe = build(*args)
+        def reset_after(*args, **kwargs):
+            soe = build(*args, **kwargs)
             tracemalloc.reset_peak()
             return soe
 
@@ -839,8 +840,8 @@ class TestComplexityCounters:
         # does not build; the SOE is built before the measurement
         case = make_case("example1", 1.5, 0.5)
         M, N = 2048, 17
-        soe = build_soe(0.5, 1e-10, *soe_interval(build_mesh(M, 2, 1.0)))
-        monkeypatch.setattr(tsfrac.scheme, "build_soe", lambda *args: soe)
+        soe = run_soe(0.5, 1e-10, build_mesh(M, 2, 1.0))
+        monkeypatch.setattr(tsfrac.scheme, "build_soe", lambda *args, **kwargs: soe)
         history_bytes = (M + 1) * (N - 1) * 8
         peaks = {}
         for keep in (True, False):
@@ -859,8 +860,8 @@ class TestComplexityCounters:
         # views that pinned the whole inverse transform.  A first run fills
         # first-use caches; the second is measured
         M, r, N = 32, 2, 1024
-        soe = build_soe(0.5, 1e-9, *soe_interval(build_mesh(M, r, 1.0)))
-        monkeypatch.setattr(tsfrac.scheme, "build_soe", lambda *args: soe)
+        soe = run_soe(0.5, 1e-9, build_mesh(M, r, 1.0))
+        monkeypatch.setattr(tsfrac.scheme, "build_soe", lambda *args, **kwargs: soe)
         spec = make_case("example2", 1.9, 0.5).spec
         options = SolverOptions(solver="pkrylov")
         for _ in range(2):

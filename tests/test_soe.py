@@ -7,6 +7,7 @@ from scipy.special import gammaln
 
 from oracles import caputo_l1_apply, fast_coefficients, history_push_outer
 from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.scheme import run_soe
 import tsfrac.soe as soe_module
 from tsfrac.soe import (
     NODE_CAP,
@@ -49,9 +50,19 @@ def within_contract(soe, n_grid):
         soe.epsilon, FLOOR_ULPS * np.finfo(float).eps * kernel)))
 
 
-# the FIDS workloads' SOEs, pk-n128 and pk-n2048-deep: (gamma, epsilon, delta)
-WORKLOAD_SOES = {"pk-n128": (0.5, 1e-9, (1.0 / 3326) ** 2),
-                 "pk-n2048-deep": (0.8, 1e-9, (1.0 / 512) ** 3)}
+def sup_rel_error(soe, n_grid):
+    """max |t^-gamma - SOE(t)| / t^-gamma on a log grid of [delta, T]."""
+    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), n_grid)
+    kernel = t ** (-soe.gamma)
+    return float(np.max(np.abs(kernel - soe.evaluate(t)) / kernel))
+
+
+# the FIDS workloads, pk-n128 and pk-n2048-deep: (gamma, epsilon, M, r)
+WORKLOAD_RUNS = {"pk-n128": (0.5, 1e-9, 3326, 2),
+                 "pk-n2048-deep": (0.8, 1e-9, 512, 3)}
+# their absolute SOEs on [tau_1, T]: (gamma, epsilon, delta)
+WORKLOAD_SOES = {name: (gamma, epsilon, (1.0 / M) ** r)
+                 for name, (gamma, epsilon, M, r) in WORKLOAD_RUNS.items()}
 
 
 class TestReduction:
@@ -111,6 +122,54 @@ class TestReduction:
         soe = build_soe(*WORKLOAD_SOES[name], 1.0)
         assert soe.n_exp <= most
         assert sup_error(soe, 20_000) <= soe.epsilon
+
+
+class TestRelativeTolerance:
+    @pytest.mark.parametrize("name,most", [("pk-n128", 47), ("pk-n2048-deep", 53)])
+    def test_run_soe_on_the_workload_grids(self, name, most):
+        # the absolute SOEs on the same [tau_2, T] take 58 and 77 nodes
+        gamma, epsilon, M, r = WORKLOAD_RUNS[name]
+        soe = run_soe(gamma, epsilon, build_mesh(M, r, 1.0))
+        assert soe.relative and soe.epsilon == epsilon
+        assert soe.n_exp <= most
+        assert sup_rel_error(soe, 20_000) <= epsilon
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.8, 0.95])
+    def test_sweep(self, gamma, epsilon):
+        for M in (2, 64, 4096, 2 ** 16):
+            for r in (1, 2, 3):
+                soe = build_soe(gamma, epsilon, (1.0 / M) ** r, 1.0, relative=True)
+                assert soe.n_exp <= NODE_CAP, (M, r)
+                assert sup_rel_error(soe, 20_000) <= epsilon, (M, r)
+                assert np.all(soe.nodes > 0) and np.all(np.diff(soe.nodes) > 0), (M, r)
+                assert np.all(soe.weights > 0), (M, r)
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-15])
+    @pytest.mark.parametrize("gamma", [0.97, 0.99])
+    def test_gamma_near_one_on_a_deep_grid(self, gamma, epsilon):
+        # r = 3, M = 2^16: tau_2 = 7 / 2^48; at 1e-15 the sum's rounding,
+        # up to 4.8 ulp, is the binding error
+        soe = run_soe(gamma, epsilon, build_mesh(2 ** 16, 3, 1.0))
+        assert soe.n_exp <= NODE_CAP
+        assert sup_rel_error(soe, 20_000) <= max(epsilon, FLOOR_ULPS * np.finfo(float).eps)
+
+    def test_tolerance_below_the_rounding_is_named(self):
+        with pytest.raises(SoeConstructionError, match=(
+                r"^relative tolerance 1e-17 on \[0\.0001, 1\] at gamma=0\.5 "
+                r"cannot be met")):
+            build_soe(0.5, 1e-17, 1e-4, 1.0, relative=True)
+
+    def test_cap_failure_names_the_relative_tolerance(self):
+        with pytest.raises(SoeConstructionError, match=(
+                r"^relative tolerance 1e-15 on \[5\.42101e-20, 1\] at gamma=0\.97 "
+                r"needs \d+ exponentials, cap is 256$")):
+            build_soe(0.97, 1e-15, (1.0 / 2 ** 16) ** 4, 1.0, relative=True)
+
+    def test_the_absolute_default_is_unchanged(self):
+        soe = build_soe(*WORKLOAD_SOES["pk-n2048-deep"], 1.0)
+        assert not soe.relative
+        assert soe.tolerance(soe.delta) == soe.tolerance(soe.T) == soe.epsilon
 
 
 class TestBuildSoe:

@@ -246,11 +246,19 @@ def test_one_function_evaluates_the_problem_data():
         ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
 
 
-def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, function) of every function that derives the left end of
-    the FIDS SOE interval from the mesh: the first step written out as
-    ``(1 / M) ** r`` with M not a literal, or the steps from the second on,
-    ``tau[1:]``."""
+def _called_name(node) -> str | None:
+    """The name a call node calls: ``f(...)`` or ``module.f(...)``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, function, what) of every function that derives the left end
+    of the FIDS SOE interval from the mesh, "first step" written out as
+    ``(1 / M) ** r`` with M not a literal or "later steps" ``tau[1:]``, or
+    that builds the run's SOE by hand, "run's SOE": a ``build_soe`` call
+    given ``soe_interval(...)``."""
     sites = set()
     for module, source in sources.items():
         for node, function in _walk_in_functions(ast.parse(source)):
@@ -264,8 +272,13 @@ def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
                            == "tau"
                            and isinstance(node.slice, ast.Slice)
                            and getattr(node.slice.lower, "value", None) == 1)
-            if first_step or later_steps:
-                sites.add((module, function))
+            run_soe = (_called_name(node) == "build_soe"
+                       and any(_called_name(getattr(arg, "value", arg)) == "soe_interval"
+                               for arg in node.args))
+            for what, found in (("first step", first_step), ("later steps", later_steps),
+                                ("run's SOE", run_soe)):
+                if found:
+                    sites.add((module, function, what))
     return sorted(sites)
 
 
@@ -276,16 +289,30 @@ def test_the_check_finds_a_second_soe_interval_site():
               "class Mesh:\n"
               "    def delta(self):\n"
               "        return self.tau[1:].min()\n"
+              "def copy(spec, mesh):\n"
+              "    return build_soe(spec.gamma, 1e-9, *soe_interval(mesh), relative=True)\n"
+              "def qualified(spec, mesh):\n"
+              "    return soe.build_soe(spec.gamma, 1e-9, *scheme.soe_interval(mesh))\n"
               "def others(mesh, tau, M, m, r):\n"
               "    t = (np.arange(M + 1) / M) ** r\n"
+              "    build_soe(0.5, 1e-9, 1e-3, 1.0, relative=True), soe_interval(mesh)\n"
               "    return t, mesh.tau[m - 1], tau[:1], (1.0 / 256.0) ** r, (2 / M) ** r\n")
-    assert soe_interval_sites({"m.py": source}) == [("m.py", "delta"), ("m.py", "run")]
+    assert soe_interval_sites({"m.py": source}) == [
+        ("m.py", "copy", "run's SOE"), ("m.py", "delta", "later steps"),
+        ("m.py", "qualified", "run's SOE"), ("m.py", "run", "first step")]
 
 
 def test_one_function_derives_the_soe_interval():
-    # the run and the tests that rebuild the run's SOE all ask soe_interval
+    # and one builds the run's SOE from it
     assert soe_interval_sites({p.name: p.read_text() for p in PACKAGE}) == [
-        ("scheme.py", "soe_interval")]
+        ("scheme.py", "run_soe", "run's SOE"), ("scheme.py", "soe_interval", "later steps")]
+
+
+def test_the_tests_take_the_run_soe_from_run_soe():
+    # a test that rebuilds the run's SOE by hand checks another SOE once the
+    # run's target changes
+    sources = {p.name: p.read_text() for p in sorted((REPO / "tests").glob("*.py"))}
+    assert [site for site in soe_interval_sites(sources) if site[2] == "run's SOE"] == []
 
 
 def private_imports(sources: dict[str, str]) -> list[tuple[str, int, str]]:
