@@ -12,7 +12,9 @@ spectrum            dense spectra at one --level of one grid --N [--M]; --case
                     --gamma --alpha --r --mu --coupling --kappa-const --T
 soe-check           kernel-compression error profile over a log grid, absolute
                     and relative, of the SOE to the relative --eps a FIDS run
-                    asks for;
+                    asks for, on [--delta, --T]; --delta defaults to tau_2 of
+                    a 256-step mesh, where a FIDS run on that mesh starts
+                    its SOE;
                     --case --gamma --r --eps --delta --T --points
 soe-nodes           SOE nodes and weights; soe-check's flags but --points
 ifl-column          CSV dump of the Toeplitz first column; --alpha --mu --N
@@ -41,7 +43,7 @@ from . import couplings, spectrum
 from .ifl import build_ifl, splitting_parameter
 from .mesh import build_mesh, gamma_factor, level_shift
 from .problems import make_case
-from .scheme import SOLVERS, SolverOptions, run_dids, run_fids
+from .scheme import SOLVERS, SolverOptions, run_dids, run_fids, soe_interval
 from .soe import build_soe
 
 DEFAULT_EPS = {"example1": 1e-10, "example2": 1e-9}
@@ -224,19 +226,20 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
 
 def _soe_of(config: argparse.Namespace):
     """The SOE for --gamma on [delta, T] to the relative tolerance --eps, the
-    target a FIDS run asks for; delta defaults to (1/256)^r T, the first step
-    of a 256-step mesh on [0, T]."""
+    target a FIDS run asks for; delta defaults to tau_2 of a 256-step mesh
+    on [0, T], where the SOE of a FIDS run on that mesh starts, so the
+    default is that run's SOE."""
     delta = (config.delta if config.delta is not None
-             else (1.0 / 256.0) ** config.r * config.T)
+             else soe_interval(build_mesh(256, config.r, config.T))[0])
     return build_soe(config.gamma, resolved_eps(config), delta, config.T,
-                     relative=True), delta
+                     relative=True)
 
 
 def cmd_soe_check(config: argparse.Namespace) -> Table:
     if config.points < 1:
         raise ValueError(f"--points must be >= 1, got {config.points}")
-    soe, delta = _soe_of(config)
-    t = np.logspace(math.log10(delta), math.log10(config.T), config.points)
+    soe = _soe_of(config)
+    t = np.logspace(math.log10(soe.delta), math.log10(soe.T), config.points)
     kernel = t ** (-config.gamma)
     err = np.abs(kernel - soe.evaluate(t))
     rel = err / kernel
@@ -250,7 +253,7 @@ def cmd_soe_check(config: argparse.Namespace) -> Table:
 
 
 def cmd_soe_nodes(config: argparse.Namespace) -> Table:
-    soe, _ = _soe_of(config)
+    soe = _soe_of(config)
     return Table(["node", "weight"], [(f"{s:.16e}", f"{w:.16e}")
                                       for s, w in zip(soe.nodes, soe.weights)])
 

@@ -14,7 +14,10 @@ they drift apart, and at tol 1e-14 the same level stopped at 7.4e-15 with
 a true residual of 3.2e-12.  CG uses the
 standard preconditioned recurrence; the circulant preconditioner is SPD by
 construction.  The initial guess is always the zero vector and the default
-tolerance is 1e-10.
+tolerance is 1e-10.  A relative residual that is not finite (NaN in the
+right-hand side, or an operator or preconditioner that returns NaN or
+infinity) ends either solve at once as the breakdown "non-finite
+residual", rather than after max_iters passes that cannot converge.
 
 Both loops run in place (Barrett et al., Templates for the Solution of
 Linear Systems, SIAM 1994, sections 2.3.1 and 2.3.8): the iterate, the
@@ -32,6 +35,7 @@ factors a Fortran-ordered matrix in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,7 +62,8 @@ def solve_cg(
     """Preconditioned conjugate gradients; operator must be SPD.
 
     A non-positive curvature term signals loss of positive definiteness and
-    is reported as a breakdown rather than raised.
+    is reported as a breakdown rather than raised, as is a residual that is
+    not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -85,6 +90,8 @@ def solve_cg(
         rel = dnrm2(r) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
+        if not rel < math.inf:  # NaN fails the test
+            return x, KrylovReport(it, rel, False, breakdown="non-finite residual")
         z = psolve(r)
         rz_new = ddot(r, z)
         p *= rz_new / rz
@@ -106,9 +113,10 @@ def solve_bicgstab(
     residual of the unpreconditioned system.  It equals b - M x_k only in
     exact arithmetic: the two agree at tol 1e-10, but below about
     cond * eps the true residual stays above tol while r_k goes on falling.
-    Vanishing rho or omega inner products are reported as breakdowns.
-    Each pass of the loop counts as one iteration, including passes that
-    converge at the intermediate residual check.
+    Vanishing rho or omega inner products, and a residual that is not
+    finite, are reported as breakdowns.  Each pass of the loop counts as
+    one iteration, including passes that converge at the intermediate
+    residual check.
     """
     r0 = np.asarray(rhs, dtype=float)  # the shadow residual, never written
     n = r0.size
@@ -160,6 +168,8 @@ def solve_bicgstab(
         rel = dnrm2(r) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
+        if not rel < math.inf:  # NaN fails the test
+            return x, KrylovReport(it, rel, False, breakdown="non-finite residual")
         if omega == 0.0:
             return x, KrylovReport(it, rel, False, breakdown="omega vanished")
     return x, KrylovReport(max_iters, dnrm2(r) / nrm0, False)

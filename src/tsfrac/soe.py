@@ -85,7 +85,7 @@ epsilon 1e-9 and delta 5.2e-8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -179,7 +179,7 @@ class FastHistory:
     """
 
     soe: SoeApproximation
-    W: np.ndarray = field(default=None)  # shape (N_exp, N_spatial)
+    W: np.ndarray  # shape (N_exp, N_spatial)
 
     @classmethod
     def fresh(cls, soe: SoeApproximation, n_spatial: int) -> "FastHistory":

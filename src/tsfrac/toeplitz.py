@@ -21,6 +21,7 @@ shift + kappa_bar*lam and the inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -165,15 +166,17 @@ def build_preconditioner(lam: np.ndarray, shift: float,
                          kappa_bar: float) -> ToeplitzOperator:
     """P^{-1} for P = shift*I + kappa_bar*s(A), lam the eigenvalues of s(A).
 
-    Total eigenvalues shift + kappa_bar * lam must all be strictly positive,
+    shift and kappa_bar must be finite and > 0, else ValueError.  Total
+    eigenvalues shift + kappa_bar * lam must all be strictly positive,
     otherwise PreconditionerError signals a numerical breakdown.  Up to
     DENSE_CROSSOVER the result holds the dense circulant P^{-1}, otherwise
     the inverse half-eigenvalues, P^{-1} being its own embedding.
     """
-    if shift <= 0.0:
-        raise ValueError(f"shift must be > 0, got {shift}")
-    if kappa_bar <= 0.0:
-        raise ValueError(f"kappa_bar must be > 0, got {kappa_bar}")
+    # NaN fails both tests
+    if not 0.0 < shift < math.inf:
+        raise ValueError(f"shift must be finite and > 0, got {shift}")
+    if not 0.0 < kappa_bar < math.inf:
+        raise ValueError(f"kappa_bar must be finite and > 0, got {kappa_bar}")
     total = shift + kappa_bar * lam
     if np.any(total <= 0.0):
         raise PreconditionerError("preconditioner has a non-positive eigenvalue")

@@ -214,7 +214,8 @@ def cg_reference(
     """Preconditioned conjugate gradients; operator must be SPD.
 
     A non-positive curvature term signals loss of positive definiteness and
-    is reported as a breakdown rather than raised.
+    is reported as a breakdown rather than raised, as is a residual that is
+    not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -241,6 +242,8 @@ def cg_reference(
         rel = float(np.linalg.norm(r)) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
+        if not rel < math.inf:
+            return x, KrylovReport(it, rel, False, breakdown="non-finite residual")
         z = psolve(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
@@ -258,9 +261,10 @@ def bicgstab_reference(
     """Right-preconditioned BiCGSTAB with the zero initial guess.
 
     Stops on ||r_k||_2 / ||r_0||_2 < tol where r_k is the true residual.
-    Vanishing rho or omega inner products are reported as breakdowns.
-    Each pass of the loop counts as one iteration, including passes that
-    converge at the intermediate residual check.
+    Vanishing rho or omega inner products, and a residual that is not
+    finite, are reported as breakdowns.  Each pass of the loop counts as
+    one iteration, including passes that converge at the intermediate
+    residual check.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
@@ -310,6 +314,8 @@ def bicgstab_reference(
         rel = float(np.linalg.norm(r)) / nrm0
         if rel < tol:
             return x, KrylovReport(it, rel, True)
+        if not rel < math.inf:
+            return x, KrylovReport(it, rel, False, breakdown="non-finite residual")
         if omega == 0.0:
             return x, KrylovReport(it, rel, False, breakdown="omega vanished")
     return x, KrylovReport(max_iters, float(np.linalg.norm(r)) / nrm0, False)

@@ -6,7 +6,8 @@ import pytest
 
 import tsfrac.scheme
 from tsfrac.cli import _COMMANDS, build_parser, main
-from tsfrac.soe import build_soe
+from tsfrac.mesh import build_mesh
+from tsfrac.scheme import run_soe
 
 
 def run_cli(capsys, *argv):
@@ -190,7 +191,7 @@ class TestSoeCommands:
         assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
 
     def test_default_delta_is_the_first_step_on_0_T(self, capsys):
-        # (1/256)^r T lies in (0, T) for a short final time too
+        # at r = 1 tau_2 is the first step T/256, in (0, T) for a short T too
         code, out = run_cli(capsys, "soe-check", "--r", "1", "--T", "0.001",
                             "--eps", "1e-6", "--points", "3")
         assert code == 0
@@ -202,8 +203,25 @@ class TestSoeCommands:
                             "--eps", "1e-6")
         assert code == 0
         _, _, rows = parse_csv(out)
-        soe = build_soe(0.5, 1e-6, 0.001 / 256, 0.001, relative=True)
+        soe = run_soe(0.5, 1e-6, build_mesh(256, 1, 0.001))
         assert [float(row["node"]) for row in rows] == soe.nodes.tolist()
+
+    @pytest.mark.parametrize("T", ["1", "2"])
+    @pytest.mark.parametrize("r", ["1", "2", "3"])
+    def test_default_soe_is_the_run_soe_of_a_256_step_mesh(self, capsys, r, T):
+        # %.16e round-trips, so the nodes compare exactly
+        code, out = run_cli(capsys, "soe-nodes", "--r", r, "--T", T)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        mesh = build_mesh(256, float(r), float(T))
+        soe = run_soe(0.5, 1e-10, mesh)
+        assert [float(row["node"]) for row in rows] == soe.nodes.tolist()
+        assert [float(row["weight"]) for row in rows] == soe.weights.tolist()
+        code, out = run_cli(capsys, "soe-check", "--r", r, "--T", T, "--points", "3")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        # the profile starts at tau_2
+        assert float(rows[0]["t"]) == float(f"{mesh.tau[1]:.6e}")
 
     def test_degenerate_delta_fails(self, capsys):
         code, _ = run_cli(capsys, "soe-check", "--delta", "2.0")

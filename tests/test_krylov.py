@@ -190,6 +190,24 @@ class TestLeanLoopsAgainstOracles:
             assert rep.breakdown == "r0.v vanished" and rep.iterations == 1
             np.testing.assert_array_equal(x, 0.0)
 
+    @pytest.mark.parametrize("solve", [solve_cg, solve_bicgstab,
+                                       cg_reference, bicgstab_reference])
+    @pytest.mark.parametrize("where", ["rhs", "operator"])
+    def test_non_finite_residual_stops_at_once(self, rng, solve, where):
+        # a NaN can never meet tol: without the check the loop would run
+        # all 10 n iterations
+        A = spd_matrix(rng, 50)
+        b = rng.standard_normal(50)
+        if where == "rhs":
+            b[7] = np.nan
+            apply = dense_op(A)
+        else:
+            apply = lambda v: np.full_like(v, np.nan)
+        x, rep = solve(apply, None, b)
+        assert not rep.converged
+        assert rep.breakdown == "non-finite residual" and rep.iterations == 1
+        assert x.shape == (50,)
+
     def test_empty_system(self):
         for solve in (solve_cg, solve_bicgstab):
             x, rep = solve(dense_op(np.zeros((0, 0))), None, np.zeros(0))

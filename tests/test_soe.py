@@ -386,6 +386,10 @@ class TestHistoryPush:
                 history_sum(h, tau)
         assert not h.W.any()
 
+    def test_history_without_an_accumulator_cannot_be_built(self):
+        with pytest.raises(TypeError):
+            FastHistory(_single_exponential())
+
     def test_accumulator_that_is_not_c_contiguous_is_rejected(self):
         h = FastHistory(soe=_single_exponential(), W=np.zeros((1, 6))[:, ::2])
         with pytest.raises(ValueError, match="C-contiguous float64"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,15 @@ class TestBuildPreconditioner:
             build_preconditioner(lam, 0.0, 1.0)
         with pytest.raises(ValueError):
             build_preconditioner(lam, 1.0, -1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["shift", "kappa_bar"])
+    def test_shift_or_kappa_that_is_not_finite_is_rejected(self, name, value):
+        # NaN would give an all-NaN P^{-1} and infinity P^{-1} = 0
+        lam = strang_eigenvalues(build_ifl(1.5, 1.75, 1.0, 256).first_col)
+        args = {"shift": 1.0, "kappa_bar": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            build_preconditioner(lam, args["shift"], args["kappa_bar"])
 
     def test_nonpositive_spectrum_is_a_breakdown(self):
         col = np.zeros(4)

@@ -256,7 +256,7 @@ def _called_name(node) -> str | None:
 def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
     """(module, function, what) of every function that derives the left end
     of the FIDS SOE interval from the mesh, "first step" written out as
-    ``(1 / M) ** r`` with M not a literal or "later steps" ``tau[1:]``, or
+    ``(1 / M) ** r`` or "later steps" ``tau[1:]``, or
     that builds the run's SOE by hand, "run's SOE": a ``build_soe`` call
     given ``soe_interval(...)``."""
     sites = set()
@@ -265,8 +265,7 @@ def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
             first_step = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
                           and isinstance(node.left, ast.BinOp)
                           and isinstance(node.left.op, ast.Div)
-                          and getattr(node.left.left, "value", None) == 1
-                          and not isinstance(node.left.right, ast.Constant))
+                          and getattr(node.left.left, "value", None) == 1)
             later_steps = (isinstance(node, ast.Subscript)
                            and getattr(node.value, "attr", getattr(node.value, "id", None))
                            == "tau"
@@ -299,7 +298,8 @@ def test_the_check_finds_a_second_soe_interval_site():
               "    return t, mesh.tau[m - 1], tau[:1], (1.0 / 256.0) ** r, (2 / M) ** r\n")
     assert soe_interval_sites({"m.py": source}) == [
         ("m.py", "copy", "run's SOE"), ("m.py", "delta", "later steps"),
-        ("m.py", "qualified", "run's SOE"), ("m.py", "run", "first step")]
+        ("m.py", "others", "first step"), ("m.py", "qualified", "run's SOE"),
+        ("m.py", "run", "first step")]
 
 
 def test_one_function_derives_the_soe_interval():
