@@ -199,7 +199,10 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
     if not 1 <= level <= M:
         raise ValueError(f"--level must lie in [1, {M}], got {level}")
     mesh = build_mesh(M, config.r, config.T)
-    shift = level_shift(mesh, config.gamma, level, gamma_factor(config.gamma))
+    # the one level's time and step, from one evaluation
+    t_prev, t_level = mesh.times(np.array([level - 1, level]))
+    shift = level_shift(mesh, config.gamma, level, gamma_factor(config.gamma),
+                        t_level - t_prev)
     disc = build_ifl(config.alpha, resolved_mu(config), 1.0, N)
     x, col = disc.interior_points(), disc.first_col
 
@@ -213,7 +216,7 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
         return table
 
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
-    kappa = np.asarray(case.spec.kappa(x, mesh.t[level]), dtype=float)
+    kappa = np.asarray(case.spec.kappa(x, t_level), dtype=float)
     sv = spectrum.preconditioned_singular_values(col, shift, kappa)
     summary = spectrum.gershgorin_summary(spectrum.dense_system(col, shift, kappa))
     table = Table(["index", "sv_preconditioned"],

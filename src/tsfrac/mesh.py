@@ -2,7 +2,12 @@
 and the L1 formula's level constants.
 
 The temporal grid is t_m = (m/M)^r T, which concentrates points near t = 0
-where solutions of sub-diffusion problems are weakly singular.  The L1 weights
+where solutions of sub-diffusion problems are weakly singular.  A mesh holds
+(M, r, T) and no array: ``GradedMesh.times`` evaluates the levels a reader
+asks for, and a reader takes its steps tau_m = t_m - t_{m-1} from the times
+it evaluated.  A reader that walks all levels does so LEVEL_BLOCK levels at
+a time (``GradedMesh.blocks``), so a FIDS run's memory is O(N_exp N), as
+its history's, and a lean run holds nothing of length M.  The L1 weights
 are the exact per-interval averages of the kernel (t_m - s)^{-gamma}: one
 level's row, or a panel of several levels' rows over a range of intervals,
 the weights past a level being zero as in the lower-triangular L1 matrix.
@@ -24,17 +29,57 @@ import numpy as np
 from scipy.special import gammaln
 
 
+# Levels whose times ``GradedMesh.blocks`` evaluates at once: a walk over
+# the levels holds two arrays of LEVEL_BLOCK + 1 floats, 2 kB, at any M
+LEVEL_BLOCK = 128
+
+
 @dataclass(frozen=True)
 class GradedMesh:
-    """Temporal grid t_m = (m/M)^r T with step sizes tau_m = t_m - t_{m-1}."""
+    """Temporal grid t_m = (m/M)^r T, m = 0..M, with steps
+    tau_m = t_m - t_{m-1} > 0; t_0 = 0, t_M = T.
+
+    It holds (M, r, T) and no array: ``times`` evaluates the levels a
+    reader asks for, and the reader takes a step from the same evaluation
+    as the two times it separates.  So the mesh adds nothing of length M
+    to a FIDS run, whose memory is O(N_exp N): a lean run holds its
+    accumulators, u^{m-1} and a few vectors of length N."""
 
     M: int
-    t: np.ndarray    # shape (M+1,), t[0] = 0, t[M] = T, strictly increasing
-    tau: np.ndarray  # shape (M,), tau[m-1] = t[m] - t[m-1] > 0
+    r: float
+    T: float
+
+    def times(self, m):
+        """t_m for an integer level m in [0, M], or the array of t_m for an
+        integer array of levels; any other level raises ValueError, naming
+        it.  One level is evaluated as a one-value float64 array, by the same
+        expression as every other, so t_m has the same bits however it is
+        asked for (Python's float ``**`` differs from numpy's array power in
+        the last bit at some levels)."""
+        levels = np.asarray(m)
+        bad = (levels.ravel() if levels.dtype.kind not in "iu"
+               else levels[(levels < 0) | (levels > self.M)])
+        if bad.size:
+            raise ValueError(f"level must be an integer in [0, {self.M}], "
+                             f"got {bad.flat[0]}")
+        # (m / M) ** r * T, in place
+        t = np.array(levels, dtype=float, ndmin=1)
+        t /= self.M
+        t **= self.r
+        t *= self.T
+        return t if levels.ndim else t[0]
+
+    def blocks(self, first: int = 1):
+        """The levels first..M in consecutive blocks of up to LEVEL_BLOCK,
+        each as (m0, t, tau): t the times t_{m0-1}..t_{m0+k-1}, evaluated at
+        once, and tau = diff(t) the block's k steps tau_{m0}..tau_{m0+k-1}."""
+        for m0 in range(first, self.M + 1, LEVEL_BLOCK):
+            t = self.times(np.arange(m0 - 1, min(m0 + LEVEL_BLOCK, self.M + 1)))
+            yield m0, t, np.diff(t)
 
 
 def build_mesh(M: int, r: float, T: float) -> GradedMesh:
-    """Build the graded mesh t_m = (m/M)^r T.
+    """The graded mesh t_m = (m/M)^r T, which allocates no array.
 
     Requires an integer M >= 1, a finite real r >= 1 and a finite T > 0.
     """
@@ -49,9 +94,7 @@ def build_mesh(M: int, r: float, T: float) -> GradedMesh:
         raise ValueError(f"grading exponent r must be finite and >= 1, got {r}")
     if not 0.0 < T < math.inf:
         raise ValueError(f"final time T must be finite and > 0, got {T}")
-    t = (np.arange(M + 1, dtype=float) / M) ** r * T
-    tau = np.diff(t)
-    return GradedMesh(M=M, t=t, tau=tau)
+    return GradedMesh(M=M, r=r, T=T)
 
 
 def gamma_factor(gamma: float) -> float:
@@ -67,12 +110,17 @@ def _last_weight(tau_m: float, gamma: float) -> float:
     return tau_m ** (-gamma) / (1.0 - gamma)
 
 
-def level_shift(mesh: GradedMesh, gamma: float, m: int, g1mg: float) -> float:
+def level_shift(mesh: GradedMesh, gamma: float, m: int, g1mg: float,
+                tau_m: float | None = None) -> float:
     """shift_m = a_m / Gamma(1-gamma), the weight of u^m in the level-m
-    system, with g1mg = ``gamma_factor(gamma)`` from the caller."""
+    system, with g1mg = ``gamma_factor(gamma)`` from the caller.  ``tau_m``
+    is the level's step when the caller has evaluated it already, as a run
+    does once per level; else the mesh evaluates it."""
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
-    return _last_weight(mesh.tau[m - 1], gamma) / g1mg
+    if tau_m is None:
+        tau_m = np.diff(mesh.times(np.array([m - 1, m])))[0]
+    return _last_weight(tau_m, gamma) / g1mg
 
 
 def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
@@ -103,10 +151,13 @@ def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
     if not 0 <= start < stop <= high:
         raise ValueError(f"weights k = {start + 1}..{stop} must form a nonempty "
                          f"range in 1..{high}")
-    t = mesh.t
-    tm = t[levels][:, None]
-    L = tm - t[start:stop]
-    R = tm - t[start + 1:stop + 1]
+    # the panel's times only, in one evaluation: t_m of its levels, then
+    # t_start..t_stop
+    t = mesh.times(np.concatenate((levels, np.arange(start, stop + 1))))
+    tm, t = t[:levels.size, None], t[levels.size:]
+    tau = np.diff(t)
+    L = tm - t[:-1]
+    R = tm - t[1:]
     one_mg = 1.0 - gamma
     # from k = m on (R <= 0), L = R = 1 takes the log path to 0; the newest
     # interval k = m then gets its closed form, in the rows that reach it
@@ -117,7 +168,7 @@ def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
         newest = np.flatnonzero((start < levels) & (levels <= stop))
     a = (np.exp(one_mg * np.log(R))
          * np.expm1(one_mg * np.log1p((L - R) / R))
-         / (mesh.tau[start:stop] * one_mg))
+         / (tau * one_mg))
     for i in newest:
-        a[i, levels[i] - 1 - start] = _last_weight(mesh.tau[levels[i] - 1], gamma)
+        a[i, levels[i] - 1 - start] = _last_weight(tau[levels[i] - 1 - start], gamma)
     return a if np.ndim(m) else a[0]

@@ -15,10 +15,13 @@ sum-of-exponentials recurrence (O(N_exp) per level), on the SOE that
 ``run_soe`` builds to a relative tolerance.  A level's
 ``add_known`` only adds the known history part to the right-hand side;
 each strategy states its per-level cost model once, when it is built, as
-``level_ops``, which the report carries.  The L1 constants are
-``mesh``'s: the run takes Gamma(1-gamma) from ``gamma_factor`` once, and
-each level's shift_m from ``level_shift``, which both the level solve and
-the FIDS history read; the last weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma)
+``level_ops``, which the report carries.  The run walks the mesh's levels
+in blocks (``GradedMesh.blocks``): each level's time t_m and step tau_m
+come from one evaluation per block, and the step goes to the shift and to
+the history strategy, so nothing of length M is stored.  The L1 constants
+are ``mesh``'s: the run takes Gamma(1-gamma) from ``gamma_factor`` once,
+and each level's shift_m from ``level_shift``, which both the level solve
+and the FIDS history read; the last weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma)
 never goes through the SOE, whose history sum S_m covers the levels before
 m, so FIDS adds shift_m u^{m-1} - S_m / Gamma(1-gamma) to the right-hand
 side.
@@ -60,6 +63,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -188,13 +192,18 @@ def select_solver(N: int, options: SolverOptions = SolverOptions()) -> str:
 
 
 def soe_interval(mesh: GradedMesh) -> tuple[float, float]:
-    """[delta, T], the interval the FIDS SOE must cover on ``mesh``.
+    """[delta, T], the interval the FIDS SOE must cover on ``mesh``, M >= 2.
 
     Level m applies e^{-s tau_m} to W^{m-1}, which holds the kernel at
     arguments in [tau_m, t_m]; W^0 = 0, so level 1 evaluates none.  delta is
     the shortest step after the first, tau_2 on a graded mesh (r >= 1, whose
-    steps never shrink): (2^r - 1) times the first step tau_1."""
-    return float(mesh.tau[1:].min()), float(mesh.t[-1])
+    steps never shrink): (2^r - 1) times the first step tau_1.  As evaluated,
+    steps that are equal in exact arithmetic differ in the last bits, so
+    delta is the least of tau_2..tau_M, taken block by block."""
+    if mesh.M < 2:
+        raise ValueError(f"the SOE interval [tau_2, T] needs M >= 2, got M = {mesh.M}")
+    delta = min(tau.min() for _, _, tau in mesh.blocks(first=2))
+    return float(delta), float(mesh.times(mesh.M))
 
 
 def run_soe(gamma: float, epsilon: float, mesh: GradedMesh) -> SoeApproximation:
@@ -410,9 +419,10 @@ class _L1Sum:
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
         self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float):
-        """rhs += the known history part of level m.  The shift is not read:
-        the coefficient of u^{m-1}, a_m - a_{m-1} (a_1 at m = 1), holds a_m."""
+    def add_known(self, rhs: np.ndarray, m: int, shift: float, tau_m: float):
+        """rhs += the known history part of level m.  The shift and the step
+        are not read: the coefficient of u^{m-1}, a_m - a_{m-1} (a_1 at
+        m = 1), holds a_m."""
         if (m - 1) % HISTORY_BLOCK == 0:
             self._start_block(m)
         i = m - self.m0
@@ -420,35 +430,35 @@ class _L1Sum:
         if i:
             rhs += self.near[i, :i] @ self.hist[self.m0:m]
 
-    def record(self, m: int, u: np.ndarray):
+    def record(self, m: int, u: np.ndarray, tau_m: float):
         """Nothing to do: the run's history already holds u^m."""
 
 
 class _SoeRecurrence:
     """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1}."""
 
-    def __init__(self, soe: SoeApproximation, g1mg: float, mesh: GradedMesh,
+    def __init__(self, soe: SoeApproximation, g1mg: float, M: int,
                  u0: np.ndarray):
-        self.mesh = mesh
+        self.M = M
         self.g1mg = g1mg
         self.fast = FastHistory.fresh(soe, u0.size)
         self.memory_values = self.fast.W.size
         # the same count at every level: one read-only value, not M
-        self.level_ops = np.broadcast_to(np.int64(self.memory_values), (mesh.M,))
+        self.level_ops = np.broadcast_to(np.int64(self.memory_values), (M,))
         self.u_prev = u0
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float):
+    def add_known(self, rhs: np.ndarray, m: int, shift: float, tau_m: float):
         """rhs += shift_m u^{m-1} - S_m / Gamma(1-gamma), the known part of
-        level m."""
-        hist = history_sum(self.fast, self.mesh.tau[m - 1])
+        level m, whose step is tau_m."""
+        hist = history_sum(self.fast, tau_m)
         hist /= self.g1mg
         rhs -= hist
         rhs += shift * self.u_prev
 
-    def record(self, m: int, u: np.ndarray):
+    def record(self, m: int, u: np.ndarray, tau_m: float):
         # no level reads W^M
-        if m < self.mesh.M:
-            history_push(self.fast, u - self.u_prev, self.mesh.tau[m - 1])
+        if m < self.M:
+            history_push(self.fast, u - self.u_prev, tau_m)
             self.u_prev = u
 
 
@@ -482,19 +492,22 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
 
     hist = np.empty((M + 1, x.size)) if keep_history else None
     history = (_L1Sum(spec.gamma, g1mg, mesh, hist) if epsilon is None
-               else _SoeRecurrence(soe, g1mg, mesh, u))
+               else _SoeRecurrence(soe, g1mg, M, u))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     its_total = 0
-    for m in range(M + 1):
-        tm = mesh.t[m]
+    # each level's time and step, from one evaluation per block of levels;
+    # level 0 has no step
+    steps = ((m0 + i, t[i + 1], tau[i])
+             for m0, t, tau in mesh.blocks() for i in range(tau.size))
+    for m, tm, tau_m in chain([(0, mesh.times(0), None)], steps):
         if m:
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
-            shift = level_shift(mesh, spec.gamma, m, g1mg)
-            history.add_known(rhs, m, shift)
+            shift = level_shift(mesh, spec.gamma, m, g1mg, tau_m)
+            history.add_known(rhs, m, shift, tau_m)
             u, its = levels.solve(shift, kappa, rhs, m, tm)
             its_total += its
-            history.record(m, u)
+            history.record(m, u, tau_m)
         if hist is not None:
             hist[m] = u
         if spec.exact is not None:

@@ -334,14 +334,18 @@ def build_soe(
 
 
 def history_push(h: FastHistory, delta_u: np.ndarray, tau_m: float) -> FastHistory:
-    """Advance the accumulators by one step: delta_u = u^m - u^{m-1}.
+    """Advance the accumulators by one step: delta_u = u^m - u^{m-1}, of
+    shape (N_spatial,), else ValueError naming both shapes.
 
     W_j <- e^{-s_j tau_m} W_j + (delta_u / tau_m) (1 - e^{-s_j tau_m}) / s_j.
     Cost O(N_exp * N_spatial); mutates and returns h.
     """
     delta_u = np.asarray(delta_u, dtype=float)
-    if delta_u.shape[0] != h.W.shape[1]:
-        raise ValueError("delta_u length does not match the history width")
+    # one value per spatial column: a column (n, 1) or a matrix (n, k) is no
+    # increment of the accumulators
+    if delta_u.shape != (h.W.shape[1],):
+        raise ValueError(f"delta_u must have shape ({h.W.shape[1]},), the history "
+                         f"width, got shape {delta_u.shape}")
     # NaN fails the test
     if not 0.0 < tau_m < math.inf:
         raise ValueError(f"tau_m must be finite and > 0, got {tau_m}")

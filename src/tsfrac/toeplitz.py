@@ -7,10 +7,11 @@ by ``symmetric_toeplitz`` as one read-only view of 2n-1 values.
 One record, ``ToeplitzOperator``, holds both A and P^{-1}, and one kernel,
 ``_apply``, applies either; the order n alone picks its form.  Up to
 ``DENSE_CROSSOVER`` the record keeps the dense matrix, so every apply is one
-BLAS product.  Above it, the record keeps the real half-spectrum of a
-circulant of order ``embed_len`` that embeds the matrix, and an apply costs
-one real FFT pair: A embeds in a circulant of power-of-two order >= 2n-1,
-and the circulant P^{-1} is its own embedding (``embed_len`` = n).
+symmetric BLAS product, ``dsymv``.  Above it, the record keeps the real
+half-spectrum of a circulant of order ``embed_len`` that embeds the matrix,
+and an apply costs one real FFT pair: A embeds in a circulant of
+power-of-two order >= 2n-1, and the circulant P^{-1} is its own embedding
+(``embed_len`` = n).
 
 The Strang preconditioner copies the central diagonals of A into a circulant
 s(A); the per-level preconditioner is P = shift*I + kappa_bar*s(A).  The
@@ -27,6 +28,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from . import fourier
 
@@ -40,6 +42,8 @@ from . import fourier
 # The FFT side loses where n has a large prime factor (n = 331: 0.392 /
 # 0.598, 367: 0.594 / 0.878, 383: 0.837 / 0.913).  Summed over the scan, a
 # switch at n = 359-360 costs least: 68.2 s, against 82.9 s at n = 440.
+# The scan predates the dsymv dense kernel, which is 20-25% faster than the
+# gemv it measured, so the best switch may now lie higher.
 DENSE_CROSSOVER = 360
 
 
@@ -88,15 +92,18 @@ def build_toeplitz(first_col: np.ndarray) -> ToeplitzOperator:
 
 
 def _apply(op: ToeplitzOperator, v: np.ndarray) -> np.ndarray:
-    """op @ v: one BLAS product, or O(n log n) through the circulant embedding,
-    which zero-pads v to the embedding order, multiplies by the half-spectrum,
-    inverse-transforms and keeps the leading n entries.  The result is a
-    fresh array of its own n values."""
+    """op @ v: one symmetric BLAS product (dsymv), or O(n log n) through the
+    circulant embedding, which zero-pads v to the embedding order,
+    multiplies by the half-spectrum, inverse-transforms and keeps the
+    leading n entries.  The result is a fresh array of its own n values."""
     v = np.asarray(v, dtype=float)
     if v.shape != (op.n,):
         raise ValueError(f"vector has shape {v.shape}, operator order is {op.n}")
     if op.dense is not None:
-        return op.dense @ v
+        # the matrix is symmetric, so dsymv reads one triangle where a gemv
+        # reads it all; dense.T is the same matrix, Fortran-ordered, so
+        # nothing is copied, and dsymv returns a fresh array
+        return dsymv(1.0, op.dense.T, v)
     L = op.embed_len
     X = np.fft.rfft(v, L)
     X *= op.half_spectrum

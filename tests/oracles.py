@@ -16,6 +16,8 @@
   term formed as an ``np.outer`` temporary.
 - ``caputo_l1_apply``: the discrete Caputo derivative from the full
   solution history, the O(m) L1 sum.
+- ``mesh_arrays``: a mesh's M+1 times and M steps as arrays, from one call
+  of its evaluator.
 - ``l1_weight_by_quadrature``: one L1 weight from its defining integral by
   adaptive quadrature.
 - ``dids_all_at_once``: the DIDS history from one dense solve of the block
@@ -352,18 +354,25 @@ def caputo_l1_apply(history: np.ndarray, current: np.ndarray, a: np.ndarray,
     return acc / math.exp(gammaln(1.0 - gamma))
 
 
+def mesh_arrays(mesh: GradedMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(t, tau): the M+1 times of ``mesh``, from its evaluator in one call,
+    and the M steps tau[m-1] = t[m] - t[m-1] between them."""
+    t = mesh.times(np.arange(mesh.M + 1))
+    return t, np.diff(t)
+
+
 def l1_weight_by_quadrature(mesh: GradedMesh, gamma: float, m: int, k: int) -> float:
     """a_k at level m, (1/tau_k) int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds, by
     adaptive quadrature; for k = m the algebraic-endpoint weight takes the
     singularity at s = t_m."""
-    t = mesh.t
+    t, tau = mesh_arrays(mesh)
     if k < m:
         val, _ = quad(lambda s: (t[m] - s) ** -gamma, t[k - 1], t[k],
                       epsabs=1e-14, epsrel=1e-14)
     else:
         val, _ = quad(lambda s: 1.0, t[k - 1], t[k], weight="alg",
                       wvar=(0.0, -gamma))
-    return val / mesh.tau[k - 1]
+    return val / tau[k - 1]
 
 
 def dids_all_at_once(spec: ProblemSpec, M: int, r: float, N: int,
@@ -388,15 +397,16 @@ def dids_all_at_once(spec: ProblemSpec, M: int, r: float, N: int,
     system = np.zeros((M * n, M * n))
     rhs = np.empty(M * n)
     idx = np.arange(n)
+    t, _ = mesh_arrays(mesh)
     for m in range(1, M + 1):
         a = np.array([l1_weight_by_quadrature(mesh, spec.gamma, m, k)
                       for k in range(1, m + 1)]) / g1mg
         rows = slice((m - 1) * n, m * n)
-        system[rows, rows] = spec.kappa(x, mesh.t[m])[:, None] * A
+        system[rows, rows] = spec.kappa(x, t[m])[:, None] * A
         system[(m - 1) * n + idx, (m - 1) * n + idx] += a[m - 1]
         for k in range(1, m):  # u^k enters as a_k u^k - a_{k+1} u^k
             system[(m - 1) * n + idx, (k - 1) * n + idx] = a[k - 1] - a[k]
-        rhs[rows] = spec.source(x, mesh.t[m]) + a[0] * u0
+        rhs[rows] = spec.source(x, t[m]) + a[0] * u0
     return np.vstack([u0, np.linalg.solve(system, rhs).reshape(M, n)])
 
 
@@ -410,16 +420,16 @@ def fast_coefficients(soe: SoeApproximation, mesh: GradedMesh, m: int) -> np.nda
     """
     if not 1 <= m <= mesh.M:
         raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
-    t = mesh.t
+    t, tau = mesh_arrays(mesh)
     b = np.empty(m)
     s, w = soe.nodes, soe.weights
     for k in range(1, m):
         # e^{-s(t_m - t_k)} - e^{-s(t_m - t_{k-1})} via expm1: the arguments
         # nearly coincide for the smallest nodes
-        tau_k = mesh.tau[k - 1]
+        tau_k = tau[k - 1]
         ek = np.exp(-s * (t[m] - t[k])) * (-np.expm1(-s * tau_k))
         b[k - 1] = np.dot(w, ek / s) / tau_k
-    b[m - 1] = _last_weight(mesh.tau[m - 1], soe.gamma)
+    b[m - 1] = _last_weight(tau[m - 1], soe.gamma)
     return b
 
 
@@ -503,8 +513,9 @@ def stability_probe(
     f_ratio_max = 0.0
     ok = np.empty(M, dtype=bool)
     max_slack = -math.inf
+    t, _ = mesh_arrays(mesh)
     for k in range(1, M + 1):
-        f_norm = float(np.max(np.abs(spec.source(x, mesh.t[k]))))
+        f_norm = float(np.max(np.abs(spec.source(x, t[k]))))
         f_ratio_max = max(f_ratio_max, f_norm / c1[k - 1])
         bound = u0_norm + g1mg * f_ratio_max
         slack = float(np.max(np.abs(hist[k]))) - bound

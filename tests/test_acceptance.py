@@ -20,6 +20,7 @@ from oracles import (
     dominance_gap_dense,
     fast_coefficients,
     jacobi_eigenvalues,
+    mesh_arrays,
     stability_probe,
 )
 from tsfrac.couplings import m_from_n, n_from_m
@@ -206,6 +207,7 @@ def test_criterion_09_matrix_property_suite():
     # dominance of the assembled level systems along a short run
     case = make_case("example1", 1.5, 0.5)
     mesh = build_mesh(6, 2, 1.0)
+    t, _ = mesh_arrays(mesh)
     g = math.gamma(0.5)
     for N in (8, 16, 32, 64):
         d = build_ifl(1.5, 1.75, 1.0, N)
@@ -213,7 +215,7 @@ def test_criterion_09_matrix_property_suite():
         A = toeplitz(d.first_col)
         for m in range(1, 7):
             shift = l1_weights(mesh, 0.5, m)[-1] / g
-            sys = shift * np.eye(N - 1) + case.spec.kappa(x, mesh.t[m])[:, None] * A
+            sys = shift * np.eye(N - 1) + case.spec.kappa(x, t[m])[:, None] * A
             assert dominance_gap_dense(sys) >= shift - 1e-12 * d.scale
     report("criterion 9", f"{checked} (alpha, mu, N) combinations verified")
 
@@ -229,15 +231,16 @@ def test_criterion_10_oracle_equivalences(rng):
 
     # fast-history recurrence vs direct coefficient sum, m <= 32
     mesh = build_mesh(32, 2, 1.0)
-    soe = build_soe(0.5, 1e-11, mesh.tau[0], 1.0)
+    _, tau = mesh_arrays(mesh)
+    soe = build_soe(0.5, 1e-11, tau[0], 1.0)
     u = rng.standard_normal((33, 4))
     h = FastHistory.fresh(soe, 4)
     hist_err = 0.0
     for m in range(2, 33):
-        history_push(h, u[m - 1] - u[m - 2], mesh.tau[m - 2])
+        history_push(h, u[m - 1] - u[m - 2], tau[m - 2])
         b = fast_coefficients(soe, mesh, m)
         direct = sum(b[k - 1] * (u[k] - u[k - 1]) for k in range(1, m))
-        fast = (soe.weights * np.exp(-soe.nodes * mesh.tau[m - 1])) @ h.W
+        fast = (soe.weights * np.exp(-soe.nodes * tau[m - 1])) @ h.W
         hist_err = max(hist_err, np.max(np.abs(fast - direct))
                        / max(np.max(np.abs(direct)), 1e-30))
     assert hist_err <= 1e-12

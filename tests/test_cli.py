@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tsfrac.scheme
+from oracles import mesh_arrays
 from tsfrac.cli import _COMMANDS, build_parser, main
 from tsfrac.mesh import build_mesh
 from tsfrac.scheme import run_soe
@@ -221,7 +222,7 @@ class TestSoeCommands:
         assert code == 0
         _, _, rows = parse_csv(out)
         # the profile starts at tau_2
-        assert float(rows[0]["t"]) == float(f"{mesh.tau[1]:.6e}")
+        assert float(rows[0]["t"]) == float(f"{mesh_arrays(mesh)[1][1]:.6e}")
 
     def test_degenerate_delta_fails(self, capsys):
         code, _ = run_cli(capsys, "soe-check", "--delta", "2.0")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,31 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply, l1_weight_by_quadrature
-from tsfrac.mesh import build_mesh, gamma_factor, l1_weights, level_shift
+from oracles import caputo_l1_apply, l1_weight_by_quadrature, mesh_arrays
+from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, l1_weights, level_shift
 
 
 class TestBuildMesh:
     def test_quadratic_grading(self):
-        mesh = build_mesh(4, 2, 1.0)
-        np.testing.assert_allclose(mesh.t, [0.0, 0.0625, 0.25, 0.5625, 1.0],
+        t, _ = mesh_arrays(build_mesh(4, 2, 1.0))
+        np.testing.assert_allclose(t, [0.0, 0.0625, 0.25, 0.5625, 1.0],
                                    rtol=0, atol=0)
 
     def test_uniform(self):
-        mesh = build_mesh(4, 1, 1.0)
-        np.testing.assert_allclose(mesh.t, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.allclose(mesh.tau, 0.25)
+        t, tau = mesh_arrays(build_mesh(4, 1, 1.0))
+        np.testing.assert_allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(tau, 0.25)
 
     def test_cubic_first_step(self):
-        mesh = build_mesh(8, 3, 2.0)
-        assert mesh.t[1] == 2.0 * (1.0 / 8.0) ** 3 == 0.00390625
+        t, _ = mesh_arrays(build_mesh(8, 3, 2.0))
+        assert t[1] == 2.0 * (1.0 / 8.0) ** 3 == 0.00390625
 
     def test_endpoints_and_monotonicity(self):
-        mesh = build_mesh(37, 2.5, 0.7)
-        assert mesh.t[0] == 0.0
-        assert mesh.t[-1] == 0.7
-        assert np.all(np.diff(mesh.t) > 0)
-        assert np.all(mesh.tau > 0)
+        t, tau = mesh_arrays(build_mesh(37, 2.5, 0.7))
+        assert t[0] == 0.0
+        assert t[-1] == 0.7
+        assert np.all(np.diff(t) > 0)
+        assert np.all(tau > 0)
 
     # before the checks, M = 8.5 built 10 times ending at 1.121, r = inf
     # gave NaN times and r = nan failed later as a kappa error
@@ -45,6 +46,62 @@ class TestBuildMesh:
         message = str(info.value)
         assert any(f"{name} must " in message and message.endswith(f"got {value}")
                    for name, value in (("M", M), ("r", r), ("T", T)))
+
+
+class TestEvaluator:
+    # at the last two, Python's float ** differs from the array power in the
+    # last bit at dozens of levels
+    CONFIGS = [(3326, 2, 1), (512, 3, 1), (1000, 2.5, 1), (777, 1.7, 2)]
+
+    @pytest.mark.parametrize("M,r,T", CONFIGS)
+    def test_times_are_the_array_expression_bit_for_bit(self, M, r, T):
+        mesh = build_mesh(M, r, T)
+        expected = (np.arange(M + 1, dtype=float) / M) ** r * T
+        levels = np.arange(M + 1)
+        assert np.array_equal(mesh.times(levels), expected)
+        # one level at a time, as a Python or numpy integer, and as a pair
+        assert [mesh.times(m) for m in range(M + 1)] == expected.tolist()
+        assert [mesh.times(m) for m in levels] == expected.tolist()
+        pairs = np.array([mesh.times(np.array([m - 1, m])) for m in range(1, M + 1)])
+        assert np.array_equal(pairs[:, 1], expected[1:])
+        assert np.array_equal(np.diff(pairs, axis=1)[:, 0], np.diff(expected))
+
+    @pytest.mark.parametrize("M,r,T", CONFIGS)
+    @pytest.mark.parametrize("first", [1, 2, LEVEL_BLOCK + 1])
+    def test_blocks_cover_the_levels_from_first_with_their_steps(self, M, r, T, first):
+        mesh = build_mesh(M, r, T)
+        expected = (np.arange(M + 1, dtype=float) / M) ** r * T
+        starts, times, steps = zip(*mesh.blocks(first))
+        assert starts == tuple(range(first, M + 1, LEVEL_BLOCK))
+        assert all(t.size == tau.size + 1 <= LEVEL_BLOCK + 1
+                   for t, tau in zip(times, steps))
+        assert np.array_equal(np.concatenate([t[1:] for t in times]), expected[first:])
+        assert np.array_equal(np.concatenate(steps), np.diff(expected)[first - 1:])
+
+    # -1 used to wrap to the last time, and 2.0 was an index error
+    @pytest.mark.parametrize("m,bad", [(-1, "-1"), (5, "5"), (2.0, "2.0"), (2.5, "2.5"),
+                                       (np.array([0, 4, -1, 7]), "-1"),
+                                       (np.array([1.0, 2.0]), "1.0"),
+                                       (True, "True")])
+    def test_a_level_that_is_not_an_integer_in_0_M_is_rejected(self, m, bad):
+        mesh = build_mesh(4, 2, 1.0)
+        with pytest.raises(ValueError, match=rf"level must be an integer in \[0, 4\], "
+                                             rf"got {bad}$"):
+            mesh.times(m)
+
+    def test_a_mesh_allocates_nothing_of_length_M(self):
+        tracemalloc.start()
+        try:
+            mesh = build_mesh(2 ** 20, 2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+            walked = sum(tau.size for _, _, tau in mesh.blocks())
+            walk_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == 2 ** 20
+        assert peak < 1024
+        # a walk holds one block's arrays at a time
+        assert walk_peak < 8 * 8 * (LEVEL_BLOCK + 1)
 
 
 class TestL1Weights:
@@ -179,7 +236,7 @@ class TestCaputoL1Apply:
         errs = []
         for M in (32, 64, 128, 256):
             mesh = build_mesh(M, r, 1.0)
-            u = mesh.t[:, None] ** gamma
+            u = mesh_arrays(mesh)[0][:, None] ** gamma
             w = l1_weights(mesh, gamma, M)
             out = caputo_l1_apply(u[:M], u[M], w, gamma)
             errs.append(abs(out[0] - exact))

@@ -12,10 +12,10 @@ import tsfrac.krylov
 import tsfrac.scheme
 import tsfrac.toeplitz
 from oracles import (dids_all_at_once, dominance_gap_dense, level_solve_unscaled,
-                     stability_probe)
+                     mesh_arrays, stability_probe)
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
-from tsfrac.mesh import build_mesh, gamma_factor, l1_weights, level_shift
+from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, l1_weights, level_shift
 from tsfrac.problems import make_case
 from tsfrac.krylov import solve_dense
 from tsfrac.scheme import (
@@ -32,6 +32,7 @@ from tsfrac.scheme import (
     run_fids,
     run_soe,
     select_solver,
+    soe_interval,
 )
 from tsfrac.spectrum import dense_system
 
@@ -73,12 +74,66 @@ class TestSchemeBasics:
                             or build(*args, **kwargs))
         run_fids(make_case("example1", 1.5, 0.5).spec, M, r, 16,
                  keep_history=False)
-        mesh = build_mesh(M, r, 1.0)
+        _, tau = mesh_arrays(build_mesh(M, r, 1.0))
         [((gamma, epsilon, delta, T), kwargs)] = built
         assert (gamma, epsilon, T) == (0.5, 1e-10, 1.0)
         assert kwargs == {"relative": True}
-        assert delta == mesh.tau[1:].min() == mesh.tau[1]
+        assert delta == tau[1:].min() == tau[1]
         assert delta == pytest.approx((2 ** r - 1) * (1.0 / M) ** r, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 1.5, 2, 3])
+    def test_soe_interval_is_the_least_later_step_bit_for_bit(self, r):
+        # as evaluated, a uniform mesh's steps differ in the last bits: tau_2
+        # is not the least of tau_2..tau_M at 4985 of the 4998 M in [2, 5000)
+        Ms = (range(2, 5000) if r == 1
+              else [2, 3, LEVEL_BLOCK, LEVEL_BLOCK + 1, LEVEL_BLOCK + 2, 1000, 3326])
+        not_tau_2 = 0
+        for M in Ms:
+            tau = np.diff((np.arange(M + 1, dtype=float) / M) ** r * 2.0)
+            delta, T = soe_interval(build_mesh(M, r, 2.0))
+            assert (delta, T) == (tau[1:].min(), 2.0)
+            not_tau_2 += delta != tau[1]
+        if r == 1:
+            assert not_tau_2 == 4985
+        # with its mesh, it holds a few arrays of one block at a time
+        tracemalloc.start()
+        try:
+            soe_interval(build_mesh(2 ** 16, r, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * (LEVEL_BLOCK + 1)
+
+    def test_soe_interval_of_a_one_step_mesh_names_m(self):
+        with pytest.raises(ValueError, match=r"\[tau_2, T\] needs M >= 2, got M = 1$"):
+            soe_interval(build_mesh(1, 2, 1.0))
+
+    def test_each_level_takes_its_time_and_step_from_one_evaluation(self, monkeypatch):
+        # three blocks of levels: the time goes to the problem data, the
+        # step to the shift and to the history, each equal to the mesh's
+        M, r = 2 * LEVEL_BLOCK + 5, 2.5
+        t, tau = mesh_arrays(build_mesh(M, r, 1.0))
+        times, shifts, pushes = [], [], []
+        shift_of, push = tsfrac.scheme.level_shift, tsfrac.scheme.history_push
+
+        def recorded_shift(mesh, gamma, m, g1mg, tau_m):
+            shifts.append((m, tau_m))
+            shift = shift_of(mesh, gamma, m, g1mg, tau_m)
+            assert shift == shift_of(mesh, gamma, m, g1mg)
+            return shift
+
+        monkeypatch.setattr(tsfrac.scheme, "level_shift", recorded_shift)
+        monkeypatch.setattr(tsfrac.scheme, "history_push",
+                            lambda h, du, tau_m: pushes.append(tau_m) or push(h, du, tau_m))
+        spec = make_case("example1", 1.5, 0.5).spec
+        kappa = spec.kappa
+        spec = dataclasses.replace(
+            spec, kappa=lambda x, tm: times.append(tm) or kappa(x, tm))
+        run_fids(spec, M, r, 16, options=SolverOptions(solver="direct"),
+                 keep_history=False)
+        assert times == t[1:].tolist()
+        assert shifts == list(zip(range(1, M + 1), tau))
+        assert pushes == tau[:M - 1].tolist()
 
     def test_fids_pushes_every_level_but_the_last(self, monkeypatch):
         # no level reads the accumulators after level M
@@ -88,7 +143,7 @@ class TestSchemeBasics:
                             lambda h, du, tau: steps.append(tau) or push(h, du, tau))
         M = 16
         run_fids(make_case("example1", 1.5, 0.5).spec, M, 2, 16)
-        assert steps == list(build_mesh(M, 2, 1.0).tau[:M - 1])
+        assert steps == list(mesh_arrays(build_mesh(M, 2, 1.0))[1][:M - 1])
 
     def test_kappa_positivity_enforced(self):
         spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
@@ -412,6 +467,7 @@ class TestKrylovLevel:
         disc = build_ifl(1.9, 1.95, 1.0, N)
         x = disc.interior_points()
         mesh = build_mesh(64, 2, 1.0)
+        t, _ = mesh_arrays(mesh)
         matvecs = []
         toeplitz_matvec = tsfrac.toeplitz.toeplitz_matvec
 
@@ -426,9 +482,9 @@ class TestKrylovLevel:
         k, rhs = kappa(x), np.cos(x) + x
         for m in (1, 64):
             shift = level_shift(mesh, 0.5, m, G_HALF)
-            ref, _ = direct.solve(shift, k, rhs, m, mesh.t[m])
+            ref, _ = direct.solve(shift, k, rhs, m, t[m])
             del matvecs[:]
-            u, its = krylov.solve(shift, k, rhs, m, mesh.t[m])
+            u, its = krylov.solve(shift, k, rhs, m, t[m])
             assert its <= len(matvecs) <= 2 * its
             assert np.max(np.abs(u - ref)) <= 1e-8 * np.abs(ref).max()
         assert methods == [method] * 2
@@ -524,14 +580,15 @@ class TestDirectLevelSolve:
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
         mesh = build_mesh(16, 2, 1.0)
+        t, _ = mesh_arrays(mesh)
         solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)
-        solver.solve(level_shift(mesh, 0.5, 1, G_HALF), kappa, rhs, 1, mesh.t[1])
+        solver.solve(level_shift(mesh, 0.5, 1, G_HALF), kappa, rhs, 1, t[1])
         tracemalloc.start()
         try:
             u, _ = solver.solve(level_shift(mesh, 0.5, 2, G_HALF), kappa, rhs, 2,
-                                mesh.t[2])
+                                t[2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,12 +649,13 @@ class TestEigenbasisLevels:
         # the path is chosen at level 2: failing there, no level builds it
         M = EIGEN_MIN_LEVELS + 8
         mesh = build_mesh(M, 2, 1.0)
+        times, _ = mesh_arrays(mesh)
         failing = {M if m == "M" else m for m in failing}
         level = {}
 
         def kappa(x, t):
             # c(t) k(x), but not separable at the failing levels' times
-            level["m"] = int(np.searchsorted(mesh.t, t))
+            level["m"] = int(np.searchsorted(times, t))
             bend = 0.1 * x if level["m"] in failing else 0.0
             return (1.0 + t) * np.exp(0.8 * x + 1.0 + bend)
 
@@ -638,22 +696,23 @@ class TestEigenbasisLevels:
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
         mesh = build_mesh(EIGEN_MIN_LEVELS + 1, 2, 1.0)
+        t, _ = mesh_arrays(mesh)
         solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = np.exp(x), np.cos(x)
         for m in (1, 2):
-            solver.solve(level_shift(mesh, 0.5, m, G_HALF), (1 + mesh.t[m]) * kappa,
-                         rhs, m, mesh.t[m])
+            solver.solve(level_shift(mesh, 0.5, m, G_HALF), (1 + t[m]) * kappa,
+                         rhs, m, t[m])
         tracemalloc.start()
         try:
             u, _ = solver.solve(level_shift(mesh, 0.5, 3, G_HALF),
-                                (1 + mesh.t[3]) * kappa, rhs, 3, mesh.t[3])
+                                (1 + t[3]) * kappa, rhs, 3, t[3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert solver.basis is not None and peak < n * n * 8 / 2
         ref = level_solve_unscaled(disc.dense(), level_shift(mesh, 0.5, 3, G_HALF),
-                                   (1 + mesh.t[3]) * kappa, rhs)
+                                   (1 + t[3]) * kappa, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 
 
@@ -751,12 +810,13 @@ class TestDominancePreservation:
         case = make_case("example1", 1.5, 0.5)
         M, r = 6, 2.0
         mesh = build_mesh(M, r, 1.0)
+        t, _ = mesh_arrays(mesh)
         disc = build_ifl(1.5, 1.75, 1.0, N)
         x = disc.interior_points()
         g = math.gamma(1.0 - 0.5)
         for m in range(1, M + 1):
             shift = l1_weights(mesh, 0.5, m)[-1] / g
-            kappa = case.spec.kappa(x, mesh.t[m])
+            kappa = case.spec.kappa(x, t[m])
             mat = dense_system(disc.first_col, shift, kappa)
             assert dominance_gap_dense(mat) >= shift - 1e-12 * disc.scale
 
@@ -800,12 +860,12 @@ class TestComplexityCounters:
         assert np.all(rep.history_ops == rep.history_ops[0])
         assert rep.history_memory_values <= 256 * 15
 
-    def test_lean_fids_memory_beside_the_mesh_does_not_grow_with_M(self, monkeypatch):
-        # the peak from the SOE's return on, less the mesh's t and tau
-        # (16 (M+1) bytes), holds W, u^{m-1} and a level's vectors, none of
-        # them of length M; the report's counters state their sums in closed
-        # form without a value per FIDS level.  Measured: 15.8 and 12.3 kB
-        # at M = 2^11 and 2^13, against 32.5 and 78.1 kB with an (M,) counter
+    def test_lean_fids_memory_does_not_grow_with_M(self, monkeypatch):
+        # the peak from the SOE's return on holds W, u^{m-1}, a level's
+        # vectors and one block of the mesh's times, none of them of length
+        # M: the mesh is evaluated, not stored, and the report's counters
+        # state their sums in closed form without a value per FIDS level.
+        # A mesh that stored t and tau grew the peak by 98 kB
         build = tsfrac.scheme.build_soe
 
         def reset_after(*args, **kwargs):
@@ -817,7 +877,7 @@ class TestComplexityCounters:
         spec = make_case("example1", 1.5, 0.5).spec
         options = SolverOptions(solver="direct")
         N, n = 8, 7
-        beside = []
+        peaks = []
         for M in (2 ** 11, 2 ** 13):
             tracemalloc.start()
             try:
@@ -825,11 +885,11 @@ class TestComplexityCounters:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            beside.append(peak - 16 * (M + 1))
+            peaks.append(peak)
             n_exp = rep.history_memory_values // n
             assert len(rep.history_ops) == M
             assert int(np.sum(rep.history_ops)) == M * n_exp * n
-        assert beside[1] - beside[0] < 8 * 1024
+        assert peaks[1] - peaks[0] < 8 * 1024
         M = 2 ** 11
         _, rep = run_dids(spec, M, 1, N, options=options)
         assert len(rep.history_ops) == M

@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply, fast_coefficients, history_push_outer
+from oracles import caputo_l1_apply, fast_coefficients, history_push_outer, mesh_arrays
 from tsfrac.mesh import build_mesh, l1_weights
 from tsfrac.scheme import run_soe
 import tsfrac.soe as soe_module
@@ -277,7 +278,7 @@ class TestEvaluate:
 class TestFastCoefficients:
     def test_level_one_is_the_l1_weight(self):
         mesh = build_mesh(8, 2, 1.0)
-        soe = build_soe(0.5, 1e-10, mesh.tau[0], 1.0)
+        soe = build_soe(0.5, 1e-10, mesh_arrays(mesh)[1][0], 1.0)
         b = fast_coefficients(soe, mesh, 1)
         a = l1_weights(mesh, 0.5, 1)
         assert b.shape == (1,)
@@ -287,20 +288,20 @@ class TestFastCoefficients:
         # b is an SOE quadrature of the same kernel integral as a, so they
         # agree to a small multiple of the compression tolerance
         mesh = build_mesh(8, 1, 1.0)
-        soe = build_soe(0.5, 1e-12, mesh.tau[0], 1.0)
+        soe = build_soe(0.5, 1e-12, mesh_arrays(mesh)[1][0], 1.0)
         b = fast_coefficients(soe, mesh, 8)
         a = l1_weights(mesh, 0.5, 8)
         assert np.max(np.abs(b - a)) <= 1e-9
 
     def test_monotone_increasing(self):
         mesh = build_mesh(12, 3, 1.0)
-        soe = build_soe(0.7, 1e-11, mesh.tau[0], 1.0)
+        soe = build_soe(0.7, 1e-11, mesh_arrays(mesh)[1][0], 1.0)
         b = fast_coefficients(soe, mesh, 12)
         assert np.all(np.diff(b) > 0)
 
     def test_level_out_of_range(self):
         mesh = build_mesh(4, 1, 1.0)
-        soe = build_soe(0.5, 1e-8, mesh.tau[0], 1.0)
+        soe = build_soe(0.5, 1e-8, mesh_arrays(mesh)[1][0], 1.0)
         with pytest.raises(ValueError):
             fast_coefficients(soe, mesh, 5)
 
@@ -332,21 +333,31 @@ class TestHistoryPush:
         # summation-by-parts identity: sum_j w_j e^{-s_j tau_m} W_j^{m-1}
         # equals sum_{k<m} b_k (u^k - u^{k-1}) from the direct formula
         mesh = build_mesh(5, 2, 1.0)
-        soe = build_soe(0.6, 1e-12, mesh.tau[0], 1.0)
+        _, steps = mesh_arrays(mesh)
+        soe = build_soe(0.6, 1e-12, steps[0], 1.0)
         n = 3
         u = rng.standard_normal((6, n))
         h = FastHistory.fresh(soe, n)
         for m in range(2, 6):
-            history_push(h, u[m - 1] - u[m - 2], mesh.tau[m - 2])
+            history_push(h, u[m - 1] - u[m - 2], steps[m - 2])
             b = fast_coefficients(soe, mesh, m)
             direct = sum(b[k - 1] * (u[k] - u[k - 1]) for k in range(1, m))
-            fast = (soe.weights * np.exp(-soe.nodes * mesh.tau[m - 1])) @ h.W
+            fast = (soe.weights * np.exp(-soe.nodes * steps[m - 1])) @ h.W
             assert np.max(np.abs(fast - direct)) <= 1e-12 * max(np.max(np.abs(direct)), 1.0)
 
     def test_dimension_mismatch(self):
         h = FastHistory.fresh(_single_exponential(), 3)
         with pytest.raises(ValueError):
             history_push(h, np.zeros(2), 0.5)
+
+    # a 0-d value used to raise IndexError, an (n, 3) matrix a bare dger
+    # error, and an (n, 1) column was accepted
+    @pytest.mark.parametrize("shape", [(), (3, 3), (3, 1)])
+    def test_increment_that_is_not_one_value_per_column_is_rejected(self, shape):
+        h = FastHistory.fresh(_single_exponential(), 3)
+        with pytest.raises(ValueError, match=rf"shape \(3,\), .* got shape {re.escape(str(shape))}"):
+            history_push(h, np.ones(shape), 0.5)
+        assert not h.W.any()
 
     @pytest.mark.parametrize("gamma,n", [(0.5, 127), (0.8, 2047)])
     def test_matches_the_outer_product_form(self, rng, gamma, n):
@@ -421,12 +432,13 @@ class TestFastCaputoRhs:
     def test_constant_solution_caputo_below_epsilon(self):
         eps = 1e-10
         mesh = build_mesh(16, 2, 1.0)
-        soe = build_soe(0.5, eps, mesh.tau[0], 1.0)
+        _, steps = mesh_arrays(mesh)
+        soe = build_soe(0.5, eps, steps[0], 1.0)
         c = 4.0
         u = np.full(3, c)
         h = FastHistory.fresh(soe, 3)
         for m in range(1, 17):
-            tau = mesh.tau[m - 1]
+            tau = steps[m - 1]
             caputo = fast_caputo(h, u, u, tau, 0.5)
             assert np.max(np.abs(caputo)) <= 10 * eps * c
             history_push(h, np.zeros(3), tau)
@@ -436,12 +448,13 @@ class TestFastCaputoRhs:
         # with the direct L1 path to a small multiple of epsilon
         gamma, eps, M = 0.5, 1e-10, 64
         mesh = build_mesh(M, 2, 1.0)
-        soe = build_soe(gamma, eps, mesh.tau[0], 1.0)
-        u = (mesh.t ** gamma + 1.0)[:, None]
+        t, steps = mesh_arrays(mesh)
+        soe = build_soe(gamma, eps, steps[0], 1.0)
+        u = (t ** gamma + 1.0)[:, None]
         h = FastHistory.fresh(soe, 1)
         worst = 0.0
         for m in range(1, M + 1):
-            tau = mesh.tau[m - 1]
+            tau = steps[m - 1]
             fast = fast_caputo(h, u[m - 1], u[m], tau, gamma)
             w = l1_weights(mesh, gamma, m)
             direct = caputo_l1_apply(u[:m], u[m], w, gamma)

@@ -256,7 +256,8 @@ def _called_name(node) -> str | None:
 def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
     """(module, function, what) of every function that derives the left end
     of the FIDS SOE interval from the mesh, "first step" written out as
-    ``(1 / M) ** r`` or "later steps" ``tau[1:]``, or
+    ``(1 / M) ** r`` or "later steps" ``tau[1:]`` or ``mesh.blocks(2)``
+    (positional or ``first=2``), or
     that builds the run's SOE by hand, "run's SOE": a ``build_soe`` call
     given ``soe_interval(...)``."""
     sites = set()
@@ -266,11 +267,16 @@ def soe_interval_sites(sources: dict[str, str]) -> list[tuple[str, str, str]]:
                           and isinstance(node.left, ast.BinOp)
                           and isinstance(node.left.op, ast.Div)
                           and getattr(node.left.left, "value", None) == 1)
-            later_steps = (isinstance(node, ast.Subscript)
-                           and getattr(node.value, "attr", getattr(node.value, "id", None))
-                           == "tau"
-                           and isinstance(node.slice, ast.Slice)
-                           and getattr(node.slice.lower, "value", None) == 1)
+            later_steps = ((isinstance(node, ast.Subscript)
+                            and getattr(node.value, "attr", getattr(node.value, "id", None))
+                            == "tau"
+                            and isinstance(node.slice, ast.Slice)
+                            and getattr(node.slice.lower, "value", None) == 1)
+                           or (_called_name(node) == "blocks"
+                               and any(getattr(arg, "value", None) == 2
+                                       for arg in node.args[:1]
+                                       + [k.value for k in node.keywords
+                                          if k.arg == "first"])))
             run_soe = (_called_name(node) == "build_soe"
                        and any(_called_name(getattr(arg, "value", arg)) == "soe_interval"
                                for arg in node.args))
@@ -292,14 +298,19 @@ def test_the_check_finds_a_second_soe_interval_site():
               "    return build_soe(spec.gamma, 1e-9, *soe_interval(mesh), relative=True)\n"
               "def qualified(spec, mesh):\n"
               "    return soe.build_soe(spec.gamma, 1e-9, *scheme.soe_interval(mesh))\n"
+              "def walk(mesh):\n"
+              "    return min(tau.min() for _, _, tau in mesh.blocks(first=2))\n"
+              "def positional(mesh):\n"
+              "    return [tau[0] for _, _, tau in mesh.blocks(2)]\n"
               "def others(mesh, tau, M, m, r):\n"
-              "    t = (np.arange(M + 1) / M) ** r\n"
+              "    t = (np.arange(M + 1) / M) ** r, mesh.blocks(), mesh.blocks(first=1)\n"
               "    build_soe(0.5, 1e-9, 1e-3, 1.0, relative=True), soe_interval(mesh)\n"
               "    return t, mesh.tau[m - 1], tau[:1], (1.0 / 256.0) ** r, (2 / M) ** r\n")
     assert soe_interval_sites({"m.py": source}) == [
         ("m.py", "copy", "run's SOE"), ("m.py", "delta", "later steps"),
-        ("m.py", "others", "first step"), ("m.py", "qualified", "run's SOE"),
-        ("m.py", "run", "first step")]
+        ("m.py", "others", "first step"), ("m.py", "positional", "later steps"),
+        ("m.py", "qualified", "run's SOE"), ("m.py", "run", "first step"),
+        ("m.py", "walk", "later steps")]
 
 
 def test_one_function_derives_the_soe_interval():
