@@ -69,7 +69,7 @@ class Table:
     """Columns, meta lines and rows; ``rows`` may be a generator that solves
     each row as it is read, so the table is written as its rows finish."""
 
-    def __init__(self, columns: list[str], rows: Iterable = ()):
+    def __init__(self, columns: list[str], rows: Iterable):
         self.columns = columns
         self.rows = rows
         self.meta: dict[str, str] = {}
@@ -193,16 +193,15 @@ def cmd_solver_compare(config: argparse.Namespace) -> Table:
 
 def cmd_spectrum(config: argparse.Namespace) -> Table:
     N, M = _one_grid(config)
-    # before the coupled M, which grows like N^2, sizes the mesh
+    # an order the dense spectra refuse fails before the O(N) build_ifl
     spectrum.check_order(N - 1)
     level = config.level if config.level is not None else M
     if not 1 <= level <= M:
         raise ValueError(f"--level must lie in [1, {M}], got {level}")
-    mesh = build_mesh(M, config.r, config.T)
     # the one level's time and step, from one evaluation
-    t_prev, t_level = mesh.times(np.array([level - 1, level]))
-    shift = level_shift(mesh, config.gamma, level, gamma_factor(config.gamma),
-                        t_level - t_prev)
+    t_prev, t_level = build_mesh(M, config.r, config.T).times(
+        np.array([level - 1, level]))
+    shift = level_shift(config.gamma, t_level - t_prev, gamma_factor(config.gamma))
     disc = build_ifl(config.alpha, resolved_mu(config), 1.0, N)
     x, col = disc.interior_points(), disc.first_col
 
@@ -288,7 +287,8 @@ _FLAGS = {
     "scheme": dict(choices=("dids", "fids"), default="fids"),
     "solver": dict(choices=SOLVERS, default="auto"),
     "eps": dict(dest="epsilon", type=float, default=None,
-                help="relative SOE tolerance, |t^-gamma - SOE(t)| <= eps t^-gamma; "
+                help="relative SOE tolerance in (0, 1), "
+                     "|t^-gamma - SOE(t)| <= eps t^-gamma; "
                      "default 1e-10 (example1) / 1e-9 (example2)"),
     "tol": dict(type=float, default=1e-10),
     "out": dict(default=None),

@@ -58,9 +58,9 @@ def normalization_constant(alpha: float) -> float:
     )
 
 
-def splitting_parameter(alpha: float, mu: Optional[float] = None) -> float:
-    """mu, by default 1 + alpha/2, checked to lie in (alpha, 2] after alpha
-    is checked to lie in (0, 2)."""
+def splitting_parameter(alpha: float, mu: Optional[float]) -> float:
+    """mu, or 1 + alpha/2 when mu is None, checked to lie in (alpha, 2]
+    after alpha is checked to lie in (0, 2)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     mu = 1.0 + alpha / 2.0 if mu is None else mu

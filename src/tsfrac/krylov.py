@@ -14,10 +14,12 @@ they drift apart, and at tol 1e-14 the same level stopped at 7.4e-15 with
 a true residual of 3.2e-12.  CG uses the
 standard preconditioned recurrence; the circulant preconditioner is SPD by
 construction.  The initial guess is always the zero vector and the default
-tolerance is 1e-10.  A relative residual that is not finite (NaN in the
-right-hand side, or an operator or preconditioner that returns NaN or
-infinity) ends either solve at once as the breakdown "non-finite
-residual", rather than after max_iters passes that cannot converge.
+tolerance is 1e-10.  Either loop runs at most 10 n iterations for a system
+of order n, a fixed rule, and reports a solve that has not converged by
+then with converged False and no breakdown.  A relative residual that is
+not finite (NaN in the right-hand side, or an operator or preconditioner
+that returns NaN or infinity) ends either solve at once as the breakdown
+"non-finite residual", rather than after 10 n passes that cannot converge.
 
 Both loops run in place (Barrett et al., Templates for the Solution of
 Linear Systems, SIAM 1994, sections 2.3.1 and 2.3.8): the iterate, the
@@ -57,17 +59,17 @@ def solve_cg(
     precond: Optional[Callable[[np.ndarray], np.ndarray]],
     rhs: np.ndarray,
     tol: float = 1e-10,
-    max_iters: int | None = None,
 ) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned conjugate gradients; operator must be SPD.
 
-    A non-positive curvature term signals loss of positive definiteness and
+    Stops after at most 10 n iterations for a system of order n.  A
+    non-positive curvature term signals loss of positive definiteness and
     is reported as a breakdown rather than raised, as is a residual that is
     not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
-    max_iters = max_iters if max_iters is not None else 10 * n
+    max_iters = 10 * n
     psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
@@ -105,7 +107,6 @@ def solve_bicgstab(
     precond: Optional[Callable[[np.ndarray], np.ndarray]],
     rhs: np.ndarray,
     tol: float = 1e-10,
-    max_iters: int | None = None,
 ) -> tuple[np.ndarray, KrylovReport]:
     """Right-preconditioned BiCGSTAB with the zero initial guess.
 
@@ -116,11 +117,12 @@ def solve_bicgstab(
     Vanishing rho or omega inner products, and a residual that is not
     finite, are reported as breakdowns.  Each pass of the loop counts as
     one iteration, including passes that converge at the intermediate
-    residual check.
+    residual check; it stops after at most 10 n passes for a system of
+    order n.
     """
     r0 = np.asarray(rhs, dtype=float)  # the shadow residual, never written
     n = r0.size
-    max_iters = max_iters if max_iters is not None else 10 * n
+    max_iters = 10 * n
     psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)

@@ -8,15 +8,16 @@ asks for, and a reader takes its steps tau_m = t_m - t_{m-1} from the times
 it evaluated.  A reader that walks all levels does so LEVEL_BLOCK levels at
 a time (``GradedMesh.blocks``), so a FIDS run's memory is O(N_exp N), as
 its history's, and a lean run holds nothing of length M.  The L1 weights
-are the exact per-interval averages of the kernel (t_m - s)^{-gamma}: one
-level's row, or a panel of several levels' rows over a range of intervals,
-the weights past a level being zero as in the lower-triangular L1 matrix.
+are the exact per-interval averages of the kernel (t_m - s)^{-gamma}, formed
+as a panel: several levels' rows over an explicit range of intervals, the
+weights past a level being zero as in the lower-triangular L1 matrix.
 
 The discrete Caputo derivative at level m is
 (1/Gamma(1-gamma)) sum_{k=1}^m a_k (u^k - u^{k-1}), the same in DIDS and
 FIDS; this module owns its constants: ``gamma_factor``, Gamma(1-gamma),
 which a run computes once, and ``level_shift``, the weight
-a_m / Gamma(1-gamma) of u^m in the level-m system.
+a_m / Gamma(1-gamma) of u^m in the level-m system, from the step tau_m
+that the caller has evaluated.
 """
 
 from __future__ import annotations
@@ -110,30 +111,28 @@ def _last_weight(tau_m: float, gamma: float) -> float:
     return tau_m ** (-gamma) / (1.0 - gamma)
 
 
-def level_shift(mesh: GradedMesh, gamma: float, m: int, g1mg: float,
-                tau_m: float | None = None) -> float:
+def level_shift(gamma: float, tau_m: float, g1mg: float) -> float:
     """shift_m = a_m / Gamma(1-gamma), the weight of u^m in the level-m
-    system, with g1mg = ``gamma_factor(gamma)`` from the caller.  ``tau_m``
-    is the level's step when the caller has evaluated it already, as a run
-    does once per level; else the mesh evaluates it."""
-    if not 1 <= m <= mesh.M:
-        raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
-    if tau_m is None:
-        tau_m = np.diff(mesh.times(np.array([m - 1, m])))[0]
+    system, from the level's step tau_m, which the caller takes from the
+    same evaluation as the level's time, and g1mg = ``gamma_factor(gamma)``.
+    A step that is not finite and > 0 raises, naming it."""
+    # NaN fails both tests
+    if not 0.0 < tau_m < math.inf:
+        raise ValueError(f"step tau_m must be finite and > 0, got {tau_m}")
     return _last_weight(tau_m, gamma) / g1mg
 
 
-def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
-               stop: int | None = None) -> np.ndarray:
-    """L1 weights a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)), k = start+1..stop.
+def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
+               stop: int) -> np.ndarray:
+    """The (levels x columns) panel of L1 weights
+    a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)), k = start+1..stop,
+    one row for each level m of the 1-D integer array ``levels``:
+    a[i, k-1-start] = a_k at level levels[i].
 
     This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds.
-    For one level m the result is 1-D, a[k-1-start] = a_k, with stop
-    defaulting to m: ``l1_weights(mesh, gamma, m)`` holds all m weights of
-    the level, strictly positive and strictly increasing in k.  For a 1-D
-    array of levels it is the (levels x columns) panel of those rows, stop
-    defaulting to the smallest level.  A weight past its level, k > m, is 0,
-    as in the lower-triangular L1 matrix.
+    A row with stop = m holds all its level's weights from k = start+1,
+    strictly positive and strictly increasing in k.  A weight past its
+    level, k > m, is 0, as in the lower-triangular L1 matrix.
 
     The power difference is evaluated as R^{1-g} expm1((1-g) log1p((L-R)/R))
     with L = t_m - t_{k-1}, R = t_m - t_k: for gamma near 1 the naive form
@@ -143,11 +142,9 @@ def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    levels = np.atleast_1d(m)
     low, high = int(levels.min()), int(levels.max())
     if not 1 <= low <= high <= mesh.M:
-        raise ValueError(f"level m must lie in [1, {mesh.M}], got {m}")
-    stop = low if stop is None else stop
+        raise ValueError(f"level m must lie in [1, {mesh.M}], got {levels}")
     if not 0 <= start < stop <= high:
         raise ValueError(f"weights k = {start + 1}..{stop} must form a nonempty "
                          f"range in 1..{high}")
@@ -171,4 +168,4 @@ def l1_weights(mesh: GradedMesh, gamma: float, m, start: int = 0,
          / (tau * one_mg))
     for i in newest:
         a[i, levels[i] - 1 - start] = _last_weight(tau[levels[i] - 1 - start], gamma)
-    return a if np.ndim(m) else a[0]
+    return a

@@ -7,14 +7,14 @@ Each time level m solves the dense-but-structured linear system
     K^m     = diag(kappa(x_i, t_m)),
 
 where A is the fractional-Laplacian Toeplitz matrix.  One driver runs both
-schemes, with one grid evaluator for kappa, source and the initial value,
-one history array and one pair of error norms; they differ only in its
-history strategy: DIDS sums the Caputo history term over the full solution
-history with the L1 weights (O(m) per level); FIDS evaluates it through the
-sum-of-exponentials recurrence (O(N_exp) per level), on the SOE that
-``run_soe`` builds to a relative tolerance.  A level's
-``add_known`` only adds the known history part to the right-hand side;
-each strategy states its per-level cost model once, when it is built, as
+schemes, with one grid evaluator for kappa, source, the initial value and
+the exact solution, one history array and one pair of error norms; they
+differ only in its history strategy: DIDS sums the Caputo history term over
+the full solution history with the L1 weights (O(m) per level); FIDS
+evaluates it through the sum-of-exponentials recurrence (O(N_exp) per
+level), on the SOE that ``run_soe`` builds to a relative tolerance.  A
+level's ``add_known`` only adds the known history part to the right-hand
+side; each strategy states its per-level cost model once, when it is built, as
 ``level_ops``, which the report carries.  The run walks the mesh's levels
 in blocks (``GradedMesh.blocks``): each level's time t_m and step tau_m
 come from one evaluation per block, and the step goes to the shift and to
@@ -375,11 +375,11 @@ def _on_grid(name: str, value, x: np.ndarray, m: int, t: float,
     return v
 
 
-def _error_norms(exact: Callable, x: np.ndarray, h: float, u: np.ndarray,
-                 t: float) -> tuple[float, float]:
-    """(max norm, discrete L2 norm) of u - exact(x, t), on grid spacing h."""
-    e = u - exact(x, t)
-    return np.max(np.abs(e)), math.sqrt(h) * np.linalg.norm(e)
+def _error_norms(exact: np.ndarray, u: np.ndarray, h: float) -> tuple[float, float]:
+    """(max norm, discrete L2 norm) of the error on grid spacing h, formed
+    in place in ``exact``, a fresh array that nothing else reads."""
+    exact -= u
+    return np.max(np.abs(exact)), math.sqrt(h) * np.linalg.norm(exact)
 
 
 class _L1Sum:
@@ -503,7 +503,7 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
         if m:
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
-            shift = level_shift(mesh, spec.gamma, m, g1mg, tau_m)
+            shift = level_shift(spec.gamma, tau_m, g1mg)
             history.add_known(rhs, m, shift, tau_m)
             u, its = levels.solve(shift, kappa, rhs, m, tm)
             its_total += its
@@ -511,7 +511,8 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
         if hist is not None:
             hist[m] = u
         if spec.exact is not None:
-            err = np.maximum(err, _error_norms(spec.exact, x, disc.h, u, tm))
+            err = np.maximum(err, _error_norms(
+                _on_grid("exact", spec.exact(x, tm), x, m, tm), u, disc.h))
 
     err_inf, err_2 = (None, None) if spec.exact is None else map(float, err)
     return (u if hist is None else hist), SolveReport(
@@ -527,6 +528,7 @@ def run_dids(
     M: int,
     r: float,
     N: int,
+    *,
     mu: Optional[float] = None,
     options: SolverOptions = SolverOptions(),
 ) -> tuple[np.ndarray, SolveReport]:
@@ -545,6 +547,7 @@ def run_fids(
     M: int,
     r: float,
     N: int,
+    *,
     epsilon: float = 1e-10,
     mu: Optional[float] = None,
     options: SolverOptions = SolverOptions(),
@@ -552,7 +555,7 @@ def run_fids(
 ) -> tuple[np.ndarray, SolveReport]:
     """Fast implicit scheme with the SOE history recurrence.
 
-    ``epsilon`` is a relative tolerance: the SOE (``run_soe``) keeps
+    ``epsilon`` is a relative tolerance in (0, 1): the SOE (``run_soe``) keeps
     |t^{-gamma} - SOE(t)| <= epsilon t^{-gamma} on [tau_2, T]
     (``soe_interval``): level m reads the history at arguments in
     [tau_m, t_m], and no level reads it before level 2, so M must be at

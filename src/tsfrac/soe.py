@@ -287,9 +287,10 @@ def build_soe(
 
     Returns the reduced lattice when it passes the validation, else the
     lattice when it fits under the cap and passes, else tries a finer
-    lattice.  Raises SoeConstructionError, naming the tolerance, its kind,
-    [delta, T] and gamma: for a relative epsilon below the sum's rounding,
-    4 ulp; once the smaller of the two candidates has more than
+    lattice.  A relative epsilon of 1 or more, which the sum 0 meets,
+    raises ValueError.  Raises SoeConstructionError, naming the tolerance,
+    its kind, [delta, T] and gamma: for a relative epsilon below the sum's
+    rounding, 4 ulp; once the smaller of the two candidates has more than
     ``NODE_CAP`` nodes; or when no lattice passes.
     """
     if not 0.0 < gamma < 1.0:
@@ -297,6 +298,8 @@ def build_soe(
     # NaN fails both tests
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if relative and epsilon >= 1.0:
+        raise ValueError(f"a relative epsilon must be < 1, got {epsilon}")
     if not math.isfinite(T):
         raise ValueError(f"final time T must be finite, got {T}")
     if not 0.0 < delta < T:

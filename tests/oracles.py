@@ -18,6 +18,7 @@
   solution history, the O(m) L1 sum.
 - ``mesh_arrays``: a mesh's M+1 times and M steps as arrays, from one call
   of its evaluator.
+- ``l1_row``: one level's m L1 weights, the one-row panel of ``l1_weights``.
 - ``l1_weight_by_quadrature``: one L1 weight from its defining integral by
   adaptive quadrature.
 - ``dids_all_at_once``: the DIDS history from one dense solve of the block
@@ -211,17 +212,17 @@ def cg_reference(
     precond,
     rhs: np.ndarray,
     tol: float = 1e-10,
-    max_iters: int | None = None,
 ) -> tuple[np.ndarray, KrylovReport]:
     """Preconditioned conjugate gradients; operator must be SPD.
 
-    A non-positive curvature term signals loss of positive definiteness and
+    Stops after at most 10 n iterations for a system of order n.  A
+    non-positive curvature term signals loss of positive definiteness and
     is reported as a breakdown rather than raised, as is a residual that is
     not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
-    max_iters = max_iters if max_iters is not None else 10 * n
+    max_iters = 10 * n
     psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
@@ -258,7 +259,6 @@ def bicgstab_reference(
     precond,
     rhs: np.ndarray,
     tol: float = 1e-10,
-    max_iters: int | None = None,
 ) -> tuple[np.ndarray, KrylovReport]:
     """Right-preconditioned BiCGSTAB with the zero initial guess.
 
@@ -266,11 +266,12 @@ def bicgstab_reference(
     Vanishing rho or omega inner products, and a residual that is not
     finite, are reported as breakdowns.  Each pass of the loop counts as
     one iteration, including passes that converge at the intermediate
-    residual check.
+    residual check; it stops after at most 10 n passes for a system of
+    order n.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.size
-    max_iters = max_iters if max_iters is not None else 10 * n
+    max_iters = 10 * n
     psolve = precond if precond is not None else (lambda v: v)
 
     x = np.zeros(n)
@@ -359,6 +360,11 @@ def mesh_arrays(mesh: GradedMesh) -> tuple[np.ndarray, np.ndarray]:
     and the M steps tau[m-1] = t[m] - t[m-1] between them."""
     t = mesh.times(np.arange(mesh.M + 1))
     return t, np.diff(t)
+
+
+def l1_row(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
+    """a_1..a_m at level m, the one-row panel of ``l1_weights``."""
+    return l1_weights(mesh, gamma, np.array([m]), 0, m)[0]
 
 
 def l1_weight_by_quadrature(mesh: GradedMesh, gamma: float, m: int, k: int) -> float:
@@ -498,7 +504,7 @@ def stability_probe(
     mesh = build_mesh(M, r, spec.T)
     if scheme == "dids":
         hist, _ = run_dids(spec, M, r, N, mu=mu, options=options)
-        c1 = [l1_weights(mesh, spec.gamma, m)[0] for m in range(1, M + 1)]
+        c1 = [l1_row(mesh, spec.gamma, m)[0] for m in range(1, M + 1)]
     elif scheme == "fids":
         soe = run_soe(spec.gamma, epsilon, mesh)
         hist, _ = run_fids(spec, M, r, N, epsilon=epsilon, mu=mu, options=options)

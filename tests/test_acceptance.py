@@ -20,12 +20,13 @@ from oracles import (
     dominance_gap_dense,
     fast_coefficients,
     jacobi_eigenvalues,
+    l1_row,
     mesh_arrays,
     stability_probe,
 )
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
-from tsfrac.mesh import build_mesh, l1_weights
+from tsfrac.mesh import build_mesh
 from tsfrac.problems import make_case
 from tsfrac.scheme import SolverOptions, run_dids, run_fids, run_soe
 from tsfrac.soe import FastHistory, build_soe, history_push
@@ -214,7 +215,7 @@ def test_criterion_09_matrix_property_suite():
         x = d.interior_points()
         A = toeplitz(d.first_col)
         for m in range(1, 7):
-            shift = l1_weights(mesh, 0.5, m)[-1] / g
+            shift = l1_row(mesh, 0.5, m)[-1] / g
             sys = shift * np.eye(N - 1) + case.spec.kappa(x, t[m])[:, None] * A
             assert dominance_gap_dense(sys) >= shift - 1e-12 * d.scale
     report("criterion 9", f"{checked} (alpha, mu, N) combinations verified")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tsfrac.scheme
-from oracles import mesh_arrays
+from oracles import l1_row, mesh_arrays
 from tsfrac.cli import _COMMANDS, build_parser, main
 from tsfrac.mesh import build_mesh
 from tsfrac.scheme import run_soe
@@ -128,13 +128,11 @@ class TestSpectrum:
     def test_shift_is_the_level_system_shift(self, capsys):
         from scipy.special import gamma as gamma_fn
 
-        from tsfrac.mesh import build_mesh, l1_weights
-
         code, out = run_cli(capsys, "spectrum", "--N", "16", "--M", "8",
                             "--level", "3", "--kappa-const", "1.0")
         assert code == 0
         comments, _, _ = parse_csv(out)
-        shift = l1_weights(build_mesh(8, 2.0, 1.0), 0.5, 3)[-1] / gamma_fn(0.5)
+        shift = l1_row(build_mesh(8, 2.0, 1.0), 0.5, 3)[-1] / gamma_fn(0.5)
         assert f"# shift = {shift:.6e}" in comments
 
     def test_level_out_of_range(self, capsys):

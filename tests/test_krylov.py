@@ -113,12 +113,31 @@ class TestBicgstab:
         assert rep.converged and rep.iterations == 0
         np.testing.assert_array_equal(x, 0.0)
 
-    def test_max_iters_exhaustion_reported(self, rng):
-        A = rng.standard_normal((30, 30)) + 30 * np.eye(30)
-        b = rng.standard_normal(30)
-        x, rep = solve_bicgstab(dense_op(A), None, b, tol=1e-15, max_iters=1)
-        assert not rep.converged
-        assert rep.iterations == 1
+
+def test_both_loops_run_out_at_ten_n_iterations():
+    # two order-2 cases, worked by hand, that neither converge nor break
+    # down, so each loop stops at its cap of 10 n = 20 iterations.
+    # CG on A = I + 10 J, J skew: p.Ap = p.p > 0 and r.r > 0 at every step;
+    # the first step takes r from (1, 1) to (-10, 10), and |r| grows by
+    # about 14 a step from there
+    A = np.array([[1.0, 10.0], [-10.0, 1.0]])
+    for solve in (solve_cg, cg_reference):
+        applies = []
+        _, rep = solve(lambda v: applies.append(v) or A @ v, None, np.ones(2))
+        assert (rep.iterations, rep.converged, rep.breakdown) == (20, False, None)
+        assert len(applies) == 20 and rep.final_relative_residual > 1.0
+    # BiCGSTAB on the constant map v -> c = (1, 1) from b = (1, 0): the first
+    # pass leaves r = b - (b.c / c.c) c = (1/2, -1/2); each later pass takes
+    # rho = 1/2, r0.v = 1, alpha = 1/2, s = (0, -1), omega = -1/2 and
+    # returns the same r, all exact in binary floating point
+    c = np.array([1.0, 1.0])
+    for solve in (solve_bicgstab, bicgstab_reference):
+        applies = []
+        _, rep = solve(lambda v: applies.append(v) or c.copy(), None,
+                       np.array([1.0, 0.0]))
+        assert (rep.iterations, rep.converged, rep.breakdown) == (20, False, None)
+        assert len(applies) == 40
+        assert rep.final_relative_residual == pytest.approx(np.sqrt(0.5), rel=1e-15)
 
 
 def dominant_matrix(rng, n):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply, l1_weight_by_quadrature, mesh_arrays
+from oracles import caputo_l1_apply, l1_row, l1_weight_by_quadrature, mesh_arrays
 from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, l1_weights, level_shift
 
 
@@ -108,12 +108,12 @@ class TestL1Weights:
     def test_uniform_last_weight_closed_form(self):
         # a_2 = tau^{-gamma} / (1 - gamma) on the uniform 2-step mesh
         mesh = build_mesh(2, 1, 1.0)
-        w = l1_weights(mesh, 0.5, 2)
+        w = l1_row(mesh, 0.5, 2)
         assert w[1] == pytest.approx(0.5 ** -0.5 / 0.5, rel=1e-12)  # 2.828427...
 
     def test_uniform_first_weight_closed_form(self):
         mesh = build_mesh(2, 1, 1.0)
-        w = l1_weights(mesh, 0.5, 2)
+        w = l1_row(mesh, 0.5, 2)
         assert w[0] == pytest.approx((1.0 - 0.5 ** 0.5) / 0.25, rel=1e-12)  # 1.171573
 
     def test_against_adaptive_quadrature(self):
@@ -121,7 +121,7 @@ class TestL1Weights:
         # evaluated by adaptive quadrature with the algebraic-endpoint weight
         mesh = build_mesh(4, 2, 1.0)
         gamma, m = 0.8, 4
-        w = l1_weights(mesh, gamma, m)
+        w = l1_row(mesh, gamma, m)
         for k in range(1, m + 1):
             assert w[k - 1] == pytest.approx(
                 l1_weight_by_quadrature(mesh, gamma, m, k), abs=1e-12)
@@ -131,7 +131,7 @@ class TestL1Weights:
     def test_invalid_arguments(self, gamma, m):
         mesh = build_mesh(4, 2, 1.0)
         with pytest.raises(ValueError):
-            l1_weights(mesh, gamma, m)
+            l1_row(mesh, gamma, m)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -143,7 +143,7 @@ class TestL1Weights:
     def test_weights_positive_and_increasing(self, M, r, gamma, frac):
         mesh = build_mesh(M, r, 1.0)
         m = 1 + int(frac * (M - 1))
-        w = l1_weights(mesh, gamma, m)
+        w = l1_row(mesh, gamma, m)
         assert np.all(w > 0)
         assert np.all(np.diff(w) > 0)
 
@@ -156,7 +156,7 @@ class TestL1Weights:
     def test_telescoping(self, M, r, gamma):
         # a_m - sum(a_{k+1} - a_k) - a_1 == 0, so constants map to zero
         mesh = build_mesh(M, r, 1.0)
-        a = l1_weights(mesh, gamma, M)
+        a = l1_row(mesh, gamma, M)
         resid = a[-1] - np.sum(np.diff(a)) - a[0]
         assert abs(resid) <= 1e-13 * a[-1]
 
@@ -171,9 +171,9 @@ class TestL1Weights:
         assert panel.shape == (20, 25)
         for row, m in zip(panel, levels):
             k = min(m, 30)
-            np.testing.assert_array_equal(row[:k - 5], l1_weights(mesh, gamma, m)[5:k])
+            np.testing.assert_array_equal(row[:k - 5], l1_row(mesh, gamma, m)[5:k])
             assert np.all(row[k - 5:] == 0.0)
-        np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, 5),
+        np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, 5, 20),
                                       panel[:, :15])
 
     @pytest.mark.parametrize("start,stop", [(-1, 3), (3, 3), (0, 9)])
@@ -191,29 +191,30 @@ class TestLevelConstants:
     def test_level_shift_is_the_newest_weight_over_the_gamma_factor(self):
         # bit for bit: the shift and the weight row share the closed form
         mesh = build_mesh(50, 2.5, 2.0)
+        _, tau = mesh_arrays(mesh)
         for gamma in (0.1, 0.5, 0.9):
             g = gamma_factor(gamma)
             for m in range(1, mesh.M + 1):
-                assert level_shift(mesh, gamma, m, g) == l1_weights(mesh, gamma, m)[-1] / g
+                assert level_shift(gamma, tau[m - 1], g) == l1_row(mesh, gamma, m)[-1] / g
 
-    @pytest.mark.parametrize("m", [0, -1, 5])
-    def test_level_shift_rejects_a_level_outside_the_mesh(self, m):
-        mesh = build_mesh(4, 2, 1.0)
-        with pytest.raises(ValueError, match=rf"level m must lie in \[1, 4\], got {m}"):
-            level_shift(mesh, 0.5, m, gamma_factor(0.5))
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_level_shift_rejects_a_step_that_is_not_finite_and_positive(self, tau):
+        with pytest.raises(ValueError,
+                           match=rf"^step tau_m must be finite and > 0, got {tau}$"):
+            level_shift(0.5, tau, gamma_factor(0.5))
 
 
 class TestCaputoL1Apply:
     def test_constant_history_maps_to_zero(self):
         mesh = build_mesh(8, 2, 1.0)
-        w = l1_weights(mesh, 0.3, 8)
+        w = l1_row(mesh, 0.3, 8)
         hist = np.full((8, 5), 3.7)
         out = caputo_l1_apply(hist, np.full(5, 3.7), w, 0.3)
         np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_single_step(self):
         mesh = build_mesh(4, 2, 1.0)
-        w = l1_weights(mesh, 0.5, 1)
+        w = l1_row(mesh, 0.5, 1)
         u0 = np.array([1.0, -2.0])
         u1 = np.array([2.0, 1.5])
         out = caputo_l1_apply(u0[None, :], u1, w, 0.5)
@@ -222,7 +223,7 @@ class TestCaputoL1Apply:
 
     def test_dimension_mismatch(self):
         mesh = build_mesh(4, 2, 1.0)
-        w = l1_weights(mesh, 0.5, 2)
+        w = l1_row(mesh, 0.5, 2)
         with pytest.raises(ValueError):
             caputo_l1_apply(np.zeros((2, 3)), np.zeros(4), w, 0.5)
         with pytest.raises(ValueError):
@@ -237,7 +238,7 @@ class TestCaputoL1Apply:
         for M in (32, 64, 128, 256):
             mesh = build_mesh(M, r, 1.0)
             u = mesh_arrays(mesh)[0][:, None] ** gamma
-            w = l1_weights(mesh, gamma, M)
+            w = l1_row(mesh, gamma, M)
             out = caputo_l1_apply(u[:M], u[M], w, gamma)
             errs.append(abs(out[0] - exact))
         rate = math.log2(errs[-2] / errs[-1])

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import tsfrac.krylov
 import tsfrac.scheme
 import tsfrac.toeplitz
-from oracles import (dids_all_at_once, dominance_gap_dense, level_solve_unscaled,
-                     mesh_arrays, stability_probe)
+from oracles import (dids_all_at_once, dominance_gap_dense, l1_row,
+                     level_solve_unscaled, mesh_arrays, stability_probe)
 from tsfrac.couplings import m_from_n, n_from_m
 from tsfrac.ifl import build_ifl
-from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, l1_weights, level_shift
+from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, level_shift
 from tsfrac.problems import make_case
 from tsfrac.krylov import solve_dense
 from tsfrac.scheme import (
@@ -116,11 +116,9 @@ class TestSchemeBasics:
         times, shifts, pushes = [], [], []
         shift_of, push = tsfrac.scheme.level_shift, tsfrac.scheme.history_push
 
-        def recorded_shift(mesh, gamma, m, g1mg, tau_m):
-            shifts.append((m, tau_m))
-            shift = shift_of(mesh, gamma, m, g1mg, tau_m)
-            assert shift == shift_of(mesh, gamma, m, g1mg)
-            return shift
+        def recorded_shift(gamma, tau_m, g1mg):
+            shifts.append(tau_m)
+            return shift_of(gamma, tau_m, g1mg)
 
         monkeypatch.setattr(tsfrac.scheme, "level_shift", recorded_shift)
         monkeypatch.setattr(tsfrac.scheme, "history_push",
@@ -132,7 +130,7 @@ class TestSchemeBasics:
         run_fids(spec, M, r, 16, options=SolverOptions(solver="direct"),
                  keep_history=False)
         assert times == t[1:].tolist()
-        assert shifts == list(zip(range(1, M + 1), tau))
+        assert shifts == tau.tolist()
         assert pushes == tau[:M - 1].tolist()
 
     def test_fids_pushes_every_level_but_the_last(self, monkeypatch):
@@ -164,15 +162,43 @@ class TestSchemeBasics:
             with pytest.raises(ValueError, match=rf"m=3, t=0\.5625.*= {bad}"):
                 run(spec, 4, 2, 8)
 
-    def test_nan_error_is_reported_not_dropped(self):
+    def test_nan_exact_solution_names_the_level_and_the_point(self):
+        # a NaN reference would turn the error norms into NaN: it fails
         spec = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
                            kappa=lambda x, t: np.ones_like(x),
                            source=lambda x, t: np.zeros_like(x),
                            initial=lambda x: np.zeros_like(x),
-                           exact=lambda x, t: np.full_like(x, np.nan))
+                           exact=lambda x, t: np.where((t > 0.5) & (x > 0.2),
+                                                       np.nan, 0.0))
         for run in (run_dids, run_fids):
-            _, rep = run(spec, 4, 2, 8)
-            assert math.isnan(rep.err_inf) and math.isnan(rep.err_2)
+            with pytest.raises(ValueError, match=(
+                    r"^exact must be finite on the grid: at level m=3, "
+                    r"t=0\.5625, exact\(x=0\.25\) = nan$")):
+                run(spec, 4, 2, 8)
+
+    @pytest.mark.parametrize("shape", ["column", "first value"])
+    def test_exact_solution_of_another_shape_names_the_level(self, shape):
+        # broadcast against u, an (n, 1) or a (1,) exact solution would
+        # give a wrong error with no message
+        spec = make_case("example1", 1.5, 0.5).spec
+        exact = spec.exact
+        cut = (lambda x, t: exact(x, t)[:, None]) if shape == "column" else (
+            lambda x, t: exact(x, t)[:1])
+        spec = dataclasses.replace(spec, exact=cut)
+        for run in (run_dids, run_fids):
+            with pytest.raises(ValueError, match=(
+                    r"^exact must return a scalar or one value per grid point: "
+                    r"at level m=0, t=0\.0, it returned shape \((15, 1|1,)\) "
+                    r"on a grid of shape \(15,\)$")):
+                run(spec, 8, 2, 16)
+
+    def test_parameters_after_n_are_keyword_only(self):
+        # a fifth positional argument would mean mu to run_dids but epsilon
+        # to run_fids
+        spec = make_case("example2", 1.9, 0.5).spec
+        for run in (run_dids, run_fids):
+            with pytest.raises(TypeError, match="4 positional arguments but 5"):
+                run(spec, 64, 2, 32, 1.75)
 
     def test_source_array_is_not_modified(self):
         shared = np.ones(7)
@@ -467,7 +493,7 @@ class TestKrylovLevel:
         disc = build_ifl(1.9, 1.95, 1.0, N)
         x = disc.interior_points()
         mesh = build_mesh(64, 2, 1.0)
-        t, _ = mesh_arrays(mesh)
+        t, tau = mesh_arrays(mesh)
         matvecs = []
         toeplitz_matvec = tsfrac.toeplitz.toeplitz_matvec
 
@@ -481,7 +507,7 @@ class TestKrylovLevel:
         krylov = _KrylovLevels(disc, solver, SolverOptions().tol)
         k, rhs = kappa(x), np.cos(x) + x
         for m in (1, 64):
-            shift = level_shift(mesh, 0.5, m, G_HALF)
+            shift = level_shift(0.5, tau[m - 1], G_HALF)
             ref, _ = direct.solve(shift, k, rhs, m, t[m])
             del matvecs[:]
             u, its = krylov.solve(shift, k, rhs, m, t[m])
@@ -580,20 +606,20 @@ class TestDirectLevelSolve:
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
         mesh = build_mesh(16, 2, 1.0)
-        t, _ = mesh_arrays(mesh)
+        t, tau = mesh_arrays(mesh)
         solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = 1.0 + 0.5 * x * x, np.cos(x)
-        solver.solve(level_shift(mesh, 0.5, 1, G_HALF), kappa, rhs, 1, t[1])
+        solver.solve(level_shift(0.5, tau[0], G_HALF), kappa, rhs, 1, t[1])
         tracemalloc.start()
         try:
-            u, _ = solver.solve(level_shift(mesh, 0.5, 2, G_HALF), kappa, rhs, 2,
+            u, _ = solver.solve(level_shift(0.5, tau[1], G_HALF), kappa, rhs, 2,
                                 t[2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 2
-        ref = level_solve_unscaled(disc.dense(), level_shift(mesh, 0.5, 2, G_HALF),
+        ref = level_solve_unscaled(disc.dense(), level_shift(0.5, tau[1], G_HALF),
                                    kappa, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 
@@ -696,22 +722,22 @@ class TestEigenbasisLevels:
         disc = build_ifl(1.9, 1.95, 1.0, 128)
         n = disc.N - 1
         mesh = build_mesh(EIGEN_MIN_LEVELS + 1, 2, 1.0)
-        t, _ = mesh_arrays(mesh)
+        t, tau = mesh_arrays(mesh)
         solver = _DirectLevels(disc, mesh.M)
         x = disc.interior_points()
         kappa, rhs = np.exp(x), np.cos(x)
         for m in (1, 2):
-            solver.solve(level_shift(mesh, 0.5, m, G_HALF), (1 + t[m]) * kappa,
+            solver.solve(level_shift(0.5, tau[m - 1], G_HALF), (1 + t[m]) * kappa,
                          rhs, m, t[m])
         tracemalloc.start()
         try:
-            u, _ = solver.solve(level_shift(mesh, 0.5, 3, G_HALF),
+            u, _ = solver.solve(level_shift(0.5, tau[2], G_HALF),
                                 (1 + t[3]) * kappa, rhs, 3, t[3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert solver.basis is not None and peak < n * n * 8 / 2
-        ref = level_solve_unscaled(disc.dense(), level_shift(mesh, 0.5, 3, G_HALF),
+        ref = level_solve_unscaled(disc.dense(), level_shift(0.5, tau[2], G_HALF),
                                    (1 + t[3]) * kappa, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.abs(ref).max()
 
@@ -815,7 +841,7 @@ class TestDominancePreservation:
         x = disc.interior_points()
         g = math.gamma(1.0 - 0.5)
         for m in range(1, M + 1):
-            shift = l1_weights(mesh, 0.5, m)[-1] / g
+            shift = l1_row(mesh, 0.5, m)[-1] / g
             kappa = case.spec.kappa(x, t[m])
             mat = dense_system(disc.first_col, shift, kappa)
             assert dominance_gap_dense(mat) >= shift - 1e-12 * disc.scale

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply, fast_coefficients, history_push_outer, mesh_arrays
-from tsfrac.mesh import build_mesh, l1_weights
-from tsfrac.scheme import run_soe
+from oracles import (caputo_l1_apply, fast_coefficients, history_push_outer, l1_row,
+                     mesh_arrays)
+from tsfrac.mesh import build_mesh
+from tsfrac.problems import make_case
+from tsfrac.scheme import run_fids, run_soe
 import tsfrac.soe as soe_module
 from tsfrac.soe import (
     NODE_CAP,
@@ -161,6 +163,18 @@ class TestRelativeTolerance:
                 r"cannot be met")):
             build_soe(0.5, 1e-17, 1e-4, 1.0, relative=True)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 1.75])
+    def test_a_relative_tolerance_of_one_or_more_is_refused(self, epsilon):
+        # the sum 0 meets a relative tolerance of 1 or more
+        with pytest.raises(ValueError,
+                           match=rf"^a relative epsilon must be < 1, got {epsilon}$"):
+            build_soe(0.5, epsilon, 1e-4, 1.0, relative=True)
+        with pytest.raises(ValueError, match="relative epsilon"):
+            run_fids(make_case("example2", 1.9, 0.5).spec, 64, 2, 32,
+                     epsilon=epsilon)
+        # an absolute tolerance is not bounded by the kernel
+        assert build_soe(0.5, epsilon, 1e-4, 1.0).n_exp >= 1
+
     def test_cap_failure_names_the_relative_tolerance(self):
         with pytest.raises(SoeConstructionError, match=(
                 r"^relative tolerance 1e-15 on \[5\.42101e-20, 1\] at gamma=0\.97 "
@@ -280,7 +294,7 @@ class TestFastCoefficients:
         mesh = build_mesh(8, 2, 1.0)
         soe = build_soe(0.5, 1e-10, mesh_arrays(mesh)[1][0], 1.0)
         b = fast_coefficients(soe, mesh, 1)
-        a = l1_weights(mesh, 0.5, 1)
+        a = l1_row(mesh, 0.5, 1)
         assert b.shape == (1,)
         assert b[0] == a[0]
 
@@ -290,7 +304,7 @@ class TestFastCoefficients:
         mesh = build_mesh(8, 1, 1.0)
         soe = build_soe(0.5, 1e-12, mesh_arrays(mesh)[1][0], 1.0)
         b = fast_coefficients(soe, mesh, 8)
-        a = l1_weights(mesh, 0.5, 8)
+        a = l1_row(mesh, 0.5, 8)
         assert np.max(np.abs(b - a)) <= 1e-9
 
     def test_monotone_increasing(self):
@@ -456,7 +470,7 @@ class TestFastCaputoRhs:
         for m in range(1, M + 1):
             tau = steps[m - 1]
             fast = fast_caputo(h, u[m - 1], u[m], tau, gamma)
-            w = l1_weights(mesh, gamma, m)
+            w = l1_row(mesh, gamma, m)
             direct = caputo_l1_apply(u[:m], u[m], w, gamma)
             worst = max(worst, abs(float(fast[0] - direct[0])))
             history_push(h, u[m] - u[m - 1], tau)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant, toeplitz
 
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, mesh_arrays
 from tsfrac.ifl import build_ifl
 from tsfrac.mesh import build_mesh, gamma_factor, level_shift
 from tsfrac.problems import make_case
@@ -173,7 +173,8 @@ class TestSymmetricToeplitz:
 
 
 def _example_shift(M=16, r=2.0, gamma=0.5, m=1):
-    return level_shift(build_mesh(M, r, 1.0), gamma, m, gamma_factor(gamma))
+    return level_shift(gamma, mesh_arrays(build_mesh(M, r, 1.0))[1][m - 1],
+                       gamma_factor(gamma))
 
 
 class TestBuildPreconditioner:

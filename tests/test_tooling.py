@@ -215,12 +215,12 @@ def test_one_function_holds_the_l1_closed_form():
 
 
 # the problem callables every level evaluates on the grid
-PROBLEM_DATA = {"kappa", "source", "initial"}
+PROBLEM_DATA = {"kappa", "source", "initial", "exact"}
 
 
 def problem_data_sites(source: str) -> list[tuple[str, str]]:
     """(function, field) of every call of a problem callable, ``spec.kappa``,
-    ``spec.source`` or ``spec.initial``."""
+    ``spec.source``, ``spec.initial`` or ``spec.exact``."""
     return sorted({(function, node.func.attr)
                    for node, function in _walk_in_functions(ast.parse(source))
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -236,14 +236,15 @@ def test_the_check_finds_a_second_problem_data_site():
               "    def rhs(self, spec, x, t):\n"
               "        return spec.source(x, t) + self.source(x)\n")
     assert problem_data_sites(source) == [
-        ("rhs", "source"), ("run", "initial"), ("run", "kappa"), ("run", "source")]
+        ("rhs", "source"), ("run", "exact"), ("run", "initial"), ("run", "kappa"),
+        ("run", "source")]
 
 
 def test_one_function_evaluates_the_problem_data():
     # the run driver passes each value through one grid evaluator, so a
     # second call site would be an unchecked one
     assert problem_data_sites((SRC / "scheme.py").read_text()) == [
-        ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
+        ("_run", "exact"), ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
 
 
 def _called_name(node) -> str | None:
