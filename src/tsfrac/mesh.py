@@ -7,17 +7,19 @@ where solutions of sub-diffusion problems are weakly singular.  A mesh holds
 asks for, and a reader takes its steps tau_m = t_m - t_{m-1} from the times
 it evaluated.  A reader that walks all levels does so LEVEL_BLOCK levels at
 a time (``GradedMesh.blocks``), so a FIDS run's memory is O(N_exp N), as
-its history's, and a lean run holds nothing of length M.  The L1 weights
-are the exact per-interval averages of the kernel (t_m - s)^{-gamma}, formed
-as a panel: several levels' rows over an explicit range of intervals, the
-weights past a level being zero as in the lower-triangular L1 matrix.
+its history's, and a lean run holds nothing of length M.
 
 The discrete Caputo derivative at level m is
 (1/Gamma(1-gamma)) sum_{k=1}^m a_k (u^k - u^{k-1}), the same in DIDS and
-FIDS; this module owns its constants: ``gamma_factor``, Gamma(1-gamma),
-which a run computes once, and ``level_shift``, the weight
-a_m / Gamma(1-gamma) of u^m in the level-m system, from the step tau_m
-that the caller has evaluated.
+FIDS.  Its newest term, k = m, is the level's own: ``level_shift`` gives its
+weight a_m / Gamma(1-gamma) of u^m in the level-m system, from the step
+tau_m that the caller has evaluated, and ``gamma_factor`` gives
+Gamma(1-gamma), which a run computes once.  The rest is the history sum
+S_m = sum_{k<m} a_k (u^k - u^{k-1}): its weights, ``l1_weights``, are the
+exact per-interval averages of the kernel (t_m - s)^{-gamma} over the
+intervals before level m, formed as a panel: several levels' rows over an
+explicit range of intervals, the weights from a level's own interval on
+being zero.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def gamma_factor(gamma: float) -> float:
 
 
 def _last_weight(tau_m: float, gamma: float) -> float:
-    """a_m = tau_m^{-gamma} / (1-gamma), the weight of the newest interval."""
+    """a_m = tau_m^{-gamma} / (1-gamma), the weight of the newest interval,
+    the closed form of the L1 weight at k = m (R = 0)."""
     return tau_m ** (-gamma) / (1.0 - gamma)
 
 
@@ -124,21 +127,21 @@ def level_shift(gamma: float, tau_m: float, g1mg: float) -> float:
 
 def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
                stop: int) -> np.ndarray:
-    """The (levels x columns) panel of L1 weights
+    """The (levels x columns) panel of the L1 history weights
     a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)), k = start+1..stop,
     one row for each level m of the 1-D integer array ``levels``:
-    a[i, k-1-start] = a_k at level levels[i].
+    a[i, k-1-start] = a_k at level levels[i] for k < m, and 0 from k = m on.
 
-    This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds.
-    A row with stop = m holds all its level's weights from k = start+1,
-    strictly positive and strictly increasing in k.  A weight past its
-    level, k > m, is 0, as in the lower-triangular L1 matrix.
+    This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds,
+    the weights of the history sum S_m = sum_{k<m} a_k (u^k - u^{k-1}).  A
+    row with stop >= m - 1 holds all its level's history weights from
+    k = start+1, strictly positive and strictly increasing in k.  The newest
+    weight a_m belongs to the level's own unknown: ``level_shift`` forms it.
 
     The power difference is evaluated as R^{1-g} expm1((1-g) log1p((L-R)/R))
     with L = t_m - t_{k-1}, R = t_m - t_k: for gamma near 1 the naive form
-    cancels catastrophically and can even break monotonicity.  The k = m term
-    (R = 0) reduces exactly to tau_m^{-gamma} / (1-gamma); the log path never
-    sees the singular endpoint.
+    cancels catastrophically and can even break monotonicity.  The log path
+    never sees the singular endpoint R = 0 of the interval k = m.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
@@ -156,16 +159,10 @@ def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
     L = tm - t[:-1]
     R = tm - t[1:]
     one_mg = 1.0 - gamma
-    # from k = m on (R <= 0), L = R = 1 takes the log path to 0; the newest
-    # interval k = m then gets its closed form, in the rows that reach it
-    newest = ()
+    # from k = m on (R <= 0), L = R = 1 takes the log path to 0
     if stop >= low:
         past = np.arange(start + 1, stop + 1) >= levels[:, None]
         L[past] = R[past] = 1.0
-        newest = np.flatnonzero((start < levels) & (levels <= stop))
-    a = (np.exp(one_mg * np.log(R))
-         * np.expm1(one_mg * np.log1p((L - R) / R))
-         / (tau * one_mg))
-    for i in newest:
-        a[i, levels[i] - 1 - start] = _last_weight(tau[levels[i] - 1 - start], gamma)
-    return a
+    return (np.exp(one_mg * np.log(R))
+            * np.expm1(one_mg * np.log1p((L - R) / R))
+            / (tau * one_mg))

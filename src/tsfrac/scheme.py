@@ -9,22 +9,21 @@ Each time level m solves the dense-but-structured linear system
 where A is the fractional-Laplacian Toeplitz matrix.  One driver runs both
 schemes, with one grid evaluator for kappa, source, the initial value and
 the exact solution, one history array and one pair of error norms; they
-differ only in its history strategy: DIDS sums the Caputo history term over
-the full solution history with the L1 weights (O(m) per level); FIDS
-evaluates it through the sum-of-exponentials recurrence (O(N_exp) per
-level), on the SOE that ``run_soe`` builds to a relative tolerance.  A
-level's ``add_known`` only adds the known history part to the right-hand
-side; each strategy states its per-level cost model once, when it is built, as
-``level_ops``, which the report carries.  The run walks the mesh's levels
-in blocks (``GradedMesh.blocks``): each level's time t_m and step tau_m
-come from one evaluation per block, and the step goes to the shift and to
-the history strategy, so nothing of length M is stored.  The L1 constants
-are ``mesh``'s: the run takes Gamma(1-gamma) from ``gamma_factor`` once,
-and each level's shift_m from ``level_shift``, which both the level solve
-and the FIDS history read; the last weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma)
-never goes through the SOE, whose history sum S_m covers the levels before
-m, so FIDS adds shift_m u^{m-1} - S_m / Gamma(1-gamma) to the right-hand
-side.
+differ only in its history strategy, which gives the history sum
+S_m = sum_{k<m} a_k (u^k - u^{k-1}) of level m: ``history(m, tau_m)``
+returns S_m / Gamma(1-gamma).  DIDS sums it exactly over the full solution
+history with the L1 weights (O(m) per level); FIDS evaluates it through the
+sum-of-exponentials recurrence (O(N_exp) per level), on the SOE that
+``run_soe`` builds to a relative tolerance.  The run alone adds the known
+part of a level, shift_m u^{m-1} - S_m / Gamma(1-gamma), to its right-hand
+side; the newest weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma) enters only
+through shift_m.  Each strategy states its per-level cost model once, when
+it is built, as ``level_ops``, which the report carries.  The run walks the
+mesh's levels in blocks (``GradedMesh.blocks``): each level's time t_m and
+step tau_m come from one evaluation per block, and the step goes to the
+shift and to the history strategy, so nothing of length M is stored.  The
+L1 constants are ``mesh``'s: the run takes Gamma(1-gamma) from
+``gamma_factor`` once, and each level's shift_m from ``level_shift``.
 
 DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
 starts, the part of its levels' sums over the rows older than the block is
@@ -403,10 +402,12 @@ class _L1Sum:
 
     def _coefficients(self, levels: np.ndarray, j0: int, j1: int) -> np.ndarray:
         """Each level's history coefficients of rows j0..j1-1, over
-        Gamma(1-gamma): a_1 for u^0, a_{j+1} - a_j for u^j, j >= 1."""
+        Gamma(1-gamma): a_j - a_{j+1} for u^j, with a_0 = 0 and the weights
+        from the level's own interval on 0 (``l1_weights``)."""
         a = l1_weights(self.mesh, self.gamma, levels, max(j0 - 1, 0), j1)
         c = np.diff(a, prepend=0.0) if j0 == 0 else np.diff(a)
-        c /= self.g1mg
+        # the differences are a_{j+1} - a_j
+        c /= -self.g1mg
         return c
 
     def _start_block(self, m0: int):
@@ -419,16 +420,13 @@ class _L1Sum:
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
         self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float, tau_m: float):
-        """rhs += the known history part of level m.  The shift and the step
-        are not read: the coefficient of u^{m-1}, a_m - a_{m-1} (a_1 at
-        m = 1), holds a_m."""
+    def history(self, m: int, tau_m: float) -> np.ndarray:
+        """S_m / Gamma(1-gamma), the exact history sum of level m; the step
+        is not read."""
         if (m - 1) % HISTORY_BLOCK == 0:
             self._start_block(m)
         i = m - self.m0
-        rhs += self.far[i]
-        if i:
-            rhs += self.near[i, :i] @ self.hist[self.m0:m]
+        return self.far[i] + self.near[i, :i] @ self.hist[self.m0:m]
 
     def record(self, m: int, u: np.ndarray, tau_m: float):
         """Nothing to do: the run's history already holds u^m."""
@@ -447,13 +445,12 @@ class _SoeRecurrence:
         self.level_ops = np.broadcast_to(np.int64(self.memory_values), (M,))
         self.u_prev = u0
 
-    def add_known(self, rhs: np.ndarray, m: int, shift: float, tau_m: float):
-        """rhs += shift_m u^{m-1} - S_m / Gamma(1-gamma), the known part of
-        level m, whose step is tau_m."""
+    def history(self, m: int, tau_m: float) -> np.ndarray:
+        """S_m / Gamma(1-gamma), the SOE's history sum of level m, whose
+        step is tau_m."""
         hist = history_sum(self.fast, tau_m)
         hist /= self.g1mg
-        rhs -= hist
-        rhs += shift * self.u_prev
+        return hist
 
     def record(self, m: int, u: np.ndarray, tau_m: float):
         # no level reads W^M
@@ -504,7 +501,9 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
             kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
             rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
             shift = level_shift(spec.gamma, tau_m, g1mg)
-            history.add_known(rhs, m, shift, tau_m)
+            # the known part, u still u^{m-1}
+            rhs -= history.history(m, tau_m)
+            rhs += shift * u
             u, its = levels.solve(shift, kappa, rhs, m, tm)
             its_total += its
             history.record(m, u, tau_m)

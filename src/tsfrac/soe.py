@@ -67,9 +67,9 @@ obey the one-step recurrence W_j^m = e^{-s_j tau_m} W_j^{m-1}
 O(N_exp * N_spatial) independent of the step index.  At level m,
 ``history_sum`` reads S_m = sum_j w_j e^{-s_j tau_m} W_j^{m-1}, the SOE's
 estimate of the L1 history sum_{k<m} a_k Delta u^k; the newest weight a_m
-and Gamma(1-gamma) are the L1 formula's, owned by ``mesh``, and the FIDS
-scheme adds shift_m u^{m-1} - S_m / Gamma(1-gamma) to the level's
-right-hand side.
+and Gamma(1-gamma) are the L1 formula's, owned by ``mesh``.  Both schemes
+add shift_m u^{m-1} - S_m / Gamma(1-gamma) to the level's right-hand side,
+DIDS with the exact S_m and FIDS with this estimate.
 
 Level m reads e^{-s_j tau_m} W_j^{m-1}, the kernel at arguments in
 [tau_m, t_m], and W^0 = 0; so the FIDS scheme builds its SOE on
@@ -287,19 +287,18 @@ def build_soe(
 
     Returns the reduced lattice when it passes the validation, else the
     lattice when it fits under the cap and passes, else tries a finer
-    lattice.  A relative epsilon of 1 or more, which the sum 0 meets,
-    raises ValueError.  Raises SoeConstructionError, naming the tolerance,
-    its kind, [delta, T] and gamma: for a relative epsilon below the sum's
-    rounding, 4 ulp; once the smaller of the two candidates has more than
-    ``NODE_CAP`` nodes; or when no lattice passes.
+    lattice.  An epsilon that the sum 0 meets, tol(delta) >= delta^{-gamma}
+    (a relative epsilon of 1 or more, an absolute one of delta^{-gamma} or
+    more), raises ValueError.  Raises SoeConstructionError, naming the
+    tolerance, its kind, [delta, T] and gamma: for a relative epsilon below
+    the sum's rounding, 4 ulp; once the smaller of the two candidates has
+    more than ``NODE_CAP`` nodes; or when no lattice passes.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     # NaN fails both tests
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if relative and epsilon >= 1.0:
-        raise ValueError(f"a relative epsilon must be < 1, got {epsilon}")
     if not math.isfinite(T):
         raise ValueError(f"final time T must be finite, got {T}")
     if not 0.0 < delta < T:
@@ -309,6 +308,14 @@ def build_soe(
     target = SoeApproximation(gamma=float(gamma), epsilon=float(epsilon),
                               delta=float(delta), T=float(T), nodes=np.empty(0),
                               weights=np.empty(0), relative=bool(relative))
+    # t^{-gamma} is largest at delta, so a tolerance the sum 0 meets there
+    # it meets on all of [delta, T]
+    bound = delta ** -gamma
+    if target.tolerance(delta) >= bound:
+        raise ValueError(
+            f"a relative epsilon must be < 1, got {epsilon}" if relative else
+            f"an absolute epsilon must be < delta^-gamma = {bound:g}, got "
+            f"epsilon={epsilon} at delta={delta}, gamma={gamma}")
     if relative and epsilon < _ROUNDING_ULPS * _ULP:
         raise SoeConstructionError(
             f"{target.describe()} cannot be met: summing the exponentials "

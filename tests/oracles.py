@@ -18,7 +18,8 @@
   solution history, the O(m) L1 sum.
 - ``mesh_arrays``: a mesh's M+1 times and M steps as arrays, from one call
   of its evaluator.
-- ``l1_row``: one level's m L1 weights, the one-row panel of ``l1_weights``.
+- ``l1_row``: one level's m L1 weights, its history weights from
+  ``l1_weights`` and the newest in its closed form.
 - ``l1_weight_by_quadrature``: one L1 weight from its defining integral by
   adaptive quadrature.
 - ``dids_all_at_once``: the DIDS history from one dense solve of the block
@@ -363,8 +364,12 @@ def mesh_arrays(mesh: GradedMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def l1_row(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
-    """a_1..a_m at level m, the one-row panel of ``l1_weights``."""
-    return l1_weights(mesh, gamma, np.array([m]), 0, m)[0]
+    """a_1..a_m at level m: the history weights a_1..a_{m-1}, the one-row
+    panel of ``l1_weights``, and the newest weight a_m in its closed form."""
+    a = l1_weights(mesh, gamma, np.array([m]), 0, m)[0]
+    t = mesh.times(np.array([m - 1, m]))
+    a[-1] = _last_weight(t[1] - t[0], gamma)
+    return a
 
 
 def l1_weight_by_quadrature(mesh: GradedMesh, gamma: float, m: int, k: int) -> float:

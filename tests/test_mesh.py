@@ -163,14 +163,14 @@ class TestL1Weights:
 
     @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
     def test_panel_rows_are_the_levels_rows(self, gamma):
-        # bit for bit: a panel row is its level's weights over the columns,
-        # with the newest weight k = m in its closed form and 0 past it
+        # bit for bit: a panel row is its level's history weights k < m over
+        # the columns, and 0 from the level's own interval k = m on
         mesh = build_mesh(40, 2.5, 1.0)
         levels = np.arange(20, 40)
         panel = l1_weights(mesh, gamma, levels, 5, 30)
         assert panel.shape == (20, 25)
         for row, m in zip(panel, levels):
-            k = min(m, 30)
+            k = min(m - 1, 30)
             np.testing.assert_array_equal(row[:k - 5], l1_row(mesh, gamma, m)[5:k])
             assert np.all(row[k - 5:] == 0.0)
         np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, 5, 20),
@@ -189,13 +189,15 @@ class TestLevelConstants:
         assert gamma_factor(gamma) == pytest.approx(math.gamma(1.0 - gamma), rel=1e-14)
 
     def test_level_shift_is_the_newest_weight_over_the_gamma_factor(self):
-        # bit for bit: the shift and the weight row share the closed form
+        # the newest weight a_m from its defining integral, whose endpoint
+        # singularity the quadrature weight takes
         mesh = build_mesh(50, 2.5, 2.0)
         _, tau = mesh_arrays(mesh)
         for gamma in (0.1, 0.5, 0.9):
             g = gamma_factor(gamma)
             for m in range(1, mesh.M + 1):
-                assert level_shift(gamma, tau[m - 1], g) == l1_row(mesh, gamma, m)[-1] / g
+                assert level_shift(gamma, tau[m - 1], g) == pytest.approx(
+                    l1_weight_by_quadrature(mesh, gamma, m, m) / g, rel=1e-14)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_level_shift_rejects_a_step_that_is_not_finite_and_positive(self, tau):

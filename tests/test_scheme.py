@@ -28,6 +28,8 @@ from tsfrac.scheme import (
     SolverOptions,
     _DirectLevels,
     _KrylovLevels,
+    _L1Sum,
+    _SoeRecurrence,
     run_dids,
     run_fids,
     run_soe,
@@ -758,6 +760,56 @@ class TestDidsOracle:
         hist, _ = run_dids(spec, M, 2, N)
         ref = dids_all_at_once(spec, M, 2, N)
         assert np.max(np.abs(hist - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+class TestHistoryStrategies:
+    """Each strategy's history(m, tau_m) is S_m / Gamma(1-gamma), the L1 sum
+    sum_{k<m} a_k (u^k - u^{k-1}) over the levels before m, on a stored
+    random history."""
+
+    GAMMA = 0.6
+    # 200 levels: seven blocks of HISTORY_BLOCK, the last far parts from two
+    # weight panels
+    M = 200
+
+    @pytest.fixture
+    def stored(self, rng):
+        mesh = build_mesh(self.M, 2.0, 1.0)
+        return mesh, rng.standard_normal((self.M + 1, 6))
+
+    def exact_sums(self, mesh, hist):
+        """(S_m / Gamma(1-gamma), sum_{k<m} a_k |u^k - u^{k-1}| / Gamma(1-gamma))
+        for m = 1..M, from the oracle's weight rows."""
+        g = gamma_factor(self.GAMMA)
+        for m in range(1, mesh.M + 1):
+            a = l1_row(mesh, self.GAMMA, m)[:-1]
+            du = np.diff(hist[:m], axis=0)
+            yield a @ du / g, a @ np.abs(du) / g
+
+    def test_the_l1_sum_is_the_oracle_sum(self, stored):
+        mesh, hist = stored
+        strategy = _L1Sum(self.GAMMA, gamma_factor(self.GAMMA), mesh, hist)
+        _, tau = mesh_arrays(mesh)
+        for m, (want, _) in enumerate(self.exact_sums(mesh, hist), start=1):
+            # the strategy starts its blocks as the levels come
+            got = strategy.history(m, tau[m - 1])
+            # block and panel edges
+            if m in (1, 2, HISTORY_BLOCK, HISTORY_BLOCK + 1, WEIGHT_PANEL + 1, self.M):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_the_soe_recurrence_is_the_l1_sum_to_the_soe_tolerance(self, stored):
+        # a relative kernel error of at most eps leaves each history weight
+        # within eps a_k, and so S_m within eps sum_{k<m} a_k |u^k - u^{k-1}|
+        mesh, hist = stored
+        eps = 1e-9
+        g = gamma_factor(self.GAMMA)
+        exact = _L1Sum(self.GAMMA, g, mesh, hist)
+        fast = _SoeRecurrence(run_soe(self.GAMMA, eps, mesh), g, mesh.M, hist[0])
+        _, tau = mesh_arrays(mesh)
+        for m, (_, scale) in enumerate(self.exact_sums(mesh, hist), start=1):
+            got = fast.history(m, tau[m - 1])
+            fast.record(m, hist[m], tau[m - 1])
+            assert np.all(np.abs(got - exact.history(m, tau[m - 1])) <= eps * scale)
 
 
 class TestPaperValues:

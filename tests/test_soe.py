@@ -222,6 +222,15 @@ class TestBuildSoe:
         with pytest.raises(ValueError, match=f"^{match}$"):
             build_soe(*args)
 
+    @pytest.mark.parametrize("epsilon", [100.0, 200.0])
+    def test_an_absolute_tolerance_the_sum_zero_meets_is_refused(self, epsilon):
+        # t^{-1/2} is at most 1e-4^{-1/2} = 100 on [1e-4, 1]
+        with pytest.raises(ValueError, match=(
+                rf"^an absolute epsilon must be < delta\^-gamma = 100, got "
+                rf"epsilon={epsilon} at delta=0\.0001, gamma=0\.5$")):
+            build_soe(0.5, epsilon, 1e-4, 1.0)
+        assert build_soe(0.5, 99.0, 1e-4, 1.0).n_exp >= 1
+
     def test_cap_failure_names_gamma(self):
         # gamma near 1 with grading r = 4 at M = 2^16: a 418-node lattice,
         # 338 nodes after the reduction, 323 of them above the reduced block

@@ -407,6 +407,33 @@ def test_one_function_forms_the_gamma_factor():
         ("mesh.py", "gamma_factor")]
 
 
+def newest_weight_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that calls ``_last_weight``,
+    the closed form of the newest L1 weight a_m."""
+    return sorted({(module, function) for module, source in sources.items()
+                   for node, function in _walk_in_functions(ast.parse(source))
+                   if isinstance(node, ast.Call) and _called(node) == "_last_weight"})
+
+
+def test_the_check_finds_a_second_newest_weight():
+    source = ("from .mesh import _last_weight\n"
+              "from . import mesh\n"
+              "def shift(tau, gamma, g):\n"
+              "    return _last_weight(tau, gamma) / g\n"
+              "class Panel:\n"
+              "    def row(self, tau, gamma):\n"
+              "        return mesh._last_weight(tau, gamma)\n"
+              "def named(f=_last_weight):\n"
+              "    return f\n")
+    assert newest_weight_sites({"m.py": source}) == [("m.py", "row"), ("m.py", "shift")]
+
+
+def test_one_function_forms_the_newest_weight():
+    # a_m is the level's own weight: the history weights stop before it
+    assert newest_weight_sites({p.name: p.read_text() for p in PACKAGE}) == [
+        ("mesh.py", "level_shift")]
+
+
 # the solver API the package root exports: the run drivers, their problem,
 # options and report types, the builders of a run's pieces, and their errors
 ROOT_API = {"make_case", "run_dids", "run_fids", "SolverOptions", "ProblemSpec",
