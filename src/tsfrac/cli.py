@@ -215,7 +215,8 @@ def cmd_spectrum(config: argparse.Namespace) -> Table:
         return table
 
     case = make_case(config.case, config.alpha, config.gamma, T=config.T)
-    kappa = np.asarray(case.spec.kappa(x, t_level), dtype=float)
+    # one level's diffusivity: the row of a one-time column
+    kappa = np.asarray(case.spec.kappa(x, np.full((1, 1), t_level)), dtype=float)[0]
     sv = spectrum.preconditioned_singular_values(col, shift, kappa)
     summary = spectrum.gershgorin_summary(spectrum.dense_system(col, shift, kappa))
     table = Table(["index", "sv_preconditioned"],

@@ -19,7 +19,7 @@ S_m = sum_{k<m} a_k (u^k - u^{k-1}): its weights, ``l1_weights``, are the
 exact per-interval averages of the kernel (t_m - s)^{-gamma} over the
 intervals before level m, formed as a panel: several levels' rows over an
 explicit range of intervals, the weights from a level's own interval on
-being zero.
+being zero, from the levels' times that the caller evaluated once.
 """
 
 from __future__ import annotations
@@ -125,11 +125,13 @@ def level_shift(gamma: float, tau_m: float, g1mg: float) -> float:
     return _last_weight(tau_m, gamma) / g1mg
 
 
-def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
-               stop: int) -> np.ndarray:
+def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray,
+               times: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The (levels x columns) panel of the L1 history weights
     a_k = [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] / (tau_k (1-g)), k = start+1..stop,
-    one row for each level m of the 1-D integer array ``levels``:
+    one row for each level m of the 1-D integer array ``levels``, whose
+    times t_m are ``times`` = ``mesh.times(levels)``, evaluated once by a
+    caller that forms several panels of the same levels:
     a[i, k-1-start] = a_k at level levels[i] for k < m, and 0 from k = m on.
 
     This is the closed form of (1/tau_k) * int_{t_{k-1}}^{t_k} (t_m - s)^{-gamma} ds,
@@ -138,9 +140,12 @@ def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
     k = start+1, strictly positive and strictly increasing in k.  The newest
     weight a_m belongs to the level's own unknown: ``level_shift`` forms it.
 
-    The power difference is evaluated as R^{1-g} expm1((1-g) log1p((L-R)/R))
-    with L = t_m - t_{k-1}, R = t_m - t_k: for gamma near 1 the naive form
-    cancels catastrophically and can even break monotonicity.  The log path
+    The power difference is evaluated as R^{1-g} expm1((1-g) log1p(tau_k/R))
+    with R = t_m - t_k, in place: for gamma near 1 the naive form cancels
+    catastrophically and can even break monotonicity.  The step tau_k is the
+    difference of the interval's own two times, so an early interval at a
+    late level keeps its accuracy, where (t_m - t_{k-1}) - R, the difference
+    of two rounded differences of times near t_m, cancels.  The log path
     never sees the singular endpoint R = 0 of the interval k = m.
     """
     if not 0.0 < gamma < 1.0:
@@ -151,18 +156,26 @@ def l1_weights(mesh: GradedMesh, gamma: float, levels: np.ndarray, start: int,
     if not 0 <= start < stop <= high:
         raise ValueError(f"weights k = {start + 1}..{stop} must form a nonempty "
                          f"range in 1..{high}")
-    # the panel's times only, in one evaluation: t_m of its levels, then
-    # t_start..t_stop
-    t = mesh.times(np.concatenate((levels, np.arange(start, stop + 1))))
-    tm, t = t[:levels.size, None], t[levels.size:]
+    t = mesh.times(np.arange(start, stop + 1))
     tau = np.diff(t)
-    L = tm - t[:-1]
-    R = tm - t[1:]
-    one_mg = 1.0 - gamma
-    # from k = m on (R <= 0), L = R = 1 takes the log path to 0
+    R = times[:, None] - t[1:]
+    # the tau panel: tau_k / R, zero from k = m on (R <= 0), where R = 1
+    # takes the log path to a weight of 0
+    q = np.empty_like(R)
+    q[:] = tau
     if stop >= low:
         past = np.arange(start + 1, stop + 1) >= levels[:, None]
-        L[past] = R[past] = 1.0
-    return (np.exp(one_mg * np.log(R))
-            * np.expm1(one_mg * np.log1p((L - R) / R))
-            / (tau * one_mg))
+        R[past] = 1.0
+        q[past] = 0.0
+    q /= R
+    one_mg = 1.0 - gamma
+    np.log1p(q, out=q)
+    q *= one_mg
+    np.expm1(q, out=q)
+    np.log(R, out=R)
+    R *= one_mg
+    np.exp(R, out=R)
+    q *= R
+    tau *= one_mg
+    q /= tau
+    return q

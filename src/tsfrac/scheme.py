@@ -22,8 +22,14 @@ it is built, as ``level_ops``, which the report carries.  The run walks the
 mesh's levels in blocks (``GradedMesh.blocks``): each level's time t_m and
 step tau_m come from one evaluation per block, and the step goes to the
 shift and to the history strategy, so nothing of length M is stored.  The
-L1 constants are ``mesh``'s: the run takes Gamma(1-gamma) from
-``gamma_factor`` once, and each level's shift_m from ``level_shift``.
+problem data come a block of levels at a time: kappa, source and exact are
+called once per block with t the column of its levels' times, and return
+one row per level (``ProblemSpec``).  The history strategy sets the block,
+as it knows what the run already holds: HISTORY_BLOCK levels for DIDS,
+whose blocks they match, and one level for a lean FIDS run, whose peak a
+block of rows would raise.  The L1 constants are ``mesh``'s: the run takes
+Gamma(1-gamma) from ``gamma_factor`` once, and each level's shift_m from
+``level_shift``.
 
 DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
 starts, the part of its levels' sums over the rows older than the block is
@@ -107,7 +113,10 @@ HISTORY_CAP = 2 ** 26
 #           P = 256 0.577 / 0.623, 5.161
 # A weight panel takes 8 B P bytes, times the few temporaries of its closed
 # form, and the far part 8 B n, so larger B and P buy a few percent of time
-# with several percent of memory.
+# with several percent of memory.  The run evaluates DIDS's problem data in
+# blocks of B levels too: kappa and source, 8 B n bytes each, and the exact
+# solution after them: the run's peak at M = 4096, n = 127 went 4.565 ->
+# 4.592 MB (+0.6%).
 HISTORY_BLOCK = 32
 WEIGHT_PANEL = 128
 # Fewest levels, counting level 2, for which a separable kappa builds the
@@ -140,13 +149,21 @@ SOLVERS = ("auto", "direct", "krylov", "pkrylov")
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Model problem on Omega = (-l, l) x (0, T] with zero exterior data."""
+    """Model problem on Omega = (-l, l) x (0, T] with zero exterior data.
+
+    The run evaluates kappa, source and exact for a block of levels at a
+    time, with t a column of the block's times (a block of one level is a
+    (1, 1) column), and checks every row it gets back."""
 
     gamma: float
     alpha: float
     l: float
     T: float
-    # each returns one value per grid point, or a scalar broadcast to the grid
+    # x is the grid, shape (n,).  A callable of (x, t) receives the times of
+    # b levels as a column, shape (b, 1), and returns one row per level,
+    # shape (b, n), or what broadcasts to it: a scalar, one value per grid
+    # point (n,) or one value per level (b, 1).  initial returns (n,) or a
+    # scalar
     kappa: Callable          # (x, t) -> diffusivity > 0
     source: Callable         # (x, t) -> f
     initial: Callable        # x -> u(x, 0)
@@ -243,7 +260,8 @@ class _DirectLevels:
               m: int, t: float) -> tuple[np.ndarray, int]:
         """u with (shift*I + diag(kappa) A) u = rhs, and 0 iterations."""
         if m == 1 and self.may_build:
-            self.kappa1 = kappa
+            # a copy: the run's kappa is a row of a block of levels
+            self.kappa1 = kappa.copy()
         # the basis is decided once, at level 2: the ratio is read only where
         # a basis exists or may be built
         elif self.basis is not None or (m == 2 and self.may_build):
@@ -350,35 +368,59 @@ class _KrylovLevels:
         return u, report.iterations
 
 
-def _on_grid(name: str, value, x: np.ndarray, m: int, t: float,
+def _on_grid(name: str, f: Callable, x: np.ndarray, m0: int, t: np.ndarray,
              positive: bool = False) -> np.ndarray:
-    """What ``name`` returned at level m as a fresh float array on the grid
-    (the run adds to it in place and may keep it): a scalar is broadcast, and
-    another shape, a non-finite value or, with ``positive``, one that is not
-    > 0 fails, naming the level and the point."""
-    v = np.array(value, dtype=float)
-    if v.shape != x.shape:
-        if v.ndim:
+    """``f(x, t)`` for the b levels m0, m0+1, ... whose times are the column
+    ``t``, as a fresh (b, n) float array, one row per level (the run adds to
+    the rows in place and may keep them).  A scalar, one value per grid
+    point (n,) or one value per level (b, 1) is broadcast.  Another shape, a
+    non-finite value or, with ``positive``, one that is not > 0 fails,
+    naming the level and the point; a block of another shape is evaluated
+    again level by level, to name the first level whose own value has the
+    wrong shape."""
+    shape = (t.shape[0], x.size)
+    v = np.array(f(x, t), dtype=float)
+    if v.shape != shape:
+        broadcast = ((), (x.size,), (shape[0], 1))
+        if v.shape not in broadcast:
+            if shape[0] > 1:
+                for i in range(shape[0]):
+                    _on_grid(name, f, x, m0 + i, t[i:i + 1], positive)
             raise ValueError(
-                f"{name} must return a scalar or one value per grid point: at "
-                f"level m={m}, t={t}, it returned shape {v.shape} on a grid of "
-                f"shape {x.shape}")
-        v = np.full(x.shape, v)
+                f"{name} must return shape {shape} (levels x grid points) or "
+                f"one broadcast to it, {broadcast[0]}, {broadcast[1]} or "
+                f"{broadcast[2]}: at level m={m0}, t={t[0, 0]}, it returned "
+                f"shape {v.shape}")
+        v = np.broadcast_to(v, shape).copy()
     # NaN fails both tests
     ok = (v > 0.0) & (v < math.inf) if positive else np.isfinite(v)
     if not ok.all():
-        bad = np.flatnonzero(~ok)[0]
+        i, j = np.unravel_index(np.argmin(ok), shape)
         raise ValueError(
             f"{name} must be {'positive and finite' if positive else 'finite'} "
-            f"on the grid: at level m={m}, t={t}, {name}(x={x[bad]}) = {v[bad]}")
+            f"on the grid: at level m={m0 + i}, t={t[i, 0]}, "
+            f"{name}(x={x[j]}) = {v[i, j]}")
     return v
+
+
+def _level_blocks(mesh: GradedMesh, b: int):
+    """Levels 1..M in blocks of up to b, each as (m1, t, steps): t the
+    column of the block's times, shape (b, 1), and steps their steps
+    tau_m as floats, from one evaluation of the mesh per LEVEL_BLOCK
+    levels (``GradedMesh.blocks``).  Only the block's own steps are
+    floats: LEVEL_BLOCK of them would take 4 kB of a lean run's peak."""
+    for m0, t, tau in mesh.blocks():
+        for j in range(0, tau.size, b):
+            yield m0 + j, t[j + 1:j + 1 + b, None], tau[j:j + b].tolist()
 
 
 def _error_norms(exact: np.ndarray, u: np.ndarray, h: float) -> tuple[float, float]:
     """(max norm, discrete L2 norm) of the error on grid spacing h, formed
-    in place in ``exact``, a fresh array that nothing else reads."""
+    in place in ``exact``, a fresh row that nothing else reads."""
     exact -= u
-    return np.max(np.abs(exact)), math.sqrt(h) * np.linalg.norm(exact)
+    np.abs(exact, out=exact)
+    # the 2-norm as np.linalg.norm forms it, without its dispatch
+    return exact.max(), math.sqrt(h) * math.sqrt(exact.dot(exact))
 
 
 class _L1Sum:
@@ -395,30 +437,41 @@ class _L1Sum:
         self.mesh = mesh
         self.g1mg = g1mg
         self.hist = hist
+        # the run evaluates the problem data for the levels of one block at
+        # a time: a few (B, n) arrays beside the (M+1, n) history
+        self.block = HISTORY_BLOCK
         self.memory_values = hist.size
         self.level_ops = np.arange(1, mesh.M + 1, dtype=np.int64) * hist.shape[1]
         self.m0 = 0
         self.far = self.near = None
 
-    def _coefficients(self, levels: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    def _coefficients(self, levels: np.ndarray, times: np.ndarray, j0: int,
+                      j1: int) -> np.ndarray:
         """Each level's history coefficients of rows j0..j1-1, over
         Gamma(1-gamma): a_j - a_{j+1} for u^j, with a_0 = 0 and the weights
         from the level's own interval on 0 (``l1_weights``)."""
-        a = l1_weights(self.mesh, self.gamma, levels, max(j0 - 1, 0), j1)
-        c = np.diff(a, prepend=0.0) if j0 == 0 else np.diff(a)
-        # the differences are a_{j+1} - a_j
+        a = l1_weights(self.mesh, self.gamma, levels, times, max(j0 - 1, 0), j1)
+        # the differences a_{j+1} - a_j, as np.diff forms them without its
+        # call; from row 0 on, in place, the first is a_1 - a_0 = a_1
+        if j0 == 0:
+            a[:, 1:] -= a[:, :-1]
+            c = a
+        else:
+            c = a[:, 1:] - a[:, :-1]
         c /= -self.g1mg
         return c
 
     def _start_block(self, m0: int):
         levels = np.arange(m0, min(m0 + HISTORY_BLOCK, self.mesh.M + 1))
+        # the block's times, once for all its weight panels
+        times = self.mesh.times(levels)
         self.m0 = m0
         self.far = np.zeros((levels.size, self.hist.shape[1]))
         for j0 in range(0, m0, WEIGHT_PANEL):
             j1 = min(j0 + WEIGHT_PANEL, m0)
-            self.far += self._coefficients(levels, j0, j1) @ self.hist[j0:j1]
+            self.far += self._coefficients(levels, times, j0, j1) @ self.hist[j0:j1]
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
-        self.near = self._coefficients(levels, m0, m0 + levels.size - 1)
+        self.near = self._coefficients(levels, times, m0, m0 + levels.size - 1)
 
     def history(self, m: int, tau_m: float) -> np.ndarray:
         """S_m / Gamma(1-gamma), the exact history sum of level m; the step
@@ -440,6 +493,10 @@ class _SoeRecurrence:
         self.M = M
         self.g1mg = g1mg
         self.fast = FastHistory.fresh(soe, u0.size)
+        # the problem data one level at a time: a lean run holds W, u^{m-1}
+        # and a few vectors of length n, and blocks of levels would add to
+        # that peak (at n = 127, 2 levels +0.8%, 4 levels +2.7%)
+        self.block = 1
         self.memory_values = self.fast.W.size
         # the same count at every level: one read-only value, not M
         self.level_ops = np.broadcast_to(np.int64(self.memory_values), (M,))
@@ -485,33 +542,47 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     tag = select_solver(N, options)
     levels = (_DirectLevels(disc, M) if tag == "direct"
               else _KrylovLevels(disc, tag, options.tol))
-    u = _on_grid("initial", spec.initial(x), x, 0, 0.0)
+    # level 0, t_0 = 0, which has no step, as a block of one level
+    level0 = np.zeros((1, 1))
+    u = _on_grid("initial", lambda x, t: spec.initial(x), x, 0, level0)[0]
 
     hist = np.empty((M + 1, x.size)) if keep_history else None
     history = (_L1Sum(spec.gamma, g1mg, mesh, hist) if epsilon is None
                else _SoeRecurrence(soe, g1mg, M, u))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
+    if hist is not None:
+        hist[0] = u
     its_total = 0
-    # each level's time and step, from one evaluation per block of levels;
-    # level 0 has no step
-    steps = ((m0 + i, t[i + 1], tau[i])
-             for m0, t, tau in mesh.blocks() for i in range(tau.size))
-    for m, tm, tau_m in chain([(0, mesh.times(0), None)], steps):
-        if m:
-            kappa = _on_grid("kappa", spec.kappa(x, tm), x, m, tm, positive=True)
-            rhs = _on_grid("source", spec.source(x, tm), x, m, tm)
+    # a run that keeps no history takes one level at a time, whose solution
+    # is u
+    assert hist is not None or history.block == 1
+    # each block's problem data from one call of each callable, t the
+    # column of the block's times
+    for m1, tb, taub in chain([(0, level0, [])], _level_blocks(mesh, history.block)):
+        if m1:
+            kappa = _on_grid("kappa", spec.kappa, x, m1, tb, positive=True)
+            source = _on_grid("source", spec.source, x, m1, tb)
+        for i, tau_m in enumerate(taub):
+            m = m1 + i
             shift = level_shift(spec.gamma, tau_m, g1mg)
             # the known part, u still u^{m-1}
+            rhs = source[i]
             rhs -= history.history(m, tau_m)
             rhs += shift * u
-            u, its = levels.solve(shift, kappa, rhs, m, tm)
+            u, its = levels.solve(shift, kappa[i], rhs, m, tb[i, 0])
             its_total += its
             history.record(m, u, tau_m)
-        if hist is not None:
-            hist[m] = u
+            if hist is not None:
+                hist[m] = u
+        # the exact solution once the block is solved, against its levels'
+        # rows of the history
         if spec.exact is not None:
-            err = np.maximum(err, _error_norms(
-                _on_grid("exact", spec.exact(x, tm), x, m, tm), u, disc.h))
+            exact = _on_grid("exact", spec.exact, x, m1, tb)
+            for i in range(tb.shape[0]):
+                err = np.maximum(err, _error_norms(
+                    exact[i], u if hist is None else hist[m1 + i], disc.h))
+        # the next block's data is evaluated with none of this block's held
+        kappa = source = rhs = exact = None
 
     err_inf, err_2 = (None, None) if spec.exact is None else map(float, err)
     return (u if hist is None else hist), SolveReport(

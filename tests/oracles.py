@@ -22,6 +22,8 @@
   ``l1_weights`` and the newest in its closed form.
 - ``l1_weight_by_quadrature``: one L1 weight from its defining integral by
   adaptive quadrature.
+- ``l1_row_mpmath``: one level's history weights in their closed form at
+  50 digits, on the float mesh times.
 - ``dids_all_at_once``: the DIDS history from one dense solve of the block
   lower-triangular system of all M levels.
 - ``fast_coefficients``: the SOE history coefficients b_k in direct form.
@@ -366,7 +368,8 @@ def mesh_arrays(mesh: GradedMesh) -> tuple[np.ndarray, np.ndarray]:
 def l1_row(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
     """a_1..a_m at level m: the history weights a_1..a_{m-1}, the one-row
     panel of ``l1_weights``, and the newest weight a_m in its closed form."""
-    a = l1_weights(mesh, gamma, np.array([m]), 0, m)[0]
+    level = np.array([m])
+    a = l1_weights(mesh, gamma, level, mesh.times(level), 0, m)[0]
     t = mesh.times(np.array([m - 1, m]))
     a[-1] = _last_weight(t[1] - t[0], gamma)
     return a
@@ -384,6 +387,20 @@ def l1_weight_by_quadrature(mesh: GradedMesh, gamma: float, m: int, k: int) -> f
         val, _ = quad(lambda s: 1.0, t[k - 1], t[k], weight="alg",
                       wvar=(0.0, -gamma))
     return val / tau[k - 1]
+
+
+def l1_row_mpmath(mesh: GradedMesh, gamma: float, m: int) -> np.ndarray:
+    """a_1..a_{m-1} at level m, [(t_m-t_{k-1})^{1-g} - (t_m-t_k)^{1-g}] /
+    (tau_k (1-g)), evaluated by mpmath at 50 digits on the mesh's float
+    times, so each difference of times is exact."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        t = [mpmath.mpf(float(v)) for v in mesh_arrays(mesh)[0][:m + 1]]
+        one_mg = 1 - mpmath.mpf(gamma)
+        return np.array([float(((t[m] - t[k - 1]) ** one_mg - (t[m] - t[k]) ** one_mg)
+                               / ((t[k] - t[k - 1]) * one_mg))
+                         for k in range(1, m)])
 
 
 def dids_all_at_once(spec: ProblemSpec, M: int, r: float, N: int,

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from oracles import caputo_l1_apply, l1_row, l1_weight_by_quadrature, mesh_arrays
+from oracles import (caputo_l1_apply, l1_row, l1_row_mpmath, l1_weight_by_quadrature,
+                     mesh_arrays)
 from tsfrac.mesh import LEVEL_BLOCK, build_mesh, gamma_factor, l1_weights, level_shift
 
 
@@ -167,20 +168,35 @@ class TestL1Weights:
         # the columns, and 0 from the level's own interval k = m on
         mesh = build_mesh(40, 2.5, 1.0)
         levels = np.arange(20, 40)
-        panel = l1_weights(mesh, gamma, levels, 5, 30)
+        times = mesh.times(levels)
+        panel = l1_weights(mesh, gamma, levels, times, 5, 30)
         assert panel.shape == (20, 25)
         for row, m in zip(panel, levels):
             k = min(m - 1, 30)
             np.testing.assert_array_equal(row[:k - 5], l1_row(mesh, gamma, m)[5:k])
             assert np.all(row[k - 5:] == 0.0)
-        np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, 5, 20),
+        np.testing.assert_array_equal(l1_weights(mesh, gamma, levels, times, 5, 20),
                                       panel[:, :15])
+
+    @pytest.mark.parametrize("M,r,gamma", [(1000, 3, 0.8), (3326, 2, 0.5),
+                                           (777, 1.7, 0.3)])
+    def test_weights_match_mpmath_on_non_dyadic_meshes(self, M, r, gamma):
+        # an early interval at a late level: with (t_m - t_{k-1}) - (t_m - t_k)
+        # in place of the step tau_k, the weights were off by 2.8e-8, 1.7e-10
+        # and 2.4e-12 relative
+        pytest.importorskip("mpmath")
+        mesh = build_mesh(M, r, 1.0)
+        for m in (M, M // 2 + 1):
+            want = l1_row_mpmath(mesh, gamma, m)
+            got = l1_row(mesh, gamma, m)[:-1]
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("start,stop", [(-1, 3), (3, 3), (0, 9)])
     def test_invalid_column_range(self, start, stop):
         mesh = build_mesh(8, 2, 1.0)
         with pytest.raises(ValueError, match="weights k"):
-            l1_weights(mesh, 0.5, np.arange(4, 9), start, stop)
+            levels = np.arange(4, 9)
+            l1_weights(mesh, 0.5, levels, mesh.times(levels), start, stop)
 
 
 class TestLevelConstants:

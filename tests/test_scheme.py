@@ -128,7 +128,7 @@ class TestSchemeBasics:
         spec = make_case("example1", 1.5, 0.5).spec
         kappa = spec.kappa
         spec = dataclasses.replace(
-            spec, kappa=lambda x, tm: times.append(tm) or kappa(x, tm))
+            spec, kappa=lambda x, tm: times.extend(tm[:, 0]) or kappa(x, tm))
         run_fids(spec, M, r, 16, options=SolverOptions(solver="direct"),
                  keep_history=False)
         assert times == t[1:].tolist()
@@ -180,18 +180,18 @@ class TestSchemeBasics:
 
     @pytest.mark.parametrize("shape", ["column", "first value"])
     def test_exact_solution_of_another_shape_names_the_level(self, shape):
-        # broadcast against u, an (n, 1) or a (1,) exact solution would
+        # broadcast against u, a (b, 1, n) or a (b,) exact solution would
         # give a wrong error with no message
         spec = make_case("example1", 1.5, 0.5).spec
         exact = spec.exact
         cut = (lambda x, t: exact(x, t)[:, None]) if shape == "column" else (
-            lambda x, t: exact(x, t)[:1])
+            lambda x, t: exact(x, t)[:, 0])
         spec = dataclasses.replace(spec, exact=cut)
         for run in (run_dids, run_fids):
             with pytest.raises(ValueError, match=(
-                    r"^exact must return a scalar or one value per grid point: "
-                    r"at level m=0, t=0\.0, it returned shape \((15, 1|1,)\) "
-                    r"on a grid of shape \(15,\)$")):
+                    r"^exact must return shape \(1, 15\) \(levels x grid points\) "
+                    r"or one broadcast to it, \(\), \(15,\) or \(1, 1\): at level "
+                    r"m=0, t=0\.0, it returned shape \((1, 1, 15|1,)\)$")):
                 run(spec, 8, 2, 16)
 
     def test_parameters_after_n_are_keyword_only(self):
@@ -249,7 +249,7 @@ class TestSchemeBasics:
 
 def nan_after_half(f):
     """f, with NaN from t > 1/2 on: level m=12 (t=0.5625) at M=16, r=2."""
-    return lambda x, t: f(x, t) + (np.nan if t > 0.5 else 0.0)
+    return lambda x, t: f(x, t) + np.where(t > 0.5, np.nan, 0.0)
 
 
 class TestInputChecks:
@@ -283,7 +283,7 @@ class TestInputChecks:
         # add under both schemes, and a scalar initial value under FIDS
         arrays = ProblemSpec(gamma=0.5, alpha=1.5, l=1.0, T=1.0,
                              kappa=lambda x, t: np.full_like(x, 2.0),
-                             source=lambda x, t: np.full_like(x, 1.0 + t),
+                             source=lambda x, t: (1.0 + t) * np.ones_like(x),
                              initial=lambda x: np.full_like(x, 0.5),
                              exact=lambda x, t: np.zeros_like(x))
         scalars = dataclasses.replace(arrays, kappa=lambda x, t: 2.0,
@@ -302,11 +302,56 @@ class TestInputChecks:
     def test_a_wrong_shape_names_the_callable(self, run, name, level):
         # before the evaluator: numpy's broadcast error, naming nothing
         spec = dataclasses.replace(zero_problem(), **{name: lambda *args: np.ones(3)})
+        # a block of levels (DIDS) is evaluated again level by level, so
+        # both schemes name level 1 and its own shape
         with pytest.raises(ValueError, match=(
-                rf"^{name} must return a scalar or one value per grid point: "
-                rf"at level {level}, it returned shape \(3,\) on a grid of "
-                rf"shape \(15,\)$")):
+                rf"^{name} must return shape \(1, 15\) \(levels x grid points\) "
+                rf"or one broadcast to it, \(\), \(15,\) or \(1, 1\): at level "
+                rf"{level}, it returned shape \(3,\)$")):
             run(spec, 8, 2, 16)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("name,bad,what", [
+        ("source", np.nan, "finite"), ("kappa", 0.0, "positive and finite"),
+        ("kappa", -1.0, "positive and finite")])
+    def test_a_bad_value_inside_a_block_names_its_level_and_point(self, run, name,
+                                                                  bad, what):
+        # level 45 of 64 lies inside DIDS's block of levels 33..64, evaluated
+        # in one call; x = 0.25 is the first grid point above 0.2 at N = 16
+        spec = make_case("example1", 1.5, 0.5).spec
+        f, rows = getattr(spec, name), []
+        t45 = build_mesh(64, 2, 1.0).times(45)
+
+        def planted(x, t):
+            rows.append(t.shape)
+            return np.where((t == t45) & (x > 0.2), bad, f(x, t))
+
+        spec = dataclasses.replace(spec, **{name: planted})
+        with pytest.raises(ValueError, match=(
+                rf"^{name} must be {what} on the grid: at level m=45, "
+                rf"t=0\.494384765625, {name}\(x=0\.25\) = {bad}$")):
+            run(spec, 64, 2, 16)
+        assert rows == ([(HISTORY_BLOCK, 1)] * 2 if run is run_dids else [(1, 1)] * 45)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
+    def test_a_misshapen_value_inside_a_block_names_its_level(self, run):
+        # the block of levels 33..64 is evaluated again one level at a time,
+        # up to the first level whose own value has the wrong shape
+        spec = make_case("example1", 1.5, 0.5).spec
+        source, rows = spec.source, []
+        t45 = build_mesh(64, 2, 1.0).times(45)
+
+        def planted(x, t):
+            rows.append(t.shape[0])
+            return np.ones(3) if np.any(t == t45) else source(x, t)
+
+        spec = dataclasses.replace(spec, source=planted)
+        with pytest.raises(ValueError, match=(
+                r"^source must return shape \(1, 15\) \(levels x grid points\) or "
+                r"one broadcast to it, \(\), \(15,\) or \(1, 1\): at level m=45, "
+                r"t=0\.494384765625, it returned shape \(3,\)$")):
+            run(spec, 64, 2, 16)
+        assert rows == ([HISTORY_BLOCK] * 2 + [1] * 13 if run is run_dids else [1] * 45)
 
     @pytest.mark.parametrize("run", [run_dids, run_fids])
     def test_direct_cap_fails_before_allocating(self, run):
@@ -455,7 +500,7 @@ class TestKrylovMethod:
     def test_switches_at_the_first_level_where_kappa_varies(self, methods, run,
                                                             solver):
         # t_m = (m/16)^2 first exceeds 1/2 at m = 12
-        spec = cos_problem(lambda x, t: (1.0 + t) + (0.5 * x if t > 0.5 else 0.0 * x))
+        spec = cos_problem(lambda x, t: (1.0 + t) + np.where(t > 0.5, 0.5 * x, 0.0 * x))
         ref, _ = run(spec, 16, 2, 64, options=SolverOptions(solver="direct"))
         hist, _ = run(spec, 16, 2, 64, options=SolverOptions(solver=solver))
         assert methods == ["solve_cg"] * 11 + ["solve_bicgstab"] * 5
@@ -683,17 +728,22 @@ class TestEigenbasisLevels:
 
         def kappa(x, t):
             # c(t) k(x), but not separable at the failing levels' times
-            level["m"] = int(np.searchsorted(times, t))
-            bend = 0.1 * x if level["m"] in failing else 0.0
+            bent = np.isin(np.searchsorted(times, t[:, 0]), list(failing))
+            bend = np.where(bent[:, None], 0.1 * x, 0.0)
             return (1.0 + t) * np.exp(0.8 * x + 1.0 + bend)
 
         cholesky_levels = []
-        solve = tsfrac.scheme.solve_dense
+        solve, level_solve = tsfrac.scheme.solve_dense, _DirectLevels.solve
+
+        def levelled(self, shift, kappa, rhs, m, t):
+            level["m"] = m
+            return level_solve(self, shift, kappa, rhs, m, t)
 
         def spy(*args):
             cholesky_levels.append(level["m"])
             return solve(*args)
 
+        monkeypatch.setattr(_DirectLevels, "solve", levelled)
         monkeypatch.setattr(tsfrac.scheme, "solve_dense", spy)
         spec = dataclasses.replace(make_case("example1", 1.5, 0.5).spec, kappa=kappa)
         N = EIGEN_MIN_ORDER + 1
@@ -972,6 +1022,27 @@ class TestComplexityCounters:
         _, rep = run_dids(spec, M, 1, N, options=options)
         assert len(rep.history_ops) == M
         assert int(np.sum(rep.history_ops)) == n * M * (M + 1) // 2
+
+    def test_dids_holds_blocks_beside_its_history(self):
+        # beside its (M+1) x n history a DIDS run holds the direct solve's
+        # n x n matrix and, a few at a time, arrays of one block of levels:
+        # the problem data and far part, HISTORY_BLOCK x n, and the weight
+        # panels, HISTORY_BLOCK x WEIGHT_PANEL.  Measured at n = 127: 399 kB
+        # at M = 2048 and 12 kB less at M = 512, the report's 8-byte count
+        # per level; 373 kB when the data came one level at a time
+        spec = make_case("example2", 1.5, 0.5).spec
+        N, n = 128, 127
+        run_dids(spec, 40, 2, N)  # first-use caches
+        beside = {}
+        for M in (512, 2048):
+            tracemalloc.start()
+            try:
+                hist, _ = run_dids(spec, M, 2, N)
+                beside[M] = tracemalloc.get_traced_memory()[1] - hist.nbytes
+            finally:
+                tracemalloc.stop()
+        assert beside[2048] < 8 * (n * n + 10 * HISTORY_BLOCK * max(n, WEIGHT_PANEL))
+        assert beside[2048] - beside[512] < 8 * HISTORY_BLOCK * n
 
     def test_memory_lean_fids_never_holds_the_history(self, monkeypatch):
         # the peak of the lean run stays below the (M+1) x (N-1) history it

@@ -184,13 +184,20 @@ def _called(node) -> str:
 
 def closed_form_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(module, function) of every function that calls ``expm1`` on an
-    argument holding a ``log1p`` call: the guarded L1 closed form."""
+    argument holding a ``log1p`` call, or on a name that it also passes to
+    ``log1p``, as an in-place evaluation does: the guarded L1 closed form."""
     sites = set()
     for module, source in sources.items():
-        for node, function in _walk_in_functions(ast.parse(source)):
-            if (isinstance(node, ast.Call) and _called(node) == "expm1"
-                    and any(isinstance(inner, ast.Call) and _called(inner) == "log1p"
-                            for arg in node.args for inner in ast.walk(arg))):
+        calls = [(node, function) for node, function in _walk_in_functions(ast.parse(source))
+                 if isinstance(node, ast.Call)]
+        logged = {(function, arg.id) for node, function in calls
+                  if _called(node) == "log1p" for arg in node.args
+                  if isinstance(arg, ast.Name)}
+        for node, function in calls:
+            if _called(node) == "expm1" and any(
+                    (isinstance(inner, ast.Call) and _called(inner) == "log1p")
+                    or (isinstance(inner, ast.Name) and (function, inner.id) in logged)
+                    for arg in node.args for inner in ast.walk(arg)):
                 sites.add((module, function))
     return sorted(sites)
 
@@ -203,9 +210,14 @@ def test_the_check_finds_a_second_closed_form():
               "class Panel:\n"
               "    def row(self, g, x):\n"
               "        return expm1(g * log1p(x))\n"
-              "def other(x):\n"
-              "    return np.expm1(x) + np.log1p(x)\n")
-    assert closed_form_sites({"m.py": source}) == [("m.py", "row"), ("m.py", "weights")]
+              "def in_place(g, q):\n"
+              "    np.log1p(q, out=q)\n"
+              "    q *= g\n"
+              "    return np.expm1(q, out=q)\n"
+              "def other(x, y):\n"
+              "    return np.expm1(x) + np.log1p(y)\n")
+    assert closed_form_sites({"m.py": source}) == [
+        ("m.py", "in_place"), ("m.py", "row"), ("m.py", "weights")]
 
 
 def test_one_function_holds_the_l1_closed_form():
@@ -219,13 +231,14 @@ PROBLEM_DATA = {"kappa", "source", "initial", "exact"}
 
 
 def problem_data_sites(source: str) -> list[tuple[str, str]]:
-    """(function, field) of every call of a problem callable, ``spec.kappa``,
-    ``spec.source``, ``spec.initial`` or ``spec.exact``."""
-    return sorted({(function, node.func.attr)
+    """(function, field) of every read of a problem callable, ``spec.kappa``,
+    ``spec.source``, ``spec.initial`` or ``spec.exact``: a call, or the
+    callable passed on to be called."""
+    return sorted({(function, node.attr)
                    for node, function in _walk_in_functions(ast.parse(source))
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and getattr(node.func.value, "id", None) == "spec"
-                   and node.func.attr in PROBLEM_DATA})
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and getattr(node.value, "id", None) == "spec"
+                   and node.attr in PROBLEM_DATA})
 
 
 def test_the_check_finds_a_second_problem_data_site():
@@ -234,15 +247,17 @@ def test_the_check_finds_a_second_problem_data_site():
               "    return spec.source(x, t), spec.initial(x), spec.exact(x, t)\n"
               "class Level:\n"
               "    def rhs(self, spec, x, t):\n"
-              "        return spec.source(x, t) + self.source(x)\n")
+              "        return spec.source(x, t) + self.source(x)\n"
+              "def block(spec, x, t):\n"
+              "    return evaluate(spec.kappa, x, t), spec.gamma\n")
     assert problem_data_sites(source) == [
-        ("rhs", "source"), ("run", "exact"), ("run", "initial"), ("run", "kappa"),
-        ("run", "source")]
+        ("block", "kappa"), ("rhs", "source"), ("run", "exact"), ("run", "initial"),
+        ("run", "kappa"), ("run", "source")]
 
 
 def test_one_function_evaluates_the_problem_data():
-    # the run driver passes each value through one grid evaluator, so a
-    # second call site would be an unchecked one
+    # the run driver passes each callable to one grid evaluator, so a
+    # second site would be an unchecked one
     assert problem_data_sites((SRC / "scheme.py").read_text()) == [
         ("_run", "exact"), ("_run", "initial"), ("_run", "kappa"), ("_run", "source")]
 
