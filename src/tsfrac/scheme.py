@@ -11,30 +11,33 @@ schemes, with one grid evaluator for kappa, source, the initial value and
 the exact solution, one history array and one pair of error norms; they
 differ only in its history strategy, which gives the history sum
 S_m = sum_{k<m} a_k (u^k - u^{k-1}) of level m: ``history(m, tau_m)``
-returns S_m / Gamma(1-gamma).  DIDS sums it exactly over the full solution
-history with the L1 weights (O(m) per level); FIDS evaluates it through the
+returns S_m itself.  DIDS sums it exactly over the full solution history
+with the L1 weights (O(m) per level); FIDS evaluates it through the
 sum-of-exponentials recurrence (O(N_exp) per level), on the SOE that
-``run_soe`` builds to a relative tolerance.  The run alone adds the known
-part of a level, shift_m u^{m-1} - S_m / Gamma(1-gamma), to its right-hand
-side; the newest weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma) enters only
-through shift_m.  Each strategy states its per-level cost model once, when
-it is built, as ``level_ops``, which the report carries.  The run walks the
+``run_soe`` builds to a relative tolerance.  The run alone divides S_m by
+Gamma(1-gamma) and adds the known part of a level,
+shift_m u^{m-1} - S_m / Gamma(1-gamma), to its right-hand side; the newest
+weight a^{(m)}_m = tau_m^{-gamma}/(1-gamma) enters only through shift_m.
+The run holds u^{m-1} and passes it, with u^m, to the strategy's
+``record``.  Each strategy states its per-level cost model once, when it
+is built, as ``level_ops``, which the report carries.  The run walks the
 mesh's levels in blocks (``GradedMesh.blocks``): each level's time t_m and
 step tau_m come from one evaluation per block, and the step goes to the
 shift and to the history strategy, so nothing of length M is stored.  The
 problem data come a block of levels at a time: kappa, source and exact are
 called once per block with t the column of its levels' times, and return
-one row per level (``ProblemSpec``).  The history strategy sets the block,
-as it knows what the run already holds: HISTORY_BLOCK levels for DIDS,
-whose blocks they match, and one level for a lean FIDS run, whose peak a
-block of rows would raise.  The L1 constants are ``mesh``'s: the run takes
-Gamma(1-gamma) from ``gamma_factor`` once, and each level's shift_m from
-``level_shift``.
+one row per level (``ProblemSpec``).  The run hands each block, its first
+level and that column, to the strategy's ``start`` too.  The history
+strategy sets the block size, as it knows what the run already holds:
+HISTORY_BLOCK levels for DIDS, whose far/near blocks they are, and one
+level for a lean FIDS run, whose peak a block of rows would raise.  The L1
+constants are ``mesh``'s: the run takes Gamma(1-gamma) from
+``gamma_factor`` once, and each level's shift_m from ``level_shift``.
 
-DIDS sums its history in blocks of HISTORY_BLOCK levels: when a block
-starts, the part of its levels' sums over the rows older than the block is
-one gemm, its L1 weights formed in panels of WEIGHT_PANEL rows; each level
-adds its row of the product and a short gemv over the block's own rows
+DIDS sums its history in the run's blocks: when a block starts, the part
+of its levels' sums over the rows older than the block is one gemm, its
+L1 weights formed in panels of WEIGHT_PANEL rows; each level adds its row
+of the product and a short gemv over the block's own rows
 (the far/near split of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
 Comput. 6, 1985).  On a graded mesh the weights are not Toeplitz, so the
 far part is a gemm and not an FFT.
@@ -153,7 +156,9 @@ class ProblemSpec:
 
     The run evaluates kappa, source and exact for a block of levels at a
     time, with t a column of the block's times (a block of one level is a
-    (1, 1) column), and checks every row it gets back."""
+    (1, 1) column), and checks every row it gets back.  Every callable
+    returns real values: a complex result fails, even one whose imaginary
+    part is zero, naming the callable, the level and t."""
 
     gamma: float
     alpha: float
@@ -373,25 +378,31 @@ def _on_grid(name: str, f: Callable, x: np.ndarray, m0: int, t: np.ndarray,
     """``f(x, t)`` for the b levels m0, m0+1, ... whose times are the column
     ``t``, as a fresh (b, n) float array, one row per level (the run adds to
     the rows in place and may keep them).  A scalar, one value per grid
-    point (n,) or one value per level (b, 1) is broadcast.  Another shape, a
-    non-finite value or, with ``positive``, one that is not > 0 fails,
-    naming the level and the point; a block of another shape is evaluated
-    again level by level, to name the first level whose own value has the
-    wrong shape."""
+    point (n,) or one value per level (b, 1) is broadcast.  A complex value,
+    another shape, a non-finite value or, with ``positive``, one that is not
+    > 0 fails, naming the level and the point; a complex block or one of
+    another shape is evaluated again level by level, to name the first
+    level whose own value fails."""
     shape = (t.shape[0], x.size)
-    v = np.array(f(x, t), dtype=float)
+    v = np.asarray(f(x, t))
+    broadcast = ((), (x.size,), (shape[0], 1))
+    # a cast to float would drop the imaginary part, a complex scalar's
+    # cast raise numpy's bare TypeError
+    real = v.dtype.kind != "c"
+    if not real or v.shape not in (shape,) + broadcast:
+        if shape[0] > 1:
+            for i in range(shape[0]):
+                _on_grid(name, f, x, m0 + i, t[i:i + 1], positive)
+        at = f"at level m={m0}, t={t[0, 0]}"
+        raise ValueError(
+            f"{name} must be real on the grid: {at}, it returned {v.dtype} values"
+            if not real else
+            f"{name} must return shape {shape} (levels x grid points) or "
+            f"one broadcast to it, {broadcast[0]}, {broadcast[1]} or "
+            f"{broadcast[2]}: {at}, it returned shape {v.shape}")
     if v.shape != shape:
-        broadcast = ((), (x.size,), (shape[0], 1))
-        if v.shape not in broadcast:
-            if shape[0] > 1:
-                for i in range(shape[0]):
-                    _on_grid(name, f, x, m0 + i, t[i:i + 1], positive)
-            raise ValueError(
-                f"{name} must return shape {shape} (levels x grid points) or "
-                f"one broadcast to it, {broadcast[0]}, {broadcast[1]} or "
-                f"{broadcast[2]}: at level m={m0}, t={t[0, 0]}, it returned "
-                f"shape {v.shape}")
-        v = np.broadcast_to(v, shape).copy()
+        v = np.broadcast_to(v, shape)
+    v = np.array(v, dtype=float)
     # NaN fails both tests
     ok = (v > 0.0) & (v < math.inf) if positive else np.isfinite(v)
     if not ok.all():
@@ -426,16 +437,16 @@ def _error_norms(exact: np.ndarray, u: np.ndarray, h: float) -> tuple[float, flo
 class _L1Sum:
     """DIDS history: the L1 sum over the run's history u^0..u^M, O(m) per level.
 
-    The levels run in blocks of HISTORY_BLOCK.  When a block starts at level
-    m0, the part of its levels' sums over rows 0..m0-1 is one gemm, formed
-    WEIGHT_PANEL rows at a time; each level then adds its row of that product
-    and a gemv over the block's rows before it."""
+    ``history`` returns S_m, which the run divides by Gamma(1-gamma).  The
+    run hands it each block of levels with the block's times (``start``):
+    when a block starts at level m0, the part of its levels' sums over rows
+    0..m0-1 is one gemm, formed WEIGHT_PANEL rows at a time; each level then
+    adds its row of that product and a gemv over the block's rows before
+    it."""
 
-    def __init__(self, gamma: float, g1mg: float, mesh: GradedMesh,
-                 hist: np.ndarray):
+    def __init__(self, gamma: float, mesh: GradedMesh, hist: np.ndarray):
         self.gamma = gamma
         self.mesh = mesh
-        self.g1mg = g1mg
         self.hist = hist
         # the run evaluates the problem data for the levels of one block at
         # a time: a few (B, n) arrays beside the (M+1, n) history
@@ -447,52 +458,49 @@ class _L1Sum:
 
     def _coefficients(self, levels: np.ndarray, times: np.ndarray, j0: int,
                       j1: int) -> np.ndarray:
-        """Each level's history coefficients of rows j0..j1-1, over
-        Gamma(1-gamma): a_j - a_{j+1} for u^j, with a_0 = 0 and the weights
-        from the level's own interval on 0 (``l1_weights``)."""
+        """Each level's differences a_{j+1} - a_j of rows j0..j1-1, with
+        a_0 = 0 and the weights from the level's own interval on 0
+        (``l1_weights``): u^j enters S_m with the coefficient a_j - a_{j+1}."""
         a = l1_weights(self.mesh, self.gamma, levels, times, max(j0 - 1, 0), j1)
-        # the differences a_{j+1} - a_j, as np.diff forms them without its
-        # call; from row 0 on, in place, the first is a_1 - a_0 = a_1
+        # as np.diff forms them without its call; from row 0 on, in place,
+        # the first is a_1 - a_0 = a_1
         if j0 == 0:
             a[:, 1:] -= a[:, :-1]
-            c = a
-        else:
-            c = a[:, 1:] - a[:, :-1]
-        c /= -self.g1mg
-        return c
+            return a
+        return a[:, 1:] - a[:, :-1]
 
-    def _start_block(self, m0: int):
-        levels = np.arange(m0, min(m0 + HISTORY_BLOCK, self.mesh.M + 1))
-        # the block's times, once for all its weight panels
-        times = self.mesh.times(levels)
+    def start(self, m0: int, t: np.ndarray):
+        """Take the block of levels m0, m0+1, ... whose times are the column
+        ``t``, evaluated by the run."""
+        levels = np.arange(m0, m0 + t.shape[0])
+        times = t[:, 0]
         self.m0 = m0
         self.far = np.zeros((levels.size, self.hist.shape[1]))
         for j0 in range(0, m0, WEIGHT_PANEL):
             j1 = min(j0 + WEIGHT_PANEL, m0)
-            self.far += self._coefficients(levels, times, j0, j1) @ self.hist[j0:j1]
+            self.far -= self._coefficients(levels, times, j0, j1) @ self.hist[j0:j1]
         # level m0 + i reads the first i columns: rows m0 .. m0+i-1
         self.near = self._coefficients(levels, times, m0, m0 + levels.size - 1)
 
     def history(self, m: int, tau_m: float) -> np.ndarray:
-        """S_m / Gamma(1-gamma), the exact history sum of level m; the step
-        is not read."""
-        if (m - 1) % HISTORY_BLOCK == 0:
-            self._start_block(m)
+        """S_m, the exact history sum of level m; the step is not read."""
         i = m - self.m0
-        return self.far[i] + self.near[i, :i] @ self.hist[self.m0:m]
+        return self.far[i] - self.near[i, :i] @ self.hist[self.m0:m]
 
-    def record(self, m: int, u: np.ndarray, tau_m: float):
+    def record(self, m: int, u: np.ndarray, u_prev: np.ndarray, tau_m: float):
         """Nothing to do: the run's history already holds u^m."""
 
 
 class _SoeRecurrence:
-    """FIDS history: the SOE recurrence, O(N_exp) per level; keeps u^{m-1}."""
+    """FIDS history: the SOE recurrence, O(N_exp) per level.
 
-    def __init__(self, soe: SoeApproximation, g1mg: float, M: int,
-                 u0: np.ndarray):
+    ``history`` returns S_m, which the run divides by Gamma(1-gamma), and
+    ``record`` pushes u^m - u^{m-1}, the run holding u^{m-1}; ``start``,
+    handed the run's blocks of one level, has nothing to do."""
+
+    def __init__(self, soe: SoeApproximation, M: int, n: int):
         self.M = M
-        self.g1mg = g1mg
-        self.fast = FastHistory.fresh(soe, u0.size)
+        self.fast = FastHistory.fresh(soe, n)
         # the problem data one level at a time: a lean run holds W, u^{m-1}
         # and a few vectors of length n, and blocks of levels would add to
         # that peak (at n = 127, 2 levels +0.8%, 4 levels +2.7%)
@@ -500,20 +508,18 @@ class _SoeRecurrence:
         self.memory_values = self.fast.W.size
         # the same count at every level: one read-only value, not M
         self.level_ops = np.broadcast_to(np.int64(self.memory_values), (M,))
-        self.u_prev = u0
+
+    def start(self, m0: int, t: np.ndarray):
+        """Nothing to do: the recurrence reads each level's step alone."""
 
     def history(self, m: int, tau_m: float) -> np.ndarray:
-        """S_m / Gamma(1-gamma), the SOE's history sum of level m, whose
-        step is tau_m."""
-        hist = history_sum(self.fast, tau_m)
-        hist /= self.g1mg
-        return hist
+        """S_m, the SOE's history sum of level m, whose step is tau_m."""
+        return history_sum(self.fast, tau_m)
 
-    def record(self, m: int, u: np.ndarray, tau_m: float):
+    def record(self, m: int, u: np.ndarray, u_prev: np.ndarray, tau_m: float):
         # no level reads W^M
         if m < self.M:
-            history_push(self.fast, u - self.u_prev, tau_m)
-            self.u_prev = u
+            history_push(self.fast, u - u_prev, tau_m)
 
 
 def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
@@ -538,6 +544,8 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     disc = build_ifl(spec.alpha, splitting_parameter(spec.alpha, mu), spec.l, N)
     x = disc.interior_points()
     if epsilon is not None:
+        # before the level strategy, whose dense A beside the build's
+        # transients raised pk-n128's tracemalloc peak by 26%
         soe = run_soe(spec.gamma, epsilon, mesh)
     tag = select_solver(N, options)
     levels = (_DirectLevels(disc, M) if tag == "direct"
@@ -547,8 +555,8 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
     u = _on_grid("initial", lambda x, t: spec.initial(x), x, 0, level0)[0]
 
     hist = np.empty((M + 1, x.size)) if keep_history else None
-    history = (_L1Sum(spec.gamma, g1mg, mesh, hist) if epsilon is None
-               else _SoeRecurrence(soe, g1mg, M, u))
+    history = (_L1Sum(spec.gamma, mesh, hist) if epsilon is None
+               else _SoeRecurrence(soe, M, x.size))
     err = np.zeros(2)   # np.maximum keeps a NaN error, where max() drops it
     if hist is not None:
         hist[0] = u
@@ -562,16 +570,19 @@ def _run(spec: ProblemSpec, M: int, r: float, N: int, mu: Optional[float],
         if m1:
             kappa = _on_grid("kappa", spec.kappa, x, m1, tb, positive=True)
             source = _on_grid("source", spec.source, x, m1, tb)
+            history.start(m1, tb)
         for i, tau_m in enumerate(taub):
             m = m1 + i
             shift = level_shift(spec.gamma, tau_m, g1mg)
-            # the known part, u still u^{m-1}
+            # the known part, shift_m u^{m-1} - S_m / Gamma(1-gamma)
             rhs = source[i]
-            rhs -= history.history(m, tau_m)
+            rhs -= history.history(m, tau_m) / g1mg
             rhs += shift * u
-            u, its = levels.solve(shift, kappa[i], rhs, m, tb[i, 0])
+            u_m, its = levels.solve(shift, kappa[i], rhs, m, tb[i, 0])
             its_total += its
-            history.record(m, u, tau_m)
+            # u^{m-1} is released once the strategy has read it
+            history.record(m, u_m, u, tau_m)
+            u = u_m
             if hist is not None:
                 hist[m] = u
         # the exact solution once the block is solved, against its levels'

@@ -354,6 +354,41 @@ class TestInputChecks:
         assert rows == ([HISTORY_BLOCK] * 2 + [1] * 13 if run is run_dids else [1] * 45)
 
     @pytest.mark.parametrize("run", [run_dids, run_fids])
+    @pytest.mark.parametrize("name", ["initial", "kappa", "source", "exact"])
+    def test_complex_data_names_the_callable_and_level(self, run, name):
+        # a cast to float dropped the imaginary part of a complex array, and
+        # a complex scalar's raised numpy's bare TypeError; level 45 lies
+        # inside DIDS's block of levels 33..64
+        spec = make_case("example1", 1.5, 0.5).spec
+        f = getattr(spec, name)
+        t45 = build_mesh(64, 2, 1.0).times(45)
+        if name == "initial":
+            level, t = 0, r"0\.0"
+
+            def planted(x):
+                return 1.0 + 0.5j
+        else:
+            level, t = 45, r"0\.494384765625"
+
+            def planted(x, t):
+                v = f(x, t)
+                return v * (1.0 + 0.5j) if np.any(t == t45) else v
+
+        spec = dataclasses.replace(spec, **{name: planted})
+        with pytest.raises(ValueError, match=(
+                rf"^{name} must be real on the grid: at level m={level}, t={t}, "
+                rf"it returned complex128 values$")):
+            run(spec, 64, 2, 16)
+
+    def test_a_zero_imaginary_part_is_still_complex(self):
+        spec = dataclasses.replace(make_case("example1", 1.5, 0.5).spec,
+                                   source=lambda x, t: np.zeros((t.shape[0], x.size),
+                                                                dtype=complex))
+        with pytest.raises(ValueError, match=r"^source must be real on the grid: "
+                                             r"at level m=1, "):
+            run_dids(spec, 8, 2, 16)
+
+    @pytest.mark.parametrize("run", [run_dids, run_fids])
     def test_direct_cap_fails_before_allocating(self, run):
         calls = []
         spec = make_case("example1", 1.5, 0.5).spec
@@ -813,9 +848,10 @@ class TestDidsOracle:
 
 
 class TestHistoryStrategies:
-    """Each strategy's history(m, tau_m) is S_m / Gamma(1-gamma), the L1 sum
+    """Each strategy's history(m, tau_m) is S_m, the L1 sum
     sum_{k<m} a_k (u^k - u^{k-1}) over the levels before m, on a stored
-    random history."""
+    random history.  The run divides it by Gamma(1-gamma), holds u^{m-1}
+    for ``record`` and hands each block of levels to ``start``."""
 
     GAMMA = 0.6
     # 200 levels: seven blocks of HISTORY_BLOCK, the last far parts from two
@@ -828,23 +864,46 @@ class TestHistoryStrategies:
         return mesh, rng.standard_normal((self.M + 1, 6))
 
     def exact_sums(self, mesh, hist):
-        """(S_m / Gamma(1-gamma), sum_{k<m} a_k |u^k - u^{k-1}| / Gamma(1-gamma))
-        for m = 1..M, from the oracle's weight rows."""
-        g = gamma_factor(self.GAMMA)
+        """(S_m, sum_{k<m} a_k |u^k - u^{k-1}|) for m = 1..M, from the
+        oracle's weight rows."""
         for m in range(1, mesh.M + 1):
             a = l1_row(mesh, self.GAMMA, m)[:-1]
             du = np.diff(hist[:m], axis=0)
-            yield a @ du / g, a @ np.abs(du) / g
+            yield a @ du, a @ np.abs(du)
+
+    def l1_sums(self, mesh, hist, sizes):
+        """(m, got, want) for m = 1..M: S_m of an ``_L1Sum`` handed blocks
+        of ``sizes`` levels, each with its column of times, and the
+        oracle's S_m."""
+        assert sum(sizes) == mesh.M
+        strategy = _L1Sum(self.GAMMA, mesh, hist)
+        t, tau = mesh_arrays(mesh)
+        exact = self.exact_sums(mesh, hist)
+        m0 = 1
+        for b in sizes:
+            strategy.start(m0, t[m0:m0 + b, None])
+            for m in range(m0, m0 + b):
+                yield m, strategy.history(m, tau[m - 1]), next(exact)[0]
+            m0 += b
 
     def test_the_l1_sum_is_the_oracle_sum(self, stored):
         mesh, hist = stored
-        strategy = _L1Sum(self.GAMMA, gamma_factor(self.GAMMA), mesh, hist)
-        _, tau = mesh_arrays(mesh)
-        for m, (want, _) in enumerate(self.exact_sums(mesh, hist), start=1):
-            # the strategy starts its blocks as the levels come
-            got = strategy.history(m, tau[m - 1])
+        # the blocks the run hands a DIDS strategy
+        sizes = [HISTORY_BLOCK] * (self.M // HISTORY_BLOCK) + [self.M % HISTORY_BLOCK]
+        for m, got, want in self.l1_sums(mesh, hist, sizes):
             # block and panel edges
             if m in (1, 2, HISTORY_BLOCK, HISTORY_BLOCK + 1, WEIGHT_PANEL + 1, self.M):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_the_l1_sum_takes_the_blocks_it_is_handed(self, stored):
+        # blocks whose sizes do not divide LEVEL_BLOCK, and a short last
+        # one; the blocks from level 107 on form their far parts from rows
+        # on both sides of a weight panel's edge
+        mesh, hist = stored
+        sizes = [5, 37, 32, 32, 32, 32, 30]
+        edges = set(np.cumsum([1] + sizes[:-1])) | set(np.cumsum(sizes))
+        for m, got, want in self.l1_sums(mesh, hist, sizes):
+            if m in edges | {WEIGHT_PANEL, WEIGHT_PANEL + 1}:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_the_soe_recurrence_is_the_l1_sum_to_the_soe_tolerance(self, stored):
@@ -852,14 +911,42 @@ class TestHistoryStrategies:
         # within eps a_k, and so S_m within eps sum_{k<m} a_k |u^k - u^{k-1}|
         mesh, hist = stored
         eps = 1e-9
-        g = gamma_factor(self.GAMMA)
-        exact = _L1Sum(self.GAMMA, g, mesh, hist)
-        fast = _SoeRecurrence(run_soe(self.GAMMA, eps, mesh), g, mesh.M, hist[0])
-        _, tau = mesh_arrays(mesh)
-        for m, (_, scale) in enumerate(self.exact_sums(mesh, hist), start=1):
+        fast = _SoeRecurrence(run_soe(self.GAMMA, eps, mesh), mesh.M, hist.shape[1])
+        t, tau = mesh_arrays(mesh)
+        for m, (want, scale) in enumerate(self.exact_sums(mesh, hist), start=1):
+            fast.start(m, t[m:m + 1, None])
             got = fast.history(m, tau[m - 1])
-            fast.record(m, hist[m], tau[m - 1])
-            assert np.all(np.abs(got - exact.history(m, tau[m - 1])) <= eps * scale)
+            fast.record(m, hist[m], hist[m - 1], tau[m - 1])
+            assert np.all(np.abs(got - want) <= eps * scale)
+
+    @pytest.mark.parametrize("run,block", [(run_dids, HISTORY_BLOCK), (run_fids, 1)])
+    def test_the_run_hands_each_data_block_to_the_strategy(self, monkeypatch, run,
+                                                           block):
+        # the strategy's blocks are the run's: the levels and times of each
+        # kappa evaluation
+        evaluated, started = [], []
+        on_grid = tsfrac.scheme._on_grid
+
+        def spy_on_grid(name, f, x, m0, t, positive=False):
+            if name == "kappa":
+                evaluated.append((m0, t.shape[0], t.copy()))
+            return on_grid(name, f, x, m0, t, positive)
+
+        strategy = _L1Sum if run is run_dids else _SoeRecurrence
+        start = strategy.start
+
+        def spy_start(self, m0, t):
+            started.append((m0, t.shape[0], t.copy()))
+            return start(self, m0, t)
+
+        monkeypatch.setattr(tsfrac.scheme, "_on_grid", spy_on_grid)
+        monkeypatch.setattr(strategy, "start", spy_start)
+        M = 3 * HISTORY_BLOCK + 4
+        run(make_case("example1", 1.5, 0.5).spec, M, 2, 16)
+        assert [(m0, b) for m0, b, _ in started] == [(m0, b) for m0, b, _ in evaluated]
+        assert all(np.array_equal(s[2], e[2]) for s, e in zip(started, evaluated))
+        assert [b for _, b, _ in started] == [min(block, M + 1 - m0)
+                                              for m0 in range(1, M + 1, block)]
 
 
 class TestPaperValues:

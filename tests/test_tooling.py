@@ -422,6 +422,38 @@ def test_one_function_forms_the_gamma_factor():
         ("mesh.py", "gamma_factor")]
 
 
+def gamma_factor_reads(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every function that reads the run's
+    Gamma(1-gamma), ``g1mg``, as a name or as an attribute."""
+    return sorted({(module, function) for module, source in sources.items()
+                   for node, function in _walk_in_functions(ast.parse(source))
+                   if isinstance(getattr(node, "ctx", None), ast.Load)
+                   and "g1mg" in (getattr(node, "id", None), getattr(node, "attr", None))})
+
+
+def test_the_check_finds_a_gamma_factor_read():
+    source = ("class Recurrence:\n"
+              "    def __init__(self, soe, g1mg):\n"
+              "        self.g1mg = g1mg\n"
+              "    def history(self, tau_m):\n"
+              "        return history_sum(self.fast, tau_m) / self.g1mg\n"
+              "def run(spec):\n"
+              "    g1mg = gamma_factor(spec.gamma)\n"
+              "    return level_shift(spec.gamma, 0.1, g1mg), Recurrence(None, g1mg=g1mg)\n"
+              "def others(g, g1mg=1.0):\n"
+              "    g.g1mg = 2.0\n"
+              "    return g.g1mg_count, gamma_factor(0.5)\n")
+    assert gamma_factor_reads({"m.py": source}) == [
+        ("m.py", "__init__"), ("m.py", "history"), ("m.py", "run")]
+
+
+def test_the_run_applies_the_gamma_factor_in_one_place():
+    # the history strategies return S_m; the run divides it by
+    # Gamma(1-gamma), next to the shift
+    assert gamma_factor_reads({p.name: p.read_text() for p in PACKAGE}) == [
+        ("mesh.py", "level_shift"), ("scheme.py", "_run")]
+
+
 def newest_weight_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(module, function) of every function that calls ``_last_weight``,
     the closed form of the newest L1 weight a_m."""
